@@ -85,29 +85,18 @@ without blocking in-flight requests.";
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Loads one TSV export, or several (comma-separated paths) merged —
-/// the consolidation step of §5, for logs collected from decentralized
-/// storage locations. Uses the resilient ingest path: malformed lines
-/// are quarantined (up to the error budget), duplicates absorbed and
-/// out-of-order delivery repaired, with a warning summarizing any
-/// damage found.
+/// Loads one TSV export, or several (comma-separated paths) merged,
+/// through the resilient ingest path ([`logdep_logstore::load_logs`]):
+/// malformed lines are quarantined (up to the error budget), duplicates
+/// absorbed and out-of-order delivery repaired, with a warning
+/// summarizing any damage found.
 fn load_logs(paths: &str) -> Result<LogStore, Box<dyn Error>> {
-    let policy = IngestPolicy::default();
-    let mut merged: Option<LogStore> = None;
-    for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let file = File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
-        let (store, report) = read_store_resilient(BufReader::new(file), &policy)
-            .map_err(|e| format!("ingest {path}: {e}"))?;
+    let (store, reports) = logdep_logstore::load_logs(paths)?;
+    for (path, report) in &reports {
         if report.quarantined > 0 || report.deduped > 0 {
             eprintln!("warning: {path}: {}", report.summary());
         }
-        match merged.as_mut() {
-            None => merged = Some(store),
-            Some(m) => m.merge(&store),
-        }
     }
-    let mut store = merged.ok_or("no log files given")?;
-    store.finalize();
     Ok(store)
 }
 

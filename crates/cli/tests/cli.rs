@@ -329,6 +329,28 @@ fn ingest_rejects_garbage_past_error_budget() {
 }
 
 #[test]
+fn ingest_quarantines_a_non_utf8_line() {
+    let dir = TempDir::new("utf8");
+    let logs = dir.path("logs.tsv");
+    let mut data = Vec::new();
+    for i in 0..6_000 {
+        data.extend_from_slice(format!("{i}\t{i}\tApp\t-\t-\tINF\tmessage {i}\n").as_bytes());
+    }
+    data.extend_from_slice(b"6000\t6000\tApp\t-\t-\tINF\tbad \xff byte\n");
+    std::fs::write(&logs, data).expect("write");
+    let (code, out) = run(&["ingest", "--logs", &logs]);
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        out.contains("6001 lines: 6000 parsed, 1 quarantined"),
+        "{out}"
+    );
+    assert!(
+        out.contains("quarantined line 6001: line is not valid UTF-8"),
+        "{out}"
+    );
+}
+
+#[test]
 fn comma_separated_logs_are_consolidated() {
     let dir = TempDir::new("merge");
     let (logs_a, directory) = simulated(&dir);

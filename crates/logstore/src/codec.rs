@@ -14,6 +14,7 @@ use crate::record::{LogRecord, Severity};
 use crate::registry::NameRegistry;
 use crate::store::LogStore;
 use crate::time::Millis;
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
 /// Escapes text for a single TSV field.
@@ -31,8 +32,12 @@ fn escape(text: &str) -> String {
     out
 }
 
-/// Reverses [`escape`].
-fn unescape(text: &str) -> String {
+/// Reverses [`escape`]. Borrows the field when it holds no backslash,
+/// which is every field the writer did not have to escape.
+fn unescape(text: &str) -> Cow<'_, str> {
+    if !text.contains('\\') {
+        return Cow::Borrowed(text);
+    }
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars();
     while let Some(c) = chars.next() {
@@ -52,7 +57,7 @@ fn unescape(text: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Writes one record as a TSV line (including the trailing newline).
@@ -99,6 +104,8 @@ pub enum ParseError {
     BadTimestamp(String),
     /// The severity tag was unknown.
     BadSeverity(String),
+    /// The line's bytes were not valid UTF-8.
+    InvalidUtf8,
 }
 
 impl std::fmt::Display for ParseError {
@@ -107,6 +114,7 @@ impl std::fmt::Display for ParseError {
             ParseError::FieldCount(n) => write!(f, "expected 7 TSV fields, got {n}"),
             ParseError::BadTimestamp(s) => write!(f, "bad timestamp: {s:?}"),
             ParseError::BadSeverity(s) => write!(f, "bad severity tag: {s:?}"),
+            ParseError::InvalidUtf8 => write!(f, "line is not valid UTF-8"),
         }
     }
 }
@@ -114,37 +122,90 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses one TSV line into a record, interning names into `registry`.
+///
+/// The fields are slices of `line`, and a field is unescaped into a new
+/// string only when it holds a backslash, so a record costs one
+/// allocation: its text. Names are interned before the severity is
+/// checked, so a line with a bad tag still registers its names.
 pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord, ParseError> {
-    let fields: Vec<&str> = line.splitn(7, '\t').collect();
-    if fields.len() != 7 {
-        return Err(ParseError::FieldCount(fields.len()));
+    let mut parts = line.splitn(7, '\t');
+    let mut fields = [""; 7];
+    for (n, field) in fields.iter_mut().enumerate() {
+        *field = parts.next().ok_or(ParseError::FieldCount(n))?;
     }
-    let client_ts: i64 = fields[0]
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(fields[0].to_owned()))?;
-    let server_ts: i64 = fields[1]
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(fields[1].to_owned()))?;
-    let source = registry.source(&unescape(fields[2]));
-    let user = match fields[3] {
+    let [client_ts, server_ts, source, user, host, severity, text] = fields;
+    let timestamp = |field: &str| {
+        field
+            .parse::<i64>()
+            .map(Millis)
+            .map_err(|_| ParseError::BadTimestamp(field.to_owned()))
+    };
+    let client_ts = timestamp(client_ts)?;
+    let server_ts = timestamp(server_ts)?;
+    let source = registry.source(&unescape(source));
+    let user = match user {
         "-" => None,
         u => Some(registry.user(&unescape(u))),
     };
-    let host = match fields[4] {
+    let host = match host {
         "-" => None,
         h => Some(registry.host(&unescape(h))),
     };
-    let severity = Severity::from_tag(fields[5])
-        .ok_or_else(|| ParseError::BadSeverity(fields[5].to_owned()))?;
+    let severity =
+        Severity::from_tag(severity).ok_or_else(|| ParseError::BadSeverity(severity.to_owned()))?;
     Ok(LogRecord {
-        client_ts: Millis(client_ts),
-        server_ts: Millis(server_ts),
+        client_ts,
+        server_ts,
         source,
         user,
         host,
         severity,
-        text: unescape(fields[6]),
+        text: unescape(text).into_owned(),
     })
+}
+
+/// The line loop both TSV readers share: reads into one reused byte
+/// buffer and yields each non-empty line with its 1-based line number.
+///
+/// A line ends at `\n`; one `\r` right before it is dropped too, exactly
+/// as [`BufRead::lines`] does, and a `\r` anywhere else stays in the
+/// line. Each line is checked for UTF-8 on its own, so a bad byte costs
+/// its line ([`ParseError::InvalidUtf8`]), not the stream.
+pub(crate) struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    lineno: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        Self {
+            reader,
+            buf: Vec::new(),
+            lineno: 0,
+        }
+    }
+
+    /// The next non-empty line, or `None` at end of stream.
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<(usize, Result<&str, ParseError>)>> {
+        loop {
+            self.buf.clear();
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            let len = match self.buf.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line).len(),
+                None => self.buf.len(),
+            };
+            if len > 0 {
+                self.buf.truncate(len);
+                break;
+            }
+        }
+        let line = std::str::from_utf8(&self.buf).map_err(|_| ParseError::InvalidUtf8);
+        Ok(Some((self.lineno, line)))
+    }
 }
 
 /// Parse failures from one ingest pass, with bounded memory: the first
@@ -215,21 +276,19 @@ impl<'a> IntoIterator for &'a ParseErrors {
 
 /// Reads a whole TSV stream into a fresh (finalized) store.
 ///
-/// Lines that fail to parse are counted (and the first few retained with
-/// their 1-based line number); parsing continues past them, mirroring how
-/// a real consolidation job must tolerate occasional corrupt lines. For
-/// quarantine budgets, repair and dedup, see [`crate::ingest`].
+/// Lines that fail to parse, or are not UTF-8, are counted (and the first
+/// few retained with their 1-based line number); parsing continues past
+/// them, mirroring how a real consolidation job must tolerate occasional
+/// corrupt lines. For quarantine budgets, repair and dedup, see
+/// [`crate::ingest`].
 pub fn read_store<R: BufRead>(r: R) -> io::Result<(LogStore, ParseErrors)> {
     let mut store = LogStore::new();
     let mut errors = ParseErrors::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        match parse_record(&line, &mut store.registry) {
+    let mut lines = Lines::new(r);
+    while let Some((lineno, line)) = lines.next_line()? {
+        match line.and_then(|line| parse_record(line, &mut store.registry)) {
             Ok(rec) => store.push(rec),
-            Err(e) => errors.record(i + 1, e),
+            Err(e) => errors.record(lineno, e),
         }
     }
     store.finalize();
@@ -349,6 +408,40 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(errors.is_empty());
         assert_eq!(store.registry.find_source("A"), Some(SourceId(0)));
+    }
+
+    #[test]
+    fn lines_strip_like_buf_read_lines() {
+        let data: &[u8] = b"a\r\n\n\r\nb\rc\n\xff\x80\r\nlast\r";
+        let mut lines = Lines::new(data);
+        let mut seen = Vec::new();
+        while let Some((lineno, line)) = lines.next_line().unwrap() {
+            seen.push((lineno, line.map(str::to_owned)));
+        }
+        assert_eq!(
+            seen,
+            vec![
+                (1, Ok("a".to_owned())),
+                (4, Ok("b\rc".to_owned())),
+                (5, Err(ParseError::InvalidUtf8)),
+                // No final `\n`, so the `\r` stays, as with `lines()`.
+                (6, Ok("last\r".to_owned())),
+            ]
+        );
+    }
+
+    #[test]
+    fn read_store_quarantines_invalid_utf8() {
+        let data: &[u8] = b"1\t1\tA\t-\t-\tINF\tok\n2\t2\tA\t-\t-\tINF\t\xffbad\n";
+        let (store, errors) = read_store(data).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(errors.samples(), &[(2, ParseError::InvalidUtf8)]);
+    }
+
+    #[test]
+    fn unescape_borrows_plain_fields() {
+        assert!(matches!(unescape("plain"), Cow::Borrowed("plain")));
+        assert!(matches!(unescape("a\\tb"), Cow::Owned(s) if s == "a\tb"));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
 //! machine-readable [`IngestReport`].
 
-use crate::codec::{parse_record, ParseErrors};
+use crate::codec::{parse_record, Lines, ParseErrors};
 use crate::store::LogStore;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
 
 /// Per-source cap on skew samples: enough for a stable median without
 /// letting one chatty source dominate memory.
@@ -65,7 +66,7 @@ pub struct IngestReport {
     pub total_lines: usize,
     /// Lines parsed into records.
     pub parsed: usize,
-    /// Lines quarantined (failed to parse).
+    /// Lines quarantined (failed to parse, or not UTF-8).
     pub quarantined: usize,
     /// First few quarantined lines as `(1-based line number, error)`.
     pub quarantine_samples: Vec<(usize, String)>,
@@ -160,6 +161,9 @@ impl From<io::Error> for IngestError {
 /// Unlike [`crate::codec::read_store`], this fails fast (with
 /// [`IngestError::ErrorBudgetExceeded`]) when the stream is mostly
 /// garbage, and absorbs duplicate delivery when `policy.dedup` is set.
+/// A line that is not valid UTF-8 is quarantined like any other
+/// malformed line ([`crate::codec::ParseError::InvalidUtf8`]), so one
+/// bad shipper line cannot fail the whole pass.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
@@ -171,13 +175,10 @@ pub fn read_store_resilient<R: BufRead>(
     let mut skew_samples: Vec<Vec<i64>> = Vec::new();
     let mut last_seen_ts: Option<i64> = None;
 
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
+    let mut lines = Lines::new(r);
+    while let Some((lineno, line)) = lines.next_line()? {
         report.total_lines += 1;
-        match parse_record(&line, &mut store.registry) {
+        match line.and_then(|line| parse_record(line, &mut store.registry)) {
             Ok(rec) => {
                 report.parsed += 1;
                 let ts = rec.client_ts.as_millis();
@@ -196,7 +197,7 @@ pub fn read_store_resilient<R: BufRead>(
                 }
                 store.push(rec);
             }
-            Err(e) => errors.record(i + 1, e),
+            Err(e) => errors.record(lineno, e),
         }
         if report.total_lines >= policy.min_lines_before_check {
             check_budget(report.total_lines, errors.len(), policy)?;
@@ -231,6 +232,82 @@ pub fn read_store_resilient<R: BufRead>(
     Ok((store, report))
 }
 
+/// Failure of [`load_logs`]; the messages name the file at fault.
+#[derive(Debug)]
+pub enum LoadError {
+    /// A file could not be opened.
+    Open {
+        /// The path as given.
+        path: String,
+        /// Why opening failed.
+        error: io::Error,
+    },
+    /// A file failed its resilient ingest pass.
+    Ingest {
+        /// The path as given.
+        path: String,
+        /// Why the pass failed.
+        error: IngestError,
+    },
+    /// The path list named no file.
+    NoFiles,
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Open { path, error } => write!(f, "open {path:?}: {error}"),
+            LoadError::Ingest { path, error } => write!(f, "ingest {path}: {error}"),
+            LoadError::NoFiles => write!(f, "no log files given"),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LoadError::Open { error, .. } => Some(error),
+            LoadError::Ingest { error, .. } => Some(error),
+            LoadError::NoFiles => None,
+        }
+    }
+}
+
+/// Loads one TSV export, or several (comma-separated paths) merged into
+/// one finalized store — the consolidation step of §5, for logs collected
+/// from decentralized storage locations.
+///
+/// Each file goes through [`read_store_resilient`] under the default
+/// [`IngestPolicy`]. Later files are merged into the first, and the merge
+/// removes exact duplicates, so a file listed twice counts once. Returns
+/// the store and each file's report, in the order given.
+pub fn load_logs(paths: &str) -> Result<(LogStore, Vec<(String, IngestReport)>), LoadError> {
+    let policy = IngestPolicy::default();
+    let mut merged: Option<LogStore> = None;
+    let mut reports = Vec::new();
+    for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let file = File::open(path).map_err(|error| LoadError::Open {
+            path: path.to_owned(),
+            error,
+        })?;
+        let (store, report) =
+            read_store_resilient(BufReader::new(file), &policy).map_err(|error| {
+                LoadError::Ingest {
+                    path: path.to_owned(),
+                    error,
+                }
+            })?;
+        reports.push((path.to_owned(), report));
+        match merged.as_mut() {
+            None => merged = Some(store),
+            Some(m) => m.merge(store),
+        }
+    }
+    let mut store = merged.ok_or(LoadError::NoFiles)?;
+    store.finalize();
+    Ok((store, reports))
+}
+
 fn check_budget(
     lines: usize,
     quarantined: usize,
@@ -262,7 +339,7 @@ fn median(samples: &mut [i64]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::write_record;
+    use crate::codec::{write_record, ParseError};
     use crate::record::LogRecord;
     use crate::time::Millis;
 
@@ -381,6 +458,83 @@ mod tests {
             read_store_resilient(data.as_bytes(), &IngestPolicy::default()).expect("ok");
         assert_eq!(report.per_source_skew_ms.get("A"), Some(&5_000));
         assert_eq!(report.per_source_skew_ms.get("B"), None);
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_quarantined_not_fatal() {
+        let mut data = tsv(&[(10, 10, "A", "x"), (20, 20, "B", "y")]).into_bytes();
+        data.extend_from_slice(b"30\t30\tA\t-\t-\tINF\tbad \xff byte\n");
+        data.extend_from_slice(tsv(&[(40, 40, "A", "z")]).as_bytes());
+        let (store, report) =
+            read_store_resilient(data.as_slice(), &IngestPolicy::default()).expect("ok");
+        assert_eq!(store.len(), 3);
+        assert_eq!((report.total_lines, report.parsed), (4, 3));
+        assert_eq!(report.quarantined, 1);
+        assert_eq!(
+            report.quarantine_samples,
+            vec![(3, ParseError::InvalidUtf8.to_string())]
+        );
+
+        // It counts against the error budget like any malformed line.
+        let strict = IngestPolicy {
+            max_error_fraction: 0.2,
+            ..IngestPolicy::default()
+        };
+        match read_store_resilient(data.as_slice(), &strict) {
+            Err(IngestError::ErrorBudgetExceeded {
+                lines, quarantined, ..
+            }) => assert_eq!((lines, quarantined), (4, 1)),
+            other => panic!("expected the budget to trip, got {other:?}"),
+        }
+    }
+
+    fn temp_file(name: &str, contents: &str) -> String {
+        let path =
+            std::env::temp_dir().join(format!("logdep-ingest-{}-{name}", std::process::id()));
+        std::fs::write(&path, contents).expect("write temp file");
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn load_logs_merges_files_and_reports_each() {
+        let a = temp_file("a.tsv", &tsv(&[(10, 10, "A", "x"), (20, 20, "B", "y")]));
+        let b = temp_file("b.tsv", &tsv(&[(15, 15, "B", "z"), (10, 10, "A", "x")]));
+        let (store, reports) = load_logs(&format!("{a}, {b},{a}")).expect("ok");
+        // A listed twice and the record shared by both files count once.
+        assert_eq!(store.len(), 3);
+        let ts: Vec<i64> = store
+            .records()
+            .iter()
+            .map(|r| r.client_ts.as_millis())
+            .collect();
+        assert_eq!(ts, vec![10, 15, 20]);
+        let paths: Vec<&str> = reports.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, vec![a.as_str(), b.as_str(), a.as_str()]);
+        assert!(reports.iter().all(|(_, r)| r.parsed == 2));
+        for path in [a, b] {
+            std::fs::remove_file(path).expect("remove temp file");
+        }
+    }
+
+    #[test]
+    fn load_logs_errors_name_the_file() {
+        let missing = load_logs("/no/such/logs.tsv").expect_err("missing file");
+        assert!(
+            missing
+                .to_string()
+                .starts_with("open \"/no/such/logs.tsv\": "),
+            "{missing}"
+        );
+        let garbage = temp_file("garbage.tsv", "bad\nbad\n");
+        let bad = load_logs(&garbage).expect_err("all garbage");
+        assert!(
+            bad.to_string()
+                .starts_with(&format!("ingest {garbage}: error budget exceeded")),
+            "{bad}"
+        );
+        std::fs::remove_file(garbage).expect("remove temp file");
+        let none = load_logs(" , ").expect_err("no paths");
+        assert_eq!(none.to_string(), "no log files given");
     }
 
     #[test]

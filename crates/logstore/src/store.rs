@@ -99,26 +99,34 @@ impl LogStore {
     /// sorted by `(client_ts, source, server_ts)`: records sharing a
     /// `(client_ts, source)` key form a contiguous run, and runs are
     /// small, so the scan within a run stays cheap.
+    ///
+    /// Compacts in place: `records[..kept]` is the deduplicated prefix,
+    /// each survivor is swapped down to `kept`, and the duplicates left
+    /// behind the read position are dropped by the final truncate.
     fn dedup_sorted(&mut self) {
-        let mut out: Vec<LogRecord> = Vec::with_capacity(self.records.len());
+        let mut kept = 0usize;
         let mut run_start = 0usize;
-        for rec in self.records.drain(..) {
+        for read in 0..self.records.len() {
+            let (done, rest) = self.records.split_at(read);
+            let (Some(out), Some(rec)) = (done.get(..kept), rest.first()) else {
+                break;
+            };
             let same_run = out
                 .last()
                 .is_some_and(|l| (l.client_ts, l.source) == (rec.client_ts, rec.source));
             if !same_run {
-                run_start = out.len();
-                out.push(rec);
+                run_start = kept;
             } else if out
                 .get(run_start..)
                 .is_some_and(|run| run.iter().any(|r| r.text == rec.text))
             {
                 // Exact duplicate within the run: drop it.
-            } else {
-                out.push(rec);
+                continue;
             }
+            self.records.swap(kept, read);
+            kept += 1;
         }
-        self.records = out;
+        self.records.truncate(kept);
     }
 
     /// Total number of records.
@@ -184,38 +192,41 @@ impl LogStore {
     /// Merges another store into this one, translating the other
     /// store's interned ids into this registry — the *consolidation*
     /// step of §5 ("collection of logging data from decentralized
-    /// storage locations"). Invalidates finalization; the next
+    /// storage locations"). The other store's records move over, text
+    /// and all, without a copy. Invalidates finalization; the next
     /// [`LogStore::finalize`] removes exact duplicates so merging the
     /// same stream twice is idempotent.
-    pub fn merge(&mut self, other: &LogStore) {
+    pub fn merge(&mut self, other: LogStore) {
         self.finalized = false;
         self.pending_dedup = true;
+        let LogStore {
+            records, registry, ..
+        } = other;
         // Dense translation tables, filled lazily.
-        let mut src_map: Vec<Option<SourceId>> = vec![None; other.registry.sources.len()];
-        let mut user_map: Vec<Option<crate::registry::UserId>> =
-            vec![None; other.registry.users.len()];
-        let mut host_map: Vec<Option<crate::registry::HostId>> =
-            vec![None; other.registry.hosts.len()];
-        for r in &other.records {
+        let mut src_map: Vec<Option<SourceId>> = vec![None; registry.sources.len()];
+        let mut user_map: Vec<Option<crate::registry::UserId>> = vec![None; registry.users.len()];
+        let mut host_map: Vec<Option<crate::registry::HostId>> = vec![None; registry.hosts.len()];
+        self.records.reserve(records.len());
+        for r in records {
             let source = *src_map[r.source.index()]
-                .get_or_insert_with(|| self.registry.source(other.registry.source_name(r.source)));
+                .get_or_insert_with(|| self.registry.source(registry.source_name(r.source)));
             let user = r.user.map(|u| {
                 *user_map[u.index()].get_or_insert_with(|| {
                     self.registry
-                        .user(other.registry.users.name(u.0).unwrap_or("<unknown-user>"))
+                        .user(registry.users.name(u.0).unwrap_or("<unknown-user>"))
                 })
             });
             let host = r.host.map(|h| {
                 *host_map[h.index()].get_or_insert_with(|| {
                     self.registry
-                        .host(other.registry.hosts.name(h.0).unwrap_or("<unknown-host>"))
+                        .host(registry.hosts.name(h.0).unwrap_or("<unknown-host>"))
                 })
             });
             self.records.push(LogRecord {
                 source,
                 user,
                 host,
-                ..r.clone()
+                ..r
             });
         }
     }
@@ -313,7 +324,7 @@ mod tests {
         b.push(LogRecord::minimal(app_x2, Millis(20)));
         b.finalize();
 
-        a.merge(&b);
+        a.merge(b);
         a.finalize();
         assert_eq!(a.len(), 3);
         // X must unify: both X records share one source id in `a`.
@@ -340,12 +351,12 @@ mod tests {
         src.finalize();
 
         let mut once = LogStore::new();
-        once.merge(&src);
+        once.merge(src.clone());
         once.finalize();
 
         let mut twice = LogStore::new();
-        twice.merge(&src);
-        twice.merge(&src); // same file consolidated twice
+        twice.merge(src.clone());
+        twice.merge(src); // same file consolidated twice
         twice.finalize();
 
         assert_eq!(once.len(), twice.len(), "double ingest must not inflate");
@@ -393,11 +404,54 @@ mod tests {
     }
 
     #[test]
+    fn in_place_dedup_keeps_first_occurrences_in_order() {
+        let mut s = LogStore::new();
+        let a = s.registry.source("A");
+        let b = s.registry.source("B");
+        let rows = [
+            (a, 1, 3, "x"),
+            (a, 1, 1, "y"),
+            (b, 1, 0, "x"),
+            (a, 1, 2, "x"),
+            (a, 1, 4, "z"),
+            (a, 1, 5, "y"),
+            (a, 2, 0, "x"),
+            (a, 2, 1, "x"),
+        ];
+        for (src, client, server, text) in rows {
+            s.push(
+                LogRecord::minimal(src, Millis(client))
+                    .with_server_ts(Millis(server))
+                    .with_text(text),
+            );
+        }
+        assert_eq!(s.finalize_dedup(), 3);
+        let kept: Vec<(u32, i64, i64, &str)> = s
+            .records()
+            .iter()
+            .map(|r| (r.source.0, r.client_ts.0, r.server_ts.0, r.text.as_str()))
+            .collect();
+        // Sorted by (client_ts, source, server_ts) first; within each
+        // (client_ts, source) run the first copy of every text survives.
+        assert_eq!(
+            kept,
+            vec![
+                (0, 1, 1, "y"),
+                (0, 1, 2, "x"),
+                (0, 1, 4, "z"),
+                (1, 1, 0, "x"),
+                (0, 2, 0, "x"),
+            ]
+        );
+        assert_eq!(s.timeline(a).len(), 4);
+    }
+
+    #[test]
     fn merge_empty_stores() {
         let mut a = LogStore::new();
         let mut b = LogStore::new();
         b.finalize();
-        a.merge(&b);
+        a.merge(b);
         a.finalize();
         assert!(a.is_empty());
     }

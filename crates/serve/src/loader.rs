@@ -11,10 +11,9 @@
 use crate::index::{IndexPlan, ModelIndex};
 use crate::ServeError;
 use logdep::{DurableStore, EvidenceCache, NoopPolicy, PipelineConfig};
-use logdep_logstore::{read_store_resilient, IngestPolicy, LogStore};
+use logdep_logstore::load_logs;
 use logdep_obs::{record, Field};
 use logdep_sim::ServiceDirectory;
-use std::io::BufReader;
 use std::path::PathBuf;
 
 /// Where and how to (re)build the index from disk.
@@ -55,7 +54,8 @@ pub fn run_reload(source: &SnapshotSource, generation: u64) -> Result<ModelIndex
 }
 
 fn reload_inner(source: &SnapshotSource, generation: u64) -> Result<ModelIndex, ServeError> {
-    let store = load_logs(&source.logs)?;
+    let (store, _reports) =
+        load_logs(&source.logs).map_err(|e| ServeError::Build(e.to_string()))?;
     let ids = match &source.directory {
         Some(path) => directory_ids(path)?,
         None => Vec::new(),
@@ -69,25 +69,6 @@ fn reload_inner(source: &SnapshotSource, generation: u64) -> Result<ModelIndex, 
         &mut cache,
         generation,
     )
-}
-
-/// Resilient multi-file ingest, mirroring the CLI's loader.
-fn load_logs(paths: &str) -> Result<LogStore, ServeError> {
-    let policy = IngestPolicy::default();
-    let mut merged: Option<LogStore> = None;
-    for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let file = std::fs::File::open(path)
-            .map_err(|e| ServeError::Build(format!("open {path:?}: {e}")))?;
-        let (store, _report) = read_store_resilient(BufReader::new(file), &policy)
-            .map_err(|e| ServeError::Build(format!("ingest {path}: {e}")))?;
-        match merged.as_mut() {
-            None => merged = Some(store),
-            Some(m) => m.merge(&store),
-        }
-    }
-    let mut store = merged.ok_or_else(|| ServeError::Build("no log files given".into()))?;
-    store.finalize();
-    Ok(store)
 }
 
 fn directory_ids(path: &str) -> Result<Vec<String>, ServeError> {

@@ -11,3 +11,12 @@ pub fn fine(xs: &[u32; 4]) -> u32 {
     let all = &xs[..];
     first + all.len() as u32
 }
+
+pub fn destructured(pair: [u32; 2], xs: &[u32]) -> u32 {
+    let [lo, hi] = pair;
+    let mut sum = lo + hi;
+    for x in [lo, hi] {
+        sum += x;
+    }
+    sum + xs.len() as u32
+}

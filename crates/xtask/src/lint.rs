@@ -698,12 +698,16 @@ fn unchecked_indexing(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
         if mask[i] || !tokens[i].is_punct('[') {
             continue;
         }
-        // Index position: the bracket follows a completed expression.
+        // Index position: the bracket follows a completed expression,
+        // not a keyword that opens a pattern (`let [a, b] = ..`) or an
+        // array expression.
         let prev = &tokens[i - 1];
-        let index_pos =
-            prev.kind == TokKind::Ident && !prev.is_ident("mut") && !prev.is_ident("return")
-                || prev.is_punct(']')
-                || prev.is_punct(')');
+        let index_pos = prev.kind == TokKind::Ident
+            && !["mut", "return", "let", "in"]
+                .iter()
+                .any(|k| prev.is_ident(k))
+            || prev.is_punct(']')
+            || prev.is_punct(')');
         if !index_pos {
             continue;
         }
