@@ -56,12 +56,13 @@ commands:
   inject    --logs LOGS.tsv --out FAULTY.tsv [--intensity X --seed N
             --ledger LEDGER.json]
   ingest    --logs LOGS.tsv [--max-error-fraction X --dedup BOOL
-            --report REPORT.json]
+            --report REPORT.json --threads N]
   help
 
---threads N sets the mining worker-pool width (1 = the serial path;
-results are identical at every width). Without the flag the
-LOGDEP_THREADS environment variable decides, then the hardware.
+--threads N sets the worker-pool width for mining and for parsing the
+log export (1 = the serial path; results are identical at every
+width). Without the flag the LOGDEP_THREADS environment variable
+decides, then the hardware.
 
 With --cache the daily advance is crash-safe: every completed step is
 journaled, the checkpoint is replaced atomically, and --resume picks a
@@ -85,13 +86,14 @@ without blocking in-flight requests.";
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Loads one TSV export, or several (comma-separated paths) merged,
-/// through the resilient ingest path ([`logdep_logstore::load_logs`]):
-/// malformed lines are quarantined (up to the error budget), duplicates
-/// absorbed and out-of-order delivery repaired, with a warning
-/// summarizing any damage found.
-fn load_logs(paths: &str) -> Result<LogStore, Box<dyn Error>> {
-    let (store, reports) = logdep_logstore::load_logs(paths)?;
+/// Loads the TSV export named by flag `key`, or several (comma-separated
+/// paths) merged, through the resilient ingest path
+/// ([`logdep_logstore::load_logs`]) at the `--threads` width: malformed
+/// lines are quarantined (up to the error budget), duplicates absorbed
+/// and out-of-order delivery repaired, with a warning summarizing any
+/// damage found.
+fn load_logs(args: &Args, key: &'static str) -> Result<LogStore, Box<dyn Error>> {
+    let (store, reports) = logdep_logstore::load_logs(args.required(key)?, &par_config(args)?)?;
     for (path, report) in &reports {
         if report.quarantined > 0 || report.deduped > 0 {
             eprintln!("warning: {path}: {}", report.summary());
@@ -111,7 +113,7 @@ fn full_range(args: &Args) -> Result<TimeRange, Box<dyn Error>> {
     Ok(TimeRange::new(Millis(0), Millis::from_days(days)))
 }
 
-/// Pool width for the mining commands: `--threads N` wins, else the
+/// Pool width for mining and ingest: `--threads N` wins, else the
 /// `LOGDEP_THREADS` environment variable, else the hardware. `--threads
 /// 0` is rejected (the serial path is `--threads 1`).
 fn par_config(args: &Args) -> Result<ParConfig, Box<dyn Error>> {
@@ -169,7 +171,7 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `logdep l1` — activity-correlation mining.
 pub fn l1(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let cfg = L1Config {
         minlogs: args.parsed_or("minlogs", 25)?,
         seed: args.parsed_or("seed", 7)?,
@@ -197,7 +199,7 @@ pub fn l1(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `logdep l2` — session co-occurrence mining.
 pub fn l2(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let timeout: i64 = args.parsed_or("timeout", 1_000)?;
     let cfg = L2Config {
         timeout_ms: (timeout > 0).then_some(timeout),
@@ -235,7 +237,7 @@ fn l3_config(args: &Args) -> Result<L3Config, Box<dyn Error>> {
 
 /// `logdep l3` — directory-citation mining.
 pub fn l3(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let ids = load_directory(args.required("directory")?)?;
     let cfg = l3_config(args)?;
     let res = run_l3_pool(&store, full_range(args)?, &ids, &cfg, &par_config(args)?)?;
@@ -342,7 +344,7 @@ pub fn daily(args: &Args, out: &mut dyn Write) -> CmdResult {
 }
 
 fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let window_days: i64 = args.parsed_or("window-days", 7)?;
     let start_day: i64 = args.parsed_or("start-day", 0)?;
     let advance_days: i64 = args.parsed_or("advance-days", 1)?;
@@ -501,7 +503,7 @@ pub fn cache_repair(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `logdep sessions` — reconstruction statistics.
 pub fn sessions(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let set = reconstruct(&store, &SessionConfig::default());
     writeln!(
         out,
@@ -527,7 +529,7 @@ pub fn sessions(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `logdep templates` — SLCT message clustering for one source.
 pub fn templates(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let source_name = args.required("source")?;
     let source = store
         .registry
@@ -561,7 +563,7 @@ pub fn templates(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// `logdep impact` — mine with L3, build the dependency graph, answer
 /// the §1.1 operator questions.
 pub fn impact(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let ids = load_directory(args.required("directory")?)?;
     let owners_path = args.required("owners")?;
     let owners_text =
@@ -637,7 +639,7 @@ pub fn impact(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// `logdep inject` — re-emit a TSV export as a faulted stream, for
 /// robustness experiments and ingest hardening tests.
 pub fn inject(args: &Args, out: &mut dyn Write) -> CmdResult {
-    let store = load_logs(args.required("logs")?)?;
+    let store = load_logs(args, "logs")?;
     let out_path = args.required("out")?;
     let intensity: f64 = args.parsed_or("intensity", 0.5)?;
     let seed: u64 = args.parsed_or("seed", 42)?;
@@ -659,14 +661,29 @@ pub fn inject(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
+/// `--max-error-fraction`: a fraction in [0, 1]. NaN would switch the
+/// budget off and a negative value would trip it on any stream, so
+/// both are rejected with the rest of the out-of-range values.
+fn error_fraction(args: &Args) -> Result<f64, Box<dyn Error>> {
+    let fraction: f64 = args.parsed_or("max-error-fraction", 0.5)?;
+    if !(0.0..=1.0).contains(&fraction) {
+        let raw = args.optional("max-error-fraction").unwrap_or_default();
+        return Err(format!(
+            "flag --max-error-fraction: expected a fraction in [0, 1], got {raw:?}"
+        )
+        .into());
+    }
+    Ok(fraction)
+}
+
 /// `logdep ingest` — resilient consolidation of one TSV export, with a
 /// machine-readable quarantine/repair report.
 pub fn ingest(args: &Args, out: &mut dyn Write) -> CmdResult {
     let path = args.required("logs")?;
     let policy = IngestPolicy {
-        max_error_fraction: args.parsed_or("max-error-fraction", 0.5)?,
+        max_error_fraction: error_fraction(args)?,
         dedup: args.parsed_or("dedup", true)?,
-        ..IngestPolicy::default()
+        ..IngestPolicy::with_par(par_config(args)?)
     };
     let file = File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
     let (store, report) = read_store_resilient(BufReader::new(file), &policy)
@@ -713,8 +730,8 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
     // The bare L3 invocation keeps its historical un-tagged output.
     let tagged = layers.as_slice() != ["l3"];
     let range = full_range(args)?;
-    let store_a = load_logs(args.required("before")?)?;
-    let store_b = load_logs(args.required("after")?)?;
+    let store_a = load_logs(args, "before")?;
+    let store_b = load_logs(args, "after")?;
     let par = par_config(args)?;
 
     for layer in &layers {

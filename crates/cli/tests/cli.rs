@@ -329,6 +329,74 @@ fn ingest_rejects_garbage_past_error_budget() {
 }
 
 #[test]
+fn ingest_rejects_an_error_fraction_outside_zero_to_one() {
+    let dir = TempDir::new("fraction");
+    let garbage = dir.path("garbage.tsv");
+    std::fs::write(&garbage, "not a log\nstill not a log\nnope\n").expect("write");
+    // NaN used to switch the budget off, and -1 to report "limit -100%".
+    for bad in ["nan", "NaN", "inf", "-1", "-0.1", "1.5"] {
+        let (code, out) = run(&["ingest", "--logs", &garbage, "--max-error-fraction", bad]);
+        assert_eq!(code, 1, "--max-error-fraction {bad}: {out}");
+        assert!(
+            out.contains(&format!(
+                "flag --max-error-fraction: expected a fraction in [0, 1], got {bad:?}"
+            )),
+            "--max-error-fraction {bad}: {out}"
+        );
+    }
+    for edge in ["0", "1"] {
+        let (_, out) = run(&["ingest", "--logs", &garbage, "--max-error-fraction", edge]);
+        assert!(!out.contains("flag --max-error-fraction"), "{edge}: {out}");
+    }
+}
+
+#[test]
+fn ingest_output_and_report_are_identical_at_every_width() {
+    let dir = TempDir::new("ingest-width");
+    let (logs, _) = simulated(&dir);
+    let faulty = dir.path("faulty.tsv");
+    let (code, out) = run(&[
+        "inject",
+        "--logs",
+        &logs,
+        "--out",
+        &faulty,
+        "--intensity",
+        "0.6",
+        "--seed",
+        "9",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let bytes = std::fs::metadata(&faulty).expect("faulty export").len();
+    assert!(bytes > 1 << 20, "several 256 KiB blocks, not {bytes} bytes");
+
+    let ingest = |threads: &str| {
+        let report = dir.path(&format!("report-{threads}.json"));
+        let (code, out) = run(&[
+            "ingest",
+            "--logs",
+            &faulty,
+            "--report",
+            &report,
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(code, 0, "--threads {threads}: {out}");
+        (out, std::fs::read(&report).expect("report written"))
+    };
+    let (serial_out, serial_report) = ingest("1");
+    assert!(serial_out.contains("quarantined line"), "{serial_out}");
+    for threads in ["2", "4"] {
+        let (out, report) = ingest(threads);
+        assert_eq!(out, serial_out, "--threads {threads}");
+        assert!(
+            report == serial_report,
+            "--threads {threads}: report differs"
+        );
+    }
+}
+
+#[test]
 fn ingest_quarantines_a_non_utf8_line() {
     let dir = TempDir::new("utf8");
     let logs = dir.path("logs.tsv");

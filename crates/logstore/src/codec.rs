@@ -206,6 +206,11 @@ impl<R: BufRead> Lines<R> {
         let line = std::str::from_utf8(&self.buf).map_err(|_| ParseError::InvalidUtf8);
         Ok(Some((self.lineno, line)))
     }
+
+    /// Lines read so far, empty ones included: the last line number.
+    pub(crate) fn line_count(&self) -> usize {
+        self.lineno
+    }
 }
 
 /// Parse failures from one ingest pass, with bounded memory: the first
@@ -263,6 +268,22 @@ impl ParseErrors {
     /// True when failures beyond the retained samples were discarded.
     pub fn truncated(&self) -> bool {
         self.total > self.samples.len()
+    }
+
+    /// Appends the failures of a later stretch of the same stream,
+    /// numbered from 1 within it and shifted here by `line_offset`.
+    /// Samples stay the first failures of the whole stream, because a
+    /// stretch keeps its own first ones.
+    pub(crate) fn append(&mut self, later: ParseErrors, line_offset: usize) {
+        let room = self.cap.saturating_sub(self.samples.len());
+        self.samples.extend(
+            later
+                .samples
+                .into_iter()
+                .take(room)
+                .map(|(lineno, e)| (lineno + line_offset, e)),
+        );
+        self.total += later.total;
     }
 }
 

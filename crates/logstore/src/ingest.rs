@@ -11,14 +11,25 @@
 //! machine-readable [`IngestReport`].
 
 use crate::codec::{parse_record, Lines, ParseErrors};
+use crate::record::LogRecord;
+use crate::registry::{Interner, NameRegistry};
 use crate::store::LogStore;
+use logdep_par::ParConfig;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
+use std::sync::mpsc;
 
 /// Per-source cap on skew samples: enough for a stable median without
 /// letting one chatty source dominate memory.
 const SKEW_SAMPLE_CAP: usize = 4_096;
+
+/// Bytes per block of the parallel pass; a block runs on to the end of
+/// the line its last byte falls in.
+const BLOCK_BYTES: usize = 256 * 1024;
+
+/// Blocks each worker may hold at once, queued or being parsed.
+const BLOCKS_PER_WORKER: usize = 2;
 
 /// Quarantine and repair policy for one resilient ingest pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,20 +47,30 @@ pub struct IngestPolicy {
     /// Remove exact duplicates — same `(client_ts, source, text)` — on
     /// finalize (at-least-once shippers retransmit whole batches).
     pub dedup: bool,
+    /// Parsing pool width; 1 reads on the calling thread. The result
+    /// does not depend on it.
+    pub par: ParConfig,
 }
 
 impl Default for IngestPolicy {
+    /// The default budget at the default pool width ([`ParConfig::default`]).
     fn default() -> Self {
+        Self::with_par(ParConfig::default())
+    }
+}
+
+impl IngestPolicy {
+    /// The default budget at pool width `par`.
+    pub fn with_par(par: ParConfig) -> Self {
         Self {
             max_error_fraction: 0.5,
             min_lines_before_check: 1_000,
             error_sample_cap: ParseErrors::SAMPLE_CAP,
             dedup: true,
+            par,
         }
     }
-}
 
-impl IngestPolicy {
     /// A policy that quarantines without ever aborting (error budget 1.0).
     pub fn lenient() -> Self {
         Self {
@@ -164,72 +185,385 @@ impl From<io::Error> for IngestError {
 /// A line that is not valid UTF-8 is quarantined like any other
 /// malformed line ([`crate::codec::ParseError::InvalidUtf8`]), so one
 /// bad shipper line cannot fail the whole pass.
+///
+/// At `policy.par` width 1 this is one loop on the calling thread.
+/// Wider, the stream is parsed in blocks on the worker pool and merged
+/// in stream order; the store, the report and any error are the same
+/// byte for byte at every width.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
 ) -> Result<(LogStore, IngestReport), IngestError> {
-    let mut store = LogStore::new();
-    let mut report = IngestReport::default();
-    let mut errors = ParseErrors::with_cap(policy.error_sample_cap);
-    // (client_ts - server_ts) samples per source index, capped.
-    let mut skew_samples: Vec<Vec<i64>> = Vec::new();
-    let mut last_seen_ts: Option<i64> = None;
+    if policy.par.is_serial() {
+        read_serial(r, policy)
+    } else {
+        read_blocks(r, policy, BLOCK_BYTES)
+    }
+}
 
+/// The single-threaded pass: parse, observe and check each line in turn.
+fn read_serial<R: BufRead>(
+    r: R,
+    policy: &IngestPolicy,
+) -> Result<(LogStore, IngestReport), IngestError> {
+    let mut pass = Pass::new(policy);
     let mut lines = Lines::new(r);
     while let Some((lineno, line)) = lines.next_line()? {
-        report.total_lines += 1;
-        match line.and_then(|line| parse_record(line, &mut store.registry)) {
+        pass.report.total_lines += 1;
+        match line.and_then(|line| parse_record(line, &mut pass.store.registry)) {
             Ok(rec) => {
-                report.parsed += 1;
-                let ts = rec.client_ts.as_millis();
-                if last_seen_ts.is_some_and(|prev| ts < prev) {
-                    report.repaired_out_of_order += 1;
+                pass.report.parsed += 1;
+                pass.arrivals.observe(&rec);
+                pass.store.push(rec);
+            }
+            Err(e) => pass.errors.record(lineno, e),
+        }
+        if pass.report.total_lines >= policy.min_lines_before_check {
+            check_budget(pass.report.total_lines, pass.errors.len(), policy)?;
+        }
+    }
+    pass.finish(policy)
+}
+
+/// The state of one resilient pass, in stream order: what the serial
+/// loop builds line by line, and the block merge chunk by chunk.
+struct Pass {
+    store: LogStore,
+    report: IngestReport,
+    errors: ParseErrors,
+    arrivals: Arrivals,
+    /// Lines read so far, empty ones included.
+    lines_read: usize,
+}
+
+impl Pass {
+    fn new(policy: &IngestPolicy) -> Self {
+        Self {
+            store: LogStore::new(),
+            report: IngestReport::default(),
+            errors: ParseErrors::with_cap(policy.error_sample_cap),
+            arrivals: Arrivals::default(),
+            lines_read: 0,
+        }
+    }
+
+    /// Appends the next block, exactly as the serial loop would have
+    /// taken its lines: names interned in first-seen order, the error
+    /// budget checked wherever it could trip, arrivals observed in order.
+    fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
+        self.check_block_budget(block, policy)?;
+        self.report.total_lines += block.lines;
+        self.report.parsed += block.records.len();
+        self.errors
+            .append(std::mem::take(&mut block.errors), self.lines_read);
+        self.lines_read += block.line_count;
+
+        let registry = &mut self.store.registry;
+        let sources = reintern(&block.registry.sources, &mut registry.sources);
+        let users = reintern(&block.registry.users, &mut registry.users);
+        let hosts = reintern(&block.registry.hosts, &mut registry.hosts);
+        for rec in &mut block.records {
+            rec.source.0 = translate(&sources, rec.source.0);
+            if let Some(user) = rec.user.as_mut() {
+                user.0 = translate(&users, user.0);
+            }
+            if let Some(host) = rec.host.as_mut() {
+                host.0 = translate(&hosts, host.0);
+            }
+            self.arrivals.observe(rec);
+        }
+        self.store.extend(block.records.drain(..));
+        Ok(())
+    }
+
+    /// Replays the serial loop's per-line budget checks over one block.
+    ///
+    /// That loop checks after every line from `min_lines_before_check`
+    /// on. Past that line the error fraction only falls until the next
+    /// failure, so the check can first trip there or at a failed line:
+    /// checking just those gives the same trip, at the same line.
+    fn check_block_budget(&self, block: &Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
+        let (lines, failed) = (self.report.total_lines, self.errors.len());
+        let first = policy.min_lines_before_check.max(1);
+        if lines < first && first <= lines + block.lines {
+            let failed_by_first = block.failed_at.partition_point(|&at| lines + at <= first);
+            check_budget(first, failed + failed_by_first, policy)?;
+        }
+        for (n, &at) in block.failed_at.iter().enumerate() {
+            if lines + at >= first {
+                check_budget(lines + at, failed + n + 1, policy)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The end-of-stream budget check, then sort, dedup and skew.
+    fn finish(mut self, policy: &IngestPolicy) -> Result<(LogStore, IngestReport), IngestError> {
+        // End-of-stream check catches short mostly-garbage streams too.
+        check_budget(self.report.total_lines, self.errors.len(), policy)?;
+
+        let mut report = self.report;
+        report.quarantined = self.errors.len();
+        report.quarantine_samples = self
+            .errors
+            .samples()
+            .iter()
+            .map(|(lineno, e)| (*lineno, e.to_string()))
+            .collect();
+        report.repaired_out_of_order = self.arrivals.out_of_order;
+
+        let mut store = self.store;
+        report.deduped = if policy.dedup {
+            store.finalize_dedup()
+        } else {
+            store.finalize();
+            0
+        };
+
+        for (idx, samples) in self.arrivals.skew_samples.iter_mut().enumerate() {
+            let skew = median(samples);
+            if skew != 0 {
+                if let Some(name) = store.registry.sources.name(idx as u32) {
+                    report.per_source_skew_ms.insert(name.to_owned(), skew);
                 }
-                last_seen_ts = Some(last_seen_ts.map_or(ts, |prev| prev.max(ts)));
-                let idx = rec.source.index();
-                if skew_samples.len() <= idx {
-                    skew_samples.resize_with(idx + 1, Vec::new);
-                }
-                if let Some(samples) = skew_samples.get_mut(idx) {
-                    if samples.len() < SKEW_SAMPLE_CAP {
-                        samples.push(rec.client_ts - rec.server_ts);
+            }
+        }
+        Ok((store, report))
+    }
+}
+
+/// Arrival-order statistics: out-of-order deliveries and the first
+/// [`SKEW_SAMPLE_CAP`] clock-skew samples of each source.
+#[derive(Default)]
+struct Arrivals {
+    last_seen_ts: Option<i64>,
+    out_of_order: usize,
+    /// (client_ts - server_ts) samples per source index, capped.
+    skew_samples: Vec<Vec<i64>>,
+}
+
+impl Arrivals {
+    /// Observes the next parsed record, in stream order.
+    fn observe(&mut self, rec: &LogRecord) {
+        let ts = rec.client_ts.as_millis();
+        if self.last_seen_ts.is_some_and(|prev| ts < prev) {
+            self.out_of_order += 1;
+        }
+        self.last_seen_ts = Some(self.last_seen_ts.map_or(ts, |prev| prev.max(ts)));
+        let idx = rec.source.index();
+        if self.skew_samples.len() <= idx {
+            self.skew_samples.resize_with(idx + 1, Vec::new);
+        }
+        if let Some(samples) = self.skew_samples.get_mut(idx) {
+            if samples.len() < SKEW_SAMPLE_CAP {
+                samples.push(rec.client_ts - rec.server_ts);
+            }
+        }
+    }
+}
+
+/// Interns a block's names into the pass's interner in id order, which
+/// replays their first sightings, so every name gets the id the serial
+/// pass gives it. Returns the pass id of each block id.
+fn reintern(block: &Interner, pass: &mut Interner) -> Vec<u32> {
+    block.iter().map(|(_, name)| pass.intern(name)).collect()
+}
+
+/// A block-local id mapped to the pass's id (a block only holds ids of
+/// its own registry, so the lookup always hits).
+fn translate(map: &[u32], id: u32) -> u32 {
+    map.get(id as usize).copied().unwrap_or(id)
+}
+
+/// One block, parsed on a worker against its own registry.
+struct Parsed {
+    registry: NameRegistry,
+    /// The block's records in line order, with block-local ids.
+    records: Vec<LogRecord>,
+    /// Failures, numbered by line within the block.
+    errors: ParseErrors,
+    /// Where each failure fell among the block's non-empty lines (1-based).
+    failed_at: Vec<usize>,
+    /// Non-empty lines.
+    lines: usize,
+    /// All lines, empty ones included.
+    line_count: usize,
+}
+
+/// Runs the serial kernel — [`Lines`] and [`parse_record`] — over one
+/// block, appending to the recycled `records`.
+fn parse_block(block: &[u8], mut records: Vec<LogRecord>, sample_cap: usize) -> io::Result<Parsed> {
+    let mut registry = NameRegistry::new();
+    let mut errors = ParseErrors::with_cap(sample_cap);
+    let mut failed_at = Vec::new();
+    let mut lines = 0;
+    let mut reader = Lines::new(block);
+    while let Some((lineno, line)) = reader.next_line()? {
+        lines += 1;
+        match line.and_then(|line| parse_record(line, &mut registry)) {
+            Ok(rec) => records.push(rec),
+            Err(e) => {
+                errors.record(lineno, e);
+                failed_at.push(lines);
+            }
+        }
+    }
+    Ok(Parsed {
+        registry,
+        records,
+        errors,
+        failed_at,
+        lines,
+        line_count: reader.line_count(),
+    })
+}
+
+/// Reads about `block_bytes` of `r` into `buf`, then on to the end of
+/// the line that cut, so a block always ends at a `\n` or at the end
+/// of the stream. After an error `buf` holds what was read before it.
+fn fill_block<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, block_bytes: usize) -> io::Result<()> {
+    buf.clear();
+    while buf.len() < block_bytes {
+        let available = match r.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(());
+        }
+        let take = available.len().min(block_bytes - buf.len());
+        buf.extend_from_slice(available.get(..take).unwrap_or_default());
+        r.consume(take);
+    }
+    if buf.last() != Some(&b'\n') {
+        r.read_until(b'\n', buf)?;
+    }
+    Ok(())
+}
+
+/// A block on its way to a worker: the bytes, and an empty record
+/// buffer to parse into. Both come back with the result for reuse.
+struct Job {
+    bytes: Vec<u8>,
+    records: Vec<LogRecord>,
+}
+
+/// A worker's answer for one block.
+struct Done {
+    bytes: Vec<u8>,
+    parsed: io::Result<Parsed>,
+}
+
+/// One persistent worker's two channels.
+struct Worker {
+    jobs: mpsc::Sender<Job>,
+    done: mpsc::Receiver<Done>,
+}
+
+/// The block-parallel pass: [`BLOCK_BYTES`] blocks, each cut at a line
+/// end, parsed on `policy.par.threads()` persistent workers and merged
+/// strictly in block order by this thread.
+///
+/// Block `k` goes to worker `k % threads` and each worker answers in
+/// the order it was given work, so the merge reads block `k`'s result
+/// from that worker's channel with no reorder buffer. At most
+/// [`BLOCKS_PER_WORKER`] blocks per worker are in flight; their byte
+/// and record buffers are recycled, so memory beyond the store is
+/// bounded by the block size, not the stream.
+fn read_blocks<R: BufRead>(
+    mut r: R,
+    policy: &IngestPolicy,
+    block_bytes: usize,
+) -> Result<(LogStore, IngestReport), IngestError> {
+    let threads = policy.par.threads();
+    let sample_cap = policy.error_sample_cap;
+    let mut pass = Pass::new(policy);
+    logdep_par::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
+        let mut handles = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            let (jobs, job_rx) = mpsc::channel::<Job>();
+            let (done_tx, done) = mpsc::channel::<Done>();
+            handles.push(s.spawn(move || {
+                for Job { bytes, records } in job_rx {
+                    let parsed = parse_block(&bytes, records, sample_cap);
+                    if done_tx.send(Done { bytes, parsed }).is_err() {
+                        return;
                     }
                 }
-                store.push(rec);
-            }
-            Err(e) => errors.record(lineno, e),
+            }));
+            workers.push(Worker { jobs, done });
         }
-        if report.total_lines >= policy.min_lines_before_check {
-            check_budget(report.total_lines, errors.len(), policy)?;
-        }
-    }
-    // End-of-stream check catches short mostly-garbage streams too.
-    check_budget(report.total_lines, errors.len(), policy)?;
-
-    report.quarantined = errors.len();
-    report.quarantine_samples = errors
-        .samples()
-        .iter()
-        .map(|(lineno, e)| (*lineno, e.to_string()))
-        .collect();
-
-    report.deduped = if policy.dedup {
-        store.finalize_dedup()
-    } else {
-        store.finalize();
-        0
-    };
-
-    for (idx, samples) in skew_samples.iter_mut().enumerate() {
-        let skew = median(samples);
-        if skew != 0 {
-            if let Some(name) = store.registry.sources.name(idx as u32) {
-                report.per_source_skew_ms.insert(name.to_owned(), skew);
+        let result = pump(&mut r, &workers, block_bytes, &mut pass, policy);
+        // Closing the channels stops the workers; one that panicked
+        // re-raises its panic here, with its own payload.
+        drop(workers);
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-    }
+        result
+    })?;
+    pass.finish(policy)
+}
 
-    Ok((store, report))
+/// The orchestration loop of [`read_blocks`]: keeps the workers fed,
+/// merges their results in block order, and stops at the first budget
+/// trip. After a failed read, the complete lines before the failure are
+/// merged and checked before the read error is returned, as the serial
+/// loop does.
+fn pump<R: BufRead>(
+    r: &mut R,
+    workers: &[Worker],
+    block_bytes: usize,
+    pass: &mut Pass,
+    policy: &IngestPolicy,
+) -> Result<(), IngestError> {
+    let stopped = || IngestError::Io(io::Error::other("an ingest worker stopped"));
+    let in_flight_cap = workers.len() * BLOCKS_PER_WORKER;
+    let mut free: Vec<(Vec<u8>, Vec<LogRecord>)> = Vec::with_capacity(in_flight_cap);
+    let (mut sent, mut merged) = (0usize, 0usize);
+    let mut read_error = None;
+    let mut eof = false;
+    loop {
+        while !eof && sent - merged < in_flight_cap {
+            let (mut bytes, records) = free.pop().unwrap_or_default();
+            if let Err(e) = fill_block(r, &mut bytes, block_bytes) {
+                let complete = bytes
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |at| at + 1);
+                bytes.truncate(complete);
+                read_error = Some(e);
+                eof = true;
+            }
+            if bytes.is_empty() {
+                eof = true;
+                break;
+            }
+            let worker = workers.get(sent % workers.len()).ok_or_else(stopped)?;
+            worker
+                .jobs
+                .send(Job { bytes, records })
+                .map_err(|_| stopped())?;
+            sent += 1;
+        }
+        if merged == sent {
+            break;
+        }
+        let worker = workers.get(merged % workers.len()).ok_or_else(stopped)?;
+        let Done { bytes, parsed } = worker.done.recv().map_err(|_| stopped())?;
+        merged += 1;
+        let mut parsed = parsed?;
+        pass.absorb(&mut parsed, policy)?;
+        free.push((bytes, parsed.records));
+    }
+    match read_error {
+        Some(e) => Err(IngestError::Io(e)),
+        None => Ok(()),
+    }
 }
 
 /// Failure of [`load_logs`]; the messages name the file at fault.
@@ -278,11 +612,15 @@ impl std::error::Error for LoadError {
 /// from decentralized storage locations.
 ///
 /// Each file goes through [`read_store_resilient`] under the default
-/// [`IngestPolicy`]. Later files are merged into the first, and the merge
-/// removes exact duplicates, so a file listed twice counts once. Returns
-/// the store and each file's report, in the order given.
-pub fn load_logs(paths: &str) -> Result<(LogStore, Vec<(String, IngestReport)>), LoadError> {
-    let policy = IngestPolicy::default();
+/// [`IngestPolicy`] at pool width `par`. Later files are merged into the
+/// first, and the merge removes exact duplicates, so a file listed twice
+/// counts once. Returns the store and each file's report, in the order
+/// given.
+pub fn load_logs(
+    paths: &str,
+    par: &ParConfig,
+) -> Result<(LogStore, Vec<(String, IngestReport)>), LoadError> {
+    let policy = IngestPolicy::with_par(*par);
     let mut merged: Option<LogStore> = None;
     let mut reports = Vec::new();
     for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -499,7 +837,8 @@ mod tests {
     fn load_logs_merges_files_and_reports_each() {
         let a = temp_file("a.tsv", &tsv(&[(10, 10, "A", "x"), (20, 20, "B", "y")]));
         let b = temp_file("b.tsv", &tsv(&[(15, 15, "B", "z"), (10, 10, "A", "x")]));
-        let (store, reports) = load_logs(&format!("{a}, {b},{a}")).expect("ok");
+        let (store, reports) =
+            load_logs(&format!("{a}, {b},{a}"), &ParConfig::default()).expect("ok");
         // A listed twice and the record shared by both files count once.
         assert_eq!(store.len(), 3);
         let ts: Vec<i64> = store
@@ -518,7 +857,8 @@ mod tests {
 
     #[test]
     fn load_logs_errors_name_the_file() {
-        let missing = load_logs("/no/such/logs.tsv").expect_err("missing file");
+        let missing =
+            load_logs("/no/such/logs.tsv", &ParConfig::default()).expect_err("missing file");
         assert!(
             missing
                 .to_string()
@@ -526,15 +866,253 @@ mod tests {
             "{missing}"
         );
         let garbage = temp_file("garbage.tsv", "bad\nbad\n");
-        let bad = load_logs(&garbage).expect_err("all garbage");
+        let bad = load_logs(&garbage, &ParConfig::default()).expect_err("all garbage");
         assert!(
             bad.to_string()
                 .starts_with(&format!("ingest {garbage}: error budget exceeded")),
             "{bad}"
         );
         std::fs::remove_file(garbage).expect("remove temp file");
-        let none = load_logs(" , ").expect_err("no paths");
+        let none = load_logs(" , ", &ParConfig::default()).expect_err("no paths");
         assert_eq!(none.to_string(), "no log files given");
+    }
+
+    /// A pass in comparable form: the records, every id space's names
+    /// in id order and the report, or the failure.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Read(Vec<LogRecord>, [Vec<String>; 3], IngestReport),
+        Budget { lines: usize, quarantined: usize },
+        Io(io::ErrorKind, String),
+    }
+
+    fn outcome(result: Result<(LogStore, IngestReport), IngestError>) -> Outcome {
+        match result {
+            Ok((store, report)) => {
+                let names = |i: &Interner| i.iter().map(|(_, n)| n.to_owned()).collect::<Vec<_>>();
+                let registry = &store.registry;
+                let interned = [
+                    names(&registry.sources),
+                    names(&registry.users),
+                    names(&registry.hosts),
+                ];
+                Outcome::Read(store.records().to_vec(), interned, report)
+            }
+            Err(IngestError::ErrorBudgetExceeded {
+                lines, quarantined, ..
+            }) => Outcome::Budget { lines, quarantined },
+            Err(IngestError::Io(e)) => Outcome::Io(e.kind(), e.to_string()),
+        }
+    }
+
+    /// The block sizes the block reader is driven at, in bytes.
+    const BLOCK_SIZES: [usize; 4] = [1, 7, 64, 4096];
+
+    fn width(threads: usize) -> ParConfig {
+        ParConfig::with_threads(threads).expect("nonzero width")
+    }
+
+    /// Runs the block reader at every block size in `BLOCK_SIZES` and
+    /// `extra`, on 1 to 3 workers, over the stream `input()` makes, and
+    /// asserts each outcome is the serial pass's. Returns that outcome.
+    fn assert_blocks_match_serial<R: BufRead>(
+        input: impl Fn() -> R,
+        policy: &IngestPolicy,
+        extra: &[usize],
+    ) -> Outcome {
+        let serial = outcome(read_serial(input(), policy));
+        for &block in BLOCK_SIZES.iter().chain(extra) {
+            for threads in 1..=3 {
+                let policy = IngestPolicy {
+                    par: width(threads),
+                    ..policy.clone()
+                };
+                assert_eq!(
+                    outcome(read_blocks(input(), &policy, block)),
+                    serial,
+                    "{block}-byte blocks on {threads} workers"
+                );
+            }
+        }
+        serial
+    }
+
+    #[test]
+    fn block_reader_matches_serial_on_a_mixed_stream() {
+        let mut data = tsv(&[(30, 25, "A", "late"), (10, 10, "B", "x")]).into_bytes();
+        data.extend_from_slice(b"\n\r\ngarbage\r\n2\t2\tC\tu\th\tZZZ\tbad tag interns C\n");
+        data.extend_from_slice(b"5\t5\tD\t-\t-\tINF\tnot UTF-8 \xff\n");
+        data.extend_from_slice(tsv(&[(10, 10, "B", "x"), (20, 5, "E", "y")]).as_bytes());
+        data.extend_from_slice(b"40\t40\tA\tu\th\tERR\tno final newline\r");
+        for policy in [IngestPolicy::default(), IngestPolicy::lenient()] {
+            assert_blocks_match_serial(|| data.as_slice(), &policy, &[]);
+        }
+        let Outcome::Read(_, names, report) =
+            assert_blocks_match_serial(|| data.as_slice(), &IngestPolicy::lenient(), &[])
+        else {
+            panic!("a lenient pass reads the stream");
+        };
+        assert_eq!(names[0], ["A", "B", "C", "E"], "C from a rejected line");
+        assert_eq!((report.quarantined, report.deduped), (3, 1));
+    }
+
+    #[test]
+    fn block_reader_keeps_crlf_split_across_a_block_edge() {
+        let mut data = Vec::new();
+        for n in 0..20 {
+            data.extend_from_slice(format!("{n}\t{n}\tA\t-\t-\tINF\ttext {n}\r\n").as_bytes());
+        }
+        // A block this long ends on the first line's `\r`; the reader
+        // must run on to its `\n`, or the text would keep the `\r`.
+        let first_cr = data.iter().position(|&b| b == b'\r').expect("a CR") + 1;
+        let Outcome::Read(records, _, report) =
+            assert_blocks_match_serial(|| data.as_slice(), &IngestPolicy::default(), &[first_cr])
+        else {
+            panic!("a clean stream reads");
+        };
+        assert_eq!((report.parsed, report.quarantined), (20, 0));
+        assert!(records.iter().all(|r| !r.text.contains('\r')));
+    }
+
+    #[test]
+    fn block_reader_trips_the_budget_in_a_later_block() {
+        let good = tsv(&vec![(1, 1, "A", "fine"); 50]);
+        let data = format!("{good}{}", "garbage line\n".repeat(50));
+        let policy = IngestPolicy {
+            max_error_fraction: 0.25,
+            min_lines_before_check: 10,
+            ..IngestPolicy::default()
+        };
+        // 17 bad lines of 67 is the first fraction above a quarter.
+        assert_eq!(
+            assert_blocks_match_serial(|| data.as_bytes(), &policy, &[]),
+            Outcome::Budget {
+                lines: 67,
+                quarantined: 17
+            }
+        );
+
+        // Garbage first, then clean lines: the trip is at the grace
+        // line itself, inside a later block, not at a failure.
+        let data = format!("{}{good}", "garbage line\n".repeat(10));
+        let policy = IngestPolicy {
+            max_error_fraction: 0.2,
+            min_lines_before_check: 30,
+            ..IngestPolicy::default()
+        };
+        assert_eq!(
+            assert_blocks_match_serial(|| data.as_bytes(), &policy, &[]),
+            Outcome::Budget {
+                lines: 30,
+                quarantined: 10
+            }
+        );
+    }
+
+    #[test]
+    fn block_reader_numbers_samples_across_blocks() {
+        let mut data = String::new();
+        for n in 0..40 {
+            data.push_str(&tsv(&[(n, n, "A", "ok")]));
+            if n % 7 == 3 {
+                data.push_str("\nbroken\n");
+            }
+        }
+        let policy = IngestPolicy {
+            error_sample_cap: 4,
+            ..IngestPolicy::lenient()
+        };
+        let Outcome::Read(_, _, report) =
+            assert_blocks_match_serial(|| data.as_bytes(), &policy, &[])
+        else {
+            panic!("a lenient pass reads the stream");
+        };
+        assert_eq!(report.quarantined, 6);
+        let linenos: Vec<usize> = report.quarantine_samples.iter().map(|(n, _)| *n).collect();
+        assert_eq!(linenos, [6, 15, 24, 33]);
+    }
+
+    #[test]
+    fn block_reader_caps_skew_samples_across_blocks() {
+        // A's first SKEW_SAMPLE_CAP records run 5 ms ahead and the rest
+        // 100 ms: only a cap counted over the whole stream gives 5.
+        let mut rows = vec![(1_005, 1_000, "A", "early"); SKEW_SAMPLE_CAP];
+        rows.extend(vec![(2_100, 2_000, "A", "late"); SKEW_SAMPLE_CAP + 500]);
+        rows.push((3_000, 3_000, "B", "honest"));
+        let data = tsv(&rows);
+        let Outcome::Read(_, _, report) =
+            assert_blocks_match_serial(|| data.as_bytes(), &IngestPolicy::default(), &[])
+        else {
+            panic!("a clean stream reads");
+        };
+        assert_eq!(report.per_source_skew_ms.get("A"), Some(&5));
+        assert_eq!(report.deduped, 2 * SKEW_SAMPLE_CAP + 498);
+    }
+
+    /// Serves `data` a few bytes per read, answers every third read
+    /// with `Interrupted`, and fails for good at byte `fail_at`.
+    struct FailingReader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        fail_at: usize,
+        reads: usize,
+    }
+
+    impl std::io::Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.reads.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.pos >= self.fail_at {
+                return Err(io::Error::other("disk went away"));
+            }
+            let end = self.data.len().min(self.fail_at).min(self.pos + 5);
+            let chunk = self.data.get(self.pos..end).unwrap_or_default();
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn block_reader_matches_serial_when_the_reader_fails_partway() {
+        let mut data = String::new();
+        for n in 0..12 {
+            data.push_str(&tsv(&[(n, n - 1, "A", "ok")]));
+            if n % 4 == 1 {
+                data.push_str("garbage\r\n\n");
+            }
+        }
+        let strict = IngestPolicy {
+            max_error_fraction: 0.2,
+            min_lines_before_check: 4,
+            ..IngestPolicy::default()
+        };
+        let mut seen = [false; 3];
+        for fail_at in 0..=data.len() + 1 {
+            for policy in [&strict, &IngestPolicy::lenient()] {
+                let input = || {
+                    BufReader::with_capacity(
+                        16,
+                        FailingReader {
+                            data: data.as_bytes(),
+                            pos: 0,
+                            fail_at,
+                            reads: 0,
+                        },
+                    )
+                };
+                let kind = match assert_blocks_match_serial(input, policy, &[]) {
+                    Outcome::Read(..) => 0,
+                    Outcome::Budget { .. } => 1,
+                    Outcome::Io(..) => 2,
+                };
+                seen[kind] = true;
+            }
+        }
+        assert_eq!(seen, [true; 3], "every outcome is exercised");
     }
 
     #[test]

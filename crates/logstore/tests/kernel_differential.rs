@@ -7,7 +7,8 @@
 //!
 //! Compared: the records, the registry interning order, the whole
 //! `IngestReport` (counts, sample line numbers, skew) and the point where
-//! the error budget trips. The one intended difference is a line that
+//! the error budget trips. The resilient pass runs at pool widths 1, 2,
+//! 3 and 8 (`IngestPolicy::par`); the reference is always serial. The one intended difference is a line that
 //! is not UTF-8: `lines()` fails the stream there, the kernel quarantines
 //! the line, so the reference applies that quarantine rule too.
 
@@ -18,7 +19,16 @@ use logdep_logstore::codec::{read_store, ParseErrors};
 use logdep_logstore::ingest::{read_store_resilient, IngestError, IngestPolicy, IngestReport};
 use logdep_logstore::registry::{Interner, NameRegistry};
 use logdep_logstore::{LogRecord, LogStore};
+use logdep_par::ParConfig;
 use proptest::prelude::*;
+
+/// The pool widths the resilient pass is compared at.
+const WIDTHS: &[usize] = &[1, 2, 3, 8];
+
+#[allow(clippy::expect_used)] // Test helper: every width in `WIDTHS` is nonzero.
+fn width(threads: usize) -> ParConfig {
+    ParConfig::with_threads(threads).expect("nonzero width")
+}
 
 mod reference {
     use logdep_logstore::codec::{ParseError, ParseErrors};
@@ -373,13 +383,17 @@ fn policy() -> impl Strategy<Value = IngestPolicy> {
         0..8usize,
         0..4usize,
         any::<bool>(),
+        pick(WIDTHS),
     )
         .prop_map(
-            |(max_error_fraction, min_lines_before_check, error_sample_cap, dedup)| IngestPolicy {
-                max_error_fraction,
-                min_lines_before_check,
-                error_sample_cap,
-                dedup,
+            |(max_error_fraction, min_lines_before_check, error_sample_cap, dedup, threads)| {
+                IngestPolicy {
+                    max_error_fraction,
+                    min_lines_before_check,
+                    error_sample_cap,
+                    dedup,
+                    par: width(threads),
+                }
             },
         )
 }
@@ -390,7 +404,11 @@ proptest! {
     #[test]
     fn kernel_matches_reference(input in stream(), policy in policy()) {
         assert_kernel_matches_reference(&input, &policy);
-        assert_kernel_matches_reference(&input, &IngestPolicy::lenient());
+        let lenient = IngestPolicy {
+            par: policy.par,
+            ..IngestPolicy::lenient()
+        };
+        assert_kernel_matches_reference(&input, &lenient);
     }
 }
 
@@ -409,17 +427,23 @@ bare\rcarriage return\n\
 0\t5\tA\t-\t-\tWRN\tnot UTF-8 \xff\n\
 0\t5\tA\t-\t-\tDBG\tescapes \\t\\n\\r\\\\ and a raw\ttab\n\
 9\t9\tA\t-\t-\tINF\tno final newline\r";
-    for policy in [
-        IngestPolicy::default(),
-        IngestPolicy::lenient(),
-        IngestPolicy {
-            max_error_fraction: 0.25,
-            min_lines_before_check: 2,
-            error_sample_cap: 1,
-            dedup: false,
-        },
-    ] {
-        assert_kernel_matches_reference(input, &policy);
+    for &threads in WIDTHS {
+        for policy in [
+            IngestPolicy::with_par(width(threads)),
+            IngestPolicy {
+                par: width(threads),
+                ..IngestPolicy::lenient()
+            },
+            IngestPolicy {
+                max_error_fraction: 0.25,
+                min_lines_before_check: 2,
+                error_sample_cap: 1,
+                dedup: false,
+                par: width(threads),
+            },
+        ] {
+            assert_kernel_matches_reference(input, &policy);
+        }
     }
     let Ok((records, _, report)) = kernel(input, &IngestPolicy::lenient()) else {
         panic!("a lenient policy never aborts");

@@ -13,6 +13,7 @@ use crate::ServeError;
 use logdep::{DurableStore, EvidenceCache, NoopPolicy, PipelineConfig};
 use logdep_logstore::load_logs;
 use logdep_obs::{record, Field};
+use logdep_par::ParConfig;
 use logdep_sim::ServiceDirectory;
 use std::path::PathBuf;
 
@@ -36,31 +37,42 @@ pub struct SnapshotSource {
 /// Emits a `reload` span pair (begin before the first byte is read,
 /// end with the mined day count) so a traced serve run shows every
 /// swap; the per-window spans land in the index's own captured report.
+/// Once the reload has reached its durable store, the end also carries
+/// `cache`: how warming the evidence cache went ([`CacheWarmth`]).
 pub fn run_reload(source: &SnapshotSource, generation: u64) -> Result<ModelIndex, ServeError> {
     record(|r| r.span_begin("reload", &[("generation", Field::from(generation))]));
-    let result = reload_inner(source, generation);
+    let mut warmth = None;
+    let result = reload_inner(source, generation, &mut warmth);
     let days = result.as_ref().map(|idx| idx.days().count()).unwrap_or(0);
     record(|r| {
-        r.span_end(
-            "reload",
-            &[
-                ("generation", Field::from(generation)),
-                ("days", Field::from(days)),
-                ("ok", Field::from(result.is_ok())),
-            ],
-        );
+        let mut fields = vec![
+            ("generation", Field::from(generation)),
+            ("days", Field::from(days)),
+            ("ok", Field::from(result.is_ok())),
+        ];
+        if let Some(warmth) = warmth {
+            fields.push(("cache", Field::from(warmth.label())));
+        }
+        r.span_end("reload", &fields);
     });
     result
 }
 
-fn reload_inner(source: &SnapshotSource, generation: u64) -> Result<ModelIndex, ServeError> {
-    let (store, _reports) =
-        load_logs(&source.logs).map_err(|e| ServeError::Build(e.to_string()))?;
+fn reload_inner(
+    source: &SnapshotSource,
+    generation: u64,
+    warmth: &mut Option<CacheWarmth>,
+) -> Result<ModelIndex, ServeError> {
+    // Parse on the calling thread: at serve time the cores belong to the
+    // request workers, and a wider reload ingest slowed their reads.
+    let (store, _reports) = load_logs(&source.logs, &ParConfig::serial())
+        .map_err(|e| ServeError::Build(e.to_string()))?;
     let ids = match &source.directory {
         Some(path) => directory_ids(path)?,
         None => Vec::new(),
     };
-    let mut cache = warm_cache(source);
+    let (mut cache, warmed) = warm_cache(source);
+    *warmth = Some(warmed);
     ModelIndex::from_store(
         &store,
         &ids,
@@ -79,19 +91,134 @@ fn directory_ids(path: &str) -> Result<Vec<String>, ServeError> {
     Ok(dir.ids().iter().map(|s| s.to_string()).collect())
 }
 
+/// How a reload warmed its evidence cache from the durable store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheWarmth {
+    /// The store opened clean; the cache is what it held.
+    Warm,
+    /// No store was given, or none exists yet: a cold cache.
+    Cold,
+    /// The store failed to open, or opening found corruption (its
+    /// damaged regions are quarantined): at best a partly warm cache,
+    /// and `logdep cache repair` has work to do.
+    Error,
+}
+
+impl CacheWarmth {
+    /// The `cache` field value on the `reload` span end.
+    pub fn label(self) -> &'static str {
+        match self {
+            CacheWarmth::Warm => "warm",
+            CacheWarmth::Cold => "cold",
+            CacheWarmth::Error => "error",
+        }
+    }
+}
+
 /// Clones the evidence cache out of the durable store, if one exists.
 /// A missing or unreadable store degrades to a cold cache — serving
 /// must come up even when mining state is damaged (repair is `logdep
-/// cache repair`'s job, not the server's).
-fn warm_cache(source: &SnapshotSource) -> EvidenceCache {
+/// cache repair`'s job, not the server's) — and the returned
+/// [`CacheWarmth`] says which case it was.
+fn warm_cache(source: &SnapshotSource) -> (EvidenceCache, CacheWarmth) {
     let Some(path) = &source.store else {
-        return EvidenceCache::new();
+        return (EvidenceCache::new(), CacheWarmth::Cold);
     };
     if !path.exists() {
-        return EvidenceCache::new();
+        return (EvidenceCache::new(), CacheWarmth::Cold);
     }
     match DurableStore::open_existing(path, &mut NoopPolicy) {
-        Ok(store) => store.cache().clone(),
-        Err(_) => EvidenceCache::new(),
+        Ok(store) if store.events().iter().any(|e| e.corruption) => {
+            (store.cache().clone(), CacheWarmth::Error)
+        }
+        Ok(store) => (store.cache().clone(), CacheWarmth::Warm),
+        Err(_) => (EvidenceCache::new(), CacheWarmth::Error),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use logdep_obs::{set_recorder, take_recorder, Phase, Recorder};
+    use std::path::Path;
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("logdep-loader-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    /// A one-day export and a source that mines it with no detectors.
+    fn source(dir: &Path, store: Option<PathBuf>) -> SnapshotSource {
+        let logs = dir.join("logs.tsv");
+        std::fs::write(&logs, "10\t10\tA\t-\t-\tINF\tx\n20\t20\tB\t-\t-\tINF\ty\n")
+            .expect("write logs");
+        SnapshotSource {
+            logs: logs.to_string_lossy().into_owned(),
+            directory: None,
+            store,
+            plan: IndexPlan {
+                start_day: 0,
+                window_days: 1,
+                advance_days: 1,
+                steps: 1,
+            },
+            cfg: PipelineConfig {
+                l1: None,
+                l2: None,
+                l3: None,
+                par: ParConfig::serial(),
+            },
+        }
+    }
+
+    /// Runs one reload under a fresh recorder; returns whether it
+    /// succeeded and the `cache` field of its `reload` span end.
+    fn traced_reload(source: &SnapshotSource) -> (bool, Option<Field>) {
+        set_recorder(Recorder::new());
+        let ok = run_reload(source, 1).is_ok();
+        let recorder = take_recorder().expect("recorder installed");
+        let end = recorder.sink.events().last().expect("span end").clone();
+        assert_eq!((end.name.as_str(), end.phase), ("reload", Phase::End));
+        let cache = end.fields.into_iter().find(|(key, _)| key == "cache");
+        (ok, cache.map(|(_, value)| value))
+    }
+
+    #[test]
+    fn no_store_is_a_cold_cache() {
+        let dir = scratch_dir("cold");
+        let none = source(&dir, None);
+        assert_eq!(warm_cache(&none).1, CacheWarmth::Cold);
+        let missing = source(&dir, Some(dir.join("absent.ck")));
+        assert_eq!(warm_cache(&missing).1, CacheWarmth::Cold);
+        assert_eq!(traced_reload(&missing), (true, Some(Field::from("cold"))));
+        std::fs::remove_dir_all(dir).expect("remove scratch dir");
+    }
+
+    #[test]
+    fn garbled_store_is_reported_on_the_reload_span() {
+        let dir = scratch_dir("garbled");
+        let store = dir.join("cache.ck");
+        std::fs::write(&store, b"this is not a checkpoint\xff\x00\x13").expect("write store");
+        let src = source(&dir, Some(store));
+        let (cache, warmth) = warm_cache(&src);
+        assert_eq!(warmth, CacheWarmth::Error);
+        assert!(cache.is_empty(), "nothing survives a garbled checkpoint");
+        // The reload still comes up, on a cold cache, and says why.
+        assert_eq!(traced_reload(&src), (true, Some(Field::from("error"))));
+
+        // A store that cannot even be read is an error too.
+        let unreadable = source(&dir, Some(dir.clone()));
+        assert_eq!(warm_cache(&unreadable).1, CacheWarmth::Error);
+        std::fs::remove_dir_all(dir).expect("remove scratch dir");
+    }
+
+    #[test]
+    fn failed_reload_before_the_store_has_no_cache_field() {
+        let dir = scratch_dir("failed");
+        let mut src = source(&dir, None);
+        src.logs = dir.join("absent.tsv").to_string_lossy().into_owned();
+        assert_eq!(traced_reload(&src), (false, None));
+        std::fs::remove_dir_all(dir).expect("remove scratch dir");
     }
 }
