@@ -14,20 +14,21 @@
 //! Invariants checked on every run:
 //! * every warm (cached) model is **byte-identical** to a fresh-cache
 //!   run of the same window, and the first advance's detected sets
-//!   equal the batch pipeline's (`run_pipeline`) on that window;
+//!   equal the uncached reference runners' (`run_l1_pool`,
+//!   `run_l2_pool`, `run_l3_pool`) on that window;
 //! * every warm advance actually hits (L1 and L3 hit counts > 0);
 //! * in full mode the warm week must be at least 5× faster than the
 //!   cold week (skipped in `--smoke`, where the window is tiny and
 //!   fixed costs dominate).
 
-use logdep::cache::{run_l1_cached, CacheStats, EvidenceCache};
-use logdep::health::{run_pipeline, PipelineConfig};
-use logdep::window::{
-    run_l2_windowed_cached, run_l3_windowed_cached, run_window_cached, WindowOutcome,
-};
+use logdep::cache::{CacheStats, EvidenceCache};
+use logdep::health::PipelineConfig;
+use logdep::l1::run_l1_pool;
+use logdep::l2::run_l2_pool;
+use logdep::l3::run_l3_pool;
+use logdep::window::{run_window_cached, WindowOutcome};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
 use logdep_logstore::time::TimeRange;
-use logdep_logstore::LogStore;
 use logdep_logstore::Millis;
 use logdep_par::ParConfig;
 use logdep_sim::SimConfig;
@@ -69,7 +70,7 @@ struct Report {
     speedup_asserted: bool,
     steps: Vec<Step>,
     /// Every warm model byte-identical to its fresh-cache model, and
-    /// the first advance equal to the batch pipeline (asserted).
+    /// the first advance equal to the uncached runners (asserted).
     identical: bool,
 }
 
@@ -116,49 +117,13 @@ fn canonical(out: &WindowOutcome) -> String {
     s
 }
 
-/// Runs the three cached layers individually (equivalent to
-/// `run_window_cached`, which drives the same entry points) so the
-/// report can attribute warm/cold wall time per layer.
-fn timed_window(
-    store: &LogStore,
-    window: TimeRange,
-    service_ids: &[String],
-    cfg: &PipelineConfig,
-    cache: &mut EvidenceCache,
-) -> (WindowOutcome, [f64; 3]) {
-    let before = cache.stats();
-    let mut layer_ms = [0.0f64; 3];
-    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1_000.0;
-    let sources = store.active_sources();
-
-    let t = Instant::now();
-    let l1 = cfg
-        .l1
-        .as_ref()
-        .map(|c| run_l1_cached(store, window, &sources, c, &cfg.par, cache).expect("cached L1"));
-    layer_ms[0] = ms(t);
-    let t = Instant::now();
-    let l2 = cfg
-        .l2
-        .as_ref()
-        .map(|c| run_l2_windowed_cached(store, window, c, cache).expect("cached L2"));
-    layer_ms[1] = ms(t);
-    let t = Instant::now();
-    let l3 = cfg
-        .l3
-        .as_ref()
-        .map(|c| run_l3_windowed_cached(store, window, service_ids, c, cache).expect("cached L3"));
-    layer_ms[2] = ms(t);
-    cache.evict_outside(window);
-
-    let outcome = WindowOutcome {
-        window,
-        l1,
-        l2,
-        l3,
-        stats: cache.stats().since(&before),
-    };
-    (outcome, layer_ms)
+/// Per-layer wall time of one window, from the driver's health rows.
+fn layer_ms(out: &WindowOutcome) -> [f64; 3] {
+    let mut ms = [0.0f64; 3];
+    for (slot, h) in ms.iter_mut().zip(&out.health) {
+        *slot = h.elapsed_us as f64 / 1_000.0;
+    }
+    ms
 }
 
 fn main() {
@@ -232,8 +197,9 @@ fn main() {
         // Warm: advance the rolling window by one day on the live cache.
         rolling.reset_stats();
         let start = Instant::now();
-        let (warm, warm_layer_ms) =
-            timed_window(&wb.out.store, w, &wb.service_ids, &pcfg, &mut rolling);
+        let warm = run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut rolling)
+            .expect("warm window");
+        let warm_layer_ms = layer_ms(&warm);
         let warm_ms = start.elapsed().as_secs_f64() * 1_000.0;
         let warm_stats = warm.stats;
         println!(
@@ -252,8 +218,9 @@ fn main() {
         // Cold baseline: the same window from scratch.
         let mut fresh = EvidenceCache::new();
         let start = Instant::now();
-        let (cold, cold_layer_ms) =
-            timed_window(&wb.out.store, w, &wb.service_ids, &pcfg, &mut fresh);
+        let cold = run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut fresh)
+            .expect("cold window");
+        let cold_layer_ms = layer_ms(&cold);
         let cold_ms = start.elapsed().as_secs_f64() * 1_000.0;
         println!(
             "  cold    [{step},{}) : {cold_ms:8.1} ms cold (l1 {:.1}, l2 {:.1}, l3 {:.1})",
@@ -270,22 +237,25 @@ fn main() {
             step + window_days
         );
         if step == 1 {
-            let batch = run_pipeline(&wb.out.store, w, &wb.service_ids, Some(&wb.owners), &pcfg);
-            assert!(batch.fully_healthy(), "batch pipeline degraded");
+            let (store, ids, par) = (&wb.out.store, &wb.service_ids, &pcfg.par);
+            let l1 = run_l1_pool(store, w, &store.active_sources(), &wb.l1_config(), par)
+                .expect("reference L1");
+            let l2 = run_l2_pool(store, w, &wb.l2_config(), par).expect("reference L2");
+            let l3 = run_l3_pool(store, w, ids, &wb.l3_config(), par).expect("reference L3");
             assert_eq!(
                 warm.l1.as_ref().map(|r| &r.detected),
-                batch.l1_pairs.as_ref(),
-                "L1 model differs from the batch pipeline"
+                Some(&l1.detected),
+                "L1 model differs from run_l1_pool"
             );
             assert_eq!(
                 warm.l2.as_ref().map(|r| &r.detected),
-                batch.l2_pairs.as_ref(),
-                "L2 model differs from the batch pipeline"
+                Some(&l2.detected),
+                "L2 model differs from run_l2_pool"
             );
             assert_eq!(
                 warm.l3.as_ref().map(|r| &r.detected),
-                batch.l3_deps.as_ref(),
-                "L3 model differs from the batch pipeline"
+                Some(&l3.detected),
+                "L3 model differs from run_l3_pool"
             );
         }
 

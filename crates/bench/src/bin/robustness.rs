@@ -242,7 +242,8 @@ fn main() {
         &wb.service_ids,
         Some(&clean_refs.owners),
         &pcfg,
-    );
+    )
+    .expect("clean pipeline");
     let (c_l1, c_l2, c_l3, c_ens) = score_outcome(&clean_out, &clean_refs);
     assert!(clean_out.fully_healthy(), "clean pipeline must be healthy");
     println!(
@@ -270,7 +271,8 @@ fn main() {
             read_store_resilient(injection.tsv.as_bytes(), &IngestPolicy::default())
                 .expect("fault profile stays within the default error budget");
         let refs = resolve_refs(&mut store, &wb);
-        let out = run_pipeline(&store, range, &wb.service_ids, Some(&refs.owners), &pcfg);
+        let out = run_pipeline(&store, range, &wb.service_ids, Some(&refs.owners), &pcfg)
+            .expect("degraded pipeline");
         let (l1, l2, l3, ens) = score_outcome(&out, &refs);
 
         println!(

@@ -157,7 +157,8 @@ fn main() {
             &wb.service_ids,
             Some(&wb.owners),
             &pcfg,
-        );
+        )
+        .expect("pipeline");
         let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
         assert!(
             out.fully_healthy(),

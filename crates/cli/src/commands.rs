@@ -256,7 +256,9 @@ pub fn l3(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// One advance step's summary line, shared by the in-memory and the
 /// durable `daily` paths (tests parse this shape).
-fn window_line(day_start: i64, day_end: i64, outcome: &WindowOutcome) -> String {
+fn window_line(window: TimeRange, outcome: &WindowOutcome) -> String {
+    let day_start = window.start.0.div_euclid(MS_PER_DAY);
+    let day_end = window.end.0.div_euclid(MS_PER_DAY);
     format!(
         "window days {day_start}..{day_end}: L1 {} pairs, L2 {} pairs, L3 {} deps \
          (cache: {} hits, {} misses)",
@@ -373,26 +375,23 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
         par: par_config(args)?,
     };
 
-    let Some(cache_path) = args.optional("cache").map(str::to_owned) else {
-        if resume {
-            return Err("--resume needs --cache (nothing persists without one)".into());
-        }
-        let mut cache = EvidenceCache::new();
-        for step in 0..steps {
-            let start = Millis::from_days(start_day + step * advance_days);
-            let window = TimeRange::new(start, Millis(start.0 + window_days * MS_PER_DAY));
-            let outcome = run_window_cached(&store, window, &ids, &cfg, &mut cache)?;
-            let d0 = start_day + step * advance_days;
-            writeln!(out, "{}", window_line(d0, d0 + window_days, &outcome))?;
-        }
-        return Ok(());
-    };
-
     let plan = DailyPlan {
         start_day,
         window_days,
         advance_days,
         steps: u64::try_from(steps).unwrap_or(1),
+    };
+    let Some(cache_path) = args.optional("cache").map(str::to_owned) else {
+        if resume {
+            return Err("--resume needs --cache (nothing persists without one)".into());
+        }
+        let mut cache = EvidenceCache::new();
+        for step in 1..=plan.steps {
+            let window = plan.window(step);
+            let outcome = run_window_cached(&store, window, &ids, &cfg, &mut cache)?;
+            writeln!(out, "{}", window_line(window, &outcome))?;
+        }
+        return Ok(());
     };
     let path = std::path::Path::new(&cache_path);
     let existed = path.exists();
@@ -405,14 +404,7 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
         path,
         resume,
         &mut NoopPolicy,
-        &mut |step, outcome| {
-            let w = plan.window(step);
-            step_lines.push(window_line(
-                w.start.0.div_euclid(MS_PER_DAY),
-                w.end.0.div_euclid(MS_PER_DAY),
-                outcome,
-            ));
-        },
+        &mut |step, outcome| step_lines.push(window_line(plan.window(step), outcome)),
     )
     .map_err(|e| format!("cache {cache_path}: {e}"))?;
 
@@ -437,16 +429,8 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
     if report.steps_run == 0 {
         // Fully resumed: the final window was recomputed from cache
         // hits for the report; show it so the run is never silent.
-        let w = plan.window(plan.steps);
-        writeln!(
-            out,
-            "{}",
-            window_line(
-                w.start.0.div_euclid(MS_PER_DAY),
-                w.end.0.div_euclid(MS_PER_DAY),
-                &report.final_outcome
-            )
-        )?;
+        let line = window_line(plan.window(plan.steps), &report.final_outcome);
+        writeln!(out, "{line}")?;
     }
     if report.checkpointed {
         writeln!(

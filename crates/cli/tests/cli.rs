@@ -734,9 +734,12 @@ fn daily_trace_is_byte_identical_across_thread_widths() {
     assert!(text.contains("\"name\":\"daily\""), "{text}");
     assert!(text.contains("\"name\":\"daily.step\""), "{text}");
     assert!(text.contains("\"name\":\"window\""), "{text}");
-    // The daily path mines through the cached window functions, so the
-    // only detector-health span is the durable store's own.
-    assert!(text.contains("\"name\":\"detector.store\""), "{text}");
+    // Every window reports the three detectors' health, and the
+    // durable store adds its own row.
+    for detector in ["l1", "l2", "l3", "store"] {
+        let span = format!("\"name\":\"detector.{detector}\"");
+        assert!(text.contains(&span), "{span} missing: {text}");
+    }
 }
 
 #[test]

@@ -164,17 +164,14 @@ impl CacheStats {
     }
 }
 
-/// The persistent evidence store: three content-addressed maps (one per
-/// technique) plus session-local hit/miss counters. `BTreeMap` keeps the
-/// serialized snapshot deterministic, so equal caches are byte-equal on
-/// disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The evidence store: three content-addressed maps (one per technique)
+/// plus session-local hit/miss counters. `BTreeMap` keeps iteration —
+/// and so the durable segments written from it — deterministic.
+#[derive(Debug, Clone)]
 pub struct EvidenceCache {
-    version: u32,
     pub(crate) l1: BTreeMap<EvidenceKey, Vec<(u32, u32, bool)>>,
     pub(crate) l2: BTreeMap<EvidenceKey, BigramCounts>,
     pub(crate) l3: BTreeMap<EvidenceKey, L3DayCounts>,
-    #[serde(skip)]
     pub(crate) stats: CacheStats,
 }
 
@@ -185,13 +182,13 @@ impl Default for EvidenceCache {
 }
 
 impl EvidenceCache {
-    /// Snapshot-format version; bump on layout changes.
+    /// Evidence-layout version stamped into the durable segment headers;
+    /// bump on layout changes.
     pub const VERSION: u32 = 1;
 
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            version: Self::VERSION,
             l1: BTreeMap::new(),
             l2: BTreeMap::new(),
             l3: BTreeMap::new(),
@@ -241,22 +238,6 @@ impl EvidenceCache {
         self.l2.retain(|k, _| !k.overlaps(range));
         self.l3.retain(|k, _| !k.overlaps(range));
         before - self.len()
-    }
-
-    /// Serializes the cache to a JSON snapshot (stats excluded).
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| e.to_string())
-    }
-
-    /// Restores a cache from a JSON snapshot. A snapshot written by an
-    /// incompatible [`VERSION`](Self::VERSION) deserializes to an empty
-    /// cache — stale evidence is never replayed across format changes.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let cache: Self = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if cache.version != Self::VERSION {
-            return Ok(Self::new());
-        }
-        Ok(cache)
     }
 }
 
@@ -552,23 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_entries() {
-        let (store, sources) = coupled_store(2);
-        let range = TimeRange::new(Millis(0), Millis(2 * MS_PER_HOUR));
-        let mut cache = EvidenceCache::new();
-        let par = ParConfig::serial();
-        let first = run_l1_cached(&store, range, &sources, &cfg(), &par, &mut cache).unwrap();
-
-        let snapshot = cache.to_json().expect("serialize");
-        let mut restored = EvidenceCache::from_json(&snapshot).expect("parse");
-        assert_eq!(restored.len(), cache.len());
-        let warm = run_l1_cached(&store, range, &sources, &cfg(), &par, &mut restored).unwrap();
-        assert_eq!(warm, first);
-        assert_eq!(restored.stats().l1_hits, 2);
-        assert_eq!(restored.stats().l1_misses, 0);
-    }
-
-    #[test]
     fn eviction_and_invalidation_are_range_scoped() {
         let (store, sources) = coupled_store(4);
         let range = TimeRange::new(Millis(0), Millis(4 * MS_PER_HOUR));
@@ -583,23 +547,5 @@ mod tests {
             cache.evict_outside(TimeRange::new(Millis(MS_PER_HOUR), Millis(3 * MS_PER_HOUR)));
         assert_eq!(evicted, 1, "slot 3 lies outside the retained window");
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn version_mismatch_yields_a_fresh_cache() {
-        let mut cache = EvidenceCache::new();
-        cache.l1.insert(
-            EvidenceKey {
-                fingerprint: 1,
-                start: 0,
-                end: 1,
-                digest: 2,
-            },
-            Vec::new(),
-        );
-        cache.version = EvidenceCache::VERSION + 1;
-        let snapshot = cache.to_json().expect("serialize");
-        let restored = EvidenceCache::from_json(&snapshot).expect("parse");
-        assert!(restored.is_empty());
     }
 }

@@ -6,16 +6,19 @@
 //! upstream scaling. The paper's deployment ran continuously against a
 //! moving landscape; an operator tool that aborts the whole mining run
 //! because one of three independent evidence sources failed is useless
-//! there. [`run_pipeline`] therefore isolates each detector, converts
-//! its failure into a [`DetectorHealth`] entry, and hands whatever
+//! there. The one mining driver, [`run_window_cached`], therefore runs
+//! each detector through `run_detector`, which converts its failure
+//! into a [`DetectorHealth`] entry; [`run_pipeline`] hands whatever
 //! subset succeeded to [`Ensemble::combine_partial`], whose vote
 //! thresholds rescale to the surviving detectors.
 
+use crate::cache::EvidenceCache;
 use crate::ensemble::{app_service_to_pairs, Ensemble};
-use crate::l1::{run_l1_pool, L1Config};
-use crate::l2::{run_l2_pool, L2Config};
-use crate::l3::{run_l3_pool, L3Config};
+use crate::l1::L1Config;
+use crate::l2::L2Config;
+use crate::l3::L3Config;
 use crate::model::{AppServiceModel, PairModel};
+use crate::window::run_window_cached;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, SourceId};
 use logdep_obs::{record, Field};
@@ -182,77 +185,31 @@ impl PipelineOutcome {
     }
 }
 
-fn l1_step(
-    store: &LogStore,
-    range: TimeRange,
-    cfg: Option<&L1Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<PairModel>) {
-    let Some(l1_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L1), None);
+/// Runs one detector layer when `cfg` enables it, timing the call and
+/// turning its `Err` into a failed [`DetectorHealth`] row instead of
+/// propagating it — one detector's failure never aborts the window.
+/// `mine_layer` runs the layer; `n_detected` counts the result's
+/// dependencies for the health row. (The closures are named apart from
+/// every workspace fn so the lint's name-resolved call graph does not
+/// route them elsewhere.)
+pub(crate) fn run_detector<C, T>(
+    detector: DetectorKind,
+    cfg: Option<&C>,
+    mine_layer: impl FnOnce(&C) -> crate::Result<T>,
+    n_detected: impl FnOnce(&T) -> usize,
+) -> (DetectorHealth, Option<T>) {
+    let Some(cfg) = cfg else {
+        return (DetectorHealth::disabled(detector), None);
     };
     let start = Instant::now();
-    let sources = store.active_sources();
-    let outcome = run_l1_pool(store, range, &sources, l1_cfg, par);
+    let outcome = mine_layer(cfg);
     let us = elapsed_us(start);
     match outcome {
         Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L1, res.detected.len(), us),
-            Some(res.detected),
+            DetectorHealth::ran(detector, n_detected(&res), us),
+            Some(res),
         ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L1, e.to_string(), us),
-            None,
-        ),
-    }
-}
-
-fn l2_step(
-    store: &LogStore,
-    range: TimeRange,
-    cfg: Option<&L2Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<PairModel>) {
-    let Some(l2_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L2), None);
-    };
-    let start = Instant::now();
-    let outcome = run_l2_pool(store, range, l2_cfg, par);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L2, res.detected.len(), us),
-            Some(res.detected),
-        ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L2, e.to_string(), us),
-            None,
-        ),
-    }
-}
-
-fn l3_step(
-    store: &LogStore,
-    range: TimeRange,
-    service_ids: &[String],
-    cfg: Option<&L3Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<AppServiceModel>) {
-    let Some(l3_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L3), None);
-    };
-    let start = Instant::now();
-    let outcome = run_l3_pool(store, range, service_ids, l3_cfg, par);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L3, res.detected.len(), us),
-            Some(res.detected),
-        ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L3, e.to_string(), us),
-            None,
-        ),
+        Err(e) => (DetectorHealth::failed(detector, e.to_string(), us), None),
     }
 }
 
@@ -285,18 +242,12 @@ pub(crate) fn record_detector_health(h: &DetectorHealth) {
     });
 }
 
-/// Runs L1/L2/L3 in isolation over `range`, never failing as a whole:
-/// a detector erroring yields a [`DetectorHealth`] entry with `ok:
-/// false` while the others proceed, and the returned
+/// Runs L1/L2/L3 over `range` as one window on a fresh
+/// [`EvidenceCache`] — the batch run is [`run_window_cached`] with
+/// nothing to replay. A detector erroring yields a [`DetectorHealth`]
+/// entry with `ok: false` while the others proceed, and the returned
 /// [`Ensemble`] combines the partial detector set (vote thresholds
 /// rescale via [`Ensemble::at_least_rescaled`]).
-///
-/// With `cfg.par` above one thread the three detectors also run
-/// *concurrently* on a [`logdep_par::scope`] (L1 and L2 on pool
-/// workers, L3 on the calling thread), each internally sharding on the
-/// same pool configuration. `threads = 1` is the plain sequential
-/// loop; either way the outputs are bit-identical, only
-/// [`DetectorHealth::elapsed_us`] varies.
 ///
 /// `owners` maps service index → owning application (as in
 /// [`app_service_to_pairs`]); without it L3 still runs but cannot vote
@@ -307,68 +258,25 @@ pub fn run_pipeline(
     service_ids: &[String],
     owners: Option<&[SourceId]>,
     cfg: &PipelineConfig,
-) -> PipelineOutcome {
-    let par = &cfg.par;
-    record(|r| {
-        r.span_begin(
-            "pipeline",
-            &[
-                ("start_ms", Field::from(range.start.0)),
-                ("end_ms", Field::from(range.end.0)),
-            ],
-        );
-    });
-    let ((h1, l1_pairs), (h2, l2_pairs), (h3, l3_deps)) = if par.is_serial() {
-        (
-            l1_step(store, range, cfg.l1.as_ref(), par),
-            l2_step(store, range, cfg.l2.as_ref(), par),
-            l3_step(store, range, service_ids, cfg.l3.as_ref(), par),
-        )
-    } else {
-        logdep_par::scope(|s| {
-            let t1 = s.spawn(|| l1_step(store, range, cfg.l1.as_ref(), par));
-            let t2 = s.spawn(|| l2_step(store, range, cfg.l2.as_ref(), par));
-            let r3 = l3_step(store, range, service_ids, cfg.l3.as_ref(), par);
-            let r1 = match t1.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            let r2 = match t2.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (r1, r2, r3)
-        })
+) -> crate::Result<PipelineOutcome> {
+    let window = run_window_cached(store, range, service_ids, cfg, &mut EvidenceCache::new())?;
+    let l1_pairs = window.l1.map(|r| r.detected);
+    let l2_pairs = window.l2.map(|r| r.detected);
+    let l3_deps = window.l3.map(|r| r.detected);
+    let l3_pairs = match (&l3_deps, owners) {
+        (Some(deps), Some(o)) => Some(app_service_to_pairs(deps, o)),
+        _ => None,
     };
-
-    // Detector spans are emitted here — after both branches converge,
-    // in fixed L1/L2/L3 order, from the caller thread — so the trace
-    // is byte-identical whether the steps ran serial or concurrent.
-    record_detector_health(&h1);
-    record_detector_health(&h2);
-    record_detector_health(&h3);
-    let ok_count = [&h1, &h2, &h3].iter().filter(|h| h.ok).count();
-    record(|r| {
-        r.span_end("pipeline", &[("detectors_ok", Field::from(ok_count))]);
-    });
-
-    let mut out = PipelineOutcome {
+    let ensemble =
+        Ensemble::combine_partial(l1_pairs.as_ref(), l2_pairs.as_ref(), l3_pairs.as_ref());
+    Ok(PipelineOutcome {
         l1_pairs,
         l2_pairs,
-        l3_pairs: match (&l3_deps, owners) {
-            (Some(deps), Some(o)) => Some(app_service_to_pairs(deps, o)),
-            _ => None,
-        },
         l3_deps,
-        health: vec![h1, h2, h3],
-        ..PipelineOutcome::default()
-    };
-    out.ensemble = Ensemble::combine_partial(
-        out.l1_pairs.as_ref(),
-        out.l2_pairs.as_ref(),
-        out.l3_pairs.as_ref(),
-    );
-    out
+        l3_pairs,
+        health: window.health,
+        ensemble,
+    })
 }
 
 #[cfg(test)]
@@ -413,7 +321,8 @@ mod tests {
             &ids,
             Some(&owners),
             &PipelineConfig::all_defaults(),
-        );
+        )
+        .expect("pipeline");
         assert_eq!(out.health.len(), 3);
         assert!(out.fully_healthy(), "health: {:?}", out.health);
         assert_eq!(out.detectors_ok(), 3);
@@ -433,7 +342,7 @@ mod tests {
         if let Some(l1) = cfg.l1.as_mut() {
             l1.slot_ms = -5;
         }
-        let out = run_pipeline(&store, full_range(), &ids, Some(&owners), &cfg);
+        let out = run_pipeline(&store, full_range(), &ids, Some(&owners), &cfg).expect("pipeline");
         assert!(!out.fully_healthy());
         assert_eq!(out.detectors_ok(), 2);
         let l1_health = &out.health[0];
@@ -455,7 +364,7 @@ mod tests {
             l3: None,
             ..PipelineConfig::all_defaults()
         };
-        let out = run_pipeline(&store, full_range(), &ids, None, &cfg);
+        let out = run_pipeline(&store, full_range(), &ids, None, &cfg).expect("pipeline");
         assert!(out.fully_healthy(), "disabled L3 is not a failure");
         assert_eq!(out.detectors_ok(), 2);
         let l3_health = &out.health[2];
@@ -472,7 +381,8 @@ mod tests {
             &ids,
             None,
             &PipelineConfig::all_defaults(),
-        );
+        )
+        .expect("pipeline");
         assert!(out.l3_deps.is_some(), "L3 ran");
         assert!(out.l3_pairs.is_none(), "no owner relation, no vote");
         assert_eq!(out.ensemble.available()[2], false);
@@ -487,7 +397,8 @@ mod tests {
             &ids,
             Some(&owners),
             &PipelineConfig::all_defaults_with_par(ParConfig::serial()),
-        );
+        )
+        .expect("pipeline");
         let par4 = ParConfig::with_threads(4).expect("4 >= 1");
         let parallel = run_pipeline(
             &store,
@@ -495,7 +406,8 @@ mod tests {
             &ids,
             Some(&owners),
             &PipelineConfig::all_defaults_with_par(par4),
-        );
+        )
+        .expect("pipeline");
         assert_eq!(serial.l1_pairs, parallel.l1_pairs);
         assert_eq!(serial.l2_pairs, parallel.l2_pairs);
         assert_eq!(serial.l3_deps, parallel.l3_deps);
@@ -522,7 +434,8 @@ mod tests {
             &[],
             None,
             &PipelineConfig::all_defaults(),
-        );
+        )
+        .expect("pipeline");
         assert_eq!(out.health.len(), 3);
         // Whatever failed did so gracefully.
         for h in &out.health {

@@ -25,7 +25,9 @@ use crate::cache::{
     l2_fingerprint, l3_fingerprint, run_l1_cached, CacheStats, EvidenceCache, EvidenceKey, Fnv,
     L3DayCounts,
 };
-use crate::health::PipelineConfig;
+use crate::health::{
+    record_detector_health, run_detector, DetectorHealth, DetectorKind, PipelineConfig,
+};
 use crate::l1::L1Result;
 use crate::l2::{associations, count_session, merge_counts, BigramCounts, L2Config, L2Result};
 use crate::l3::{IncrementalL3, L3Config, L3Result};
@@ -42,20 +44,29 @@ use std::collections::BTreeMap;
 pub struct WindowOutcome {
     /// The analysis window.
     pub window: TimeRange,
-    /// L1 result, when enabled in the [`PipelineConfig`].
+    /// L1 result (`None` when disabled in the [`PipelineConfig`] or
+    /// failed — see `health`).
     pub l1: Option<L1Result>,
-    /// L2 result, when enabled.
+    /// L2 result, likewise.
     pub l2: Option<L2Result>,
-    /// L3 result, when enabled.
+    /// L3 result, likewise.
     pub l3: Option<L3Result>,
+    /// One entry per detector, in L1, L2, L3 order.
+    pub health: Vec<DetectorHealth>,
     /// Hit/miss counters of *this pass only*.
     pub stats: CacheStats,
 }
 
 /// Runs every enabled technique of `cfg` over `window` through the
-/// cache, then evicts entries that slid out of the window. The results
-/// are byte-identical to [`crate::health::run_pipeline`]'s per-layer
-/// outcomes on the same window.
+/// cache, then evicts entries that slid out of the window. This is the
+/// only function that runs more than one detector: the batch
+/// [`crate::health::run_pipeline`] is this pass on a fresh cache.
+///
+/// A detector that errors does not abort the window: its result is
+/// `None` and its [`DetectorHealth`] row carries the error, so the
+/// function returns `Ok` whenever the window ran. The health rows are
+/// recorded in fixed L1/L2/L3 order from the calling thread, so the
+/// trace is identical at every pool width.
 pub fn run_window_cached(
     store: &LogStore,
     window: TimeRange,
@@ -74,24 +85,26 @@ pub fn run_window_cached(
         );
     });
     let sources = store.active_sources();
-    let l1 = match &cfg.l1 {
-        Some(c) => Some(run_l1_cached(store, window, &sources, c, &cfg.par, cache)?),
-        None => None,
-    };
-    let l2 = match &cfg.l2 {
-        Some(c) => Some(run_l2_windowed_cached(store, window, c, cache)?),
-        None => None,
-    };
-    let l3 = match &cfg.l3 {
-        Some(c) => Some(run_l3_windowed_cached(
-            store,
-            window,
-            service_ids,
-            c,
-            cache,
-        )?),
-        None => None,
-    };
+    let (h1, l1) = run_detector(
+        DetectorKind::L1,
+        cfg.l1.as_ref(),
+        |c| run_l1_cached(store, window, &sources, c, &cfg.par, cache),
+        |r| r.detected.len(),
+    );
+    let (h2, l2) = run_detector(
+        DetectorKind::L2,
+        cfg.l2.as_ref(),
+        |c| run_l2_windowed_cached(store, window, c, cache),
+        |r| r.detected.len(),
+    );
+    let (h3, l3) = run_detector(
+        DetectorKind::L3,
+        cfg.l3.as_ref(),
+        |c| run_l3_windowed_cached(store, window, service_ids, c, cache),
+        |r| r.detected.len(),
+    );
+    let health = vec![h1, h2, h3];
+    health.iter().for_each(record_detector_health);
     cache.evict_outside(window);
     let stats = cache.stats().since(&before);
     record(|r| {
@@ -109,6 +122,7 @@ pub fn run_window_cached(
         l1,
         l2,
         l3,
+        health,
         stats,
     })
 }
@@ -340,6 +354,8 @@ fn day_chunks(window: TimeRange) -> Vec<TimeRange> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{run_daily_durable, DailyPlan, NoopPolicy};
+    use logdep_logstore::LogRecord;
 
     #[test]
     fn day_chunks_split_at_absolute_boundaries() {
@@ -363,5 +379,89 @@ mod tests {
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0], TimeRange::day(1));
         assert_eq!(chunks[1], TimeRange::day(2));
+    }
+
+    /// Two days of AppA citing service SVCB next to AppB's own logs,
+    /// dense enough for every detector to have input.
+    fn two_day_store() -> (LogStore, Vec<String>) {
+        let mut store = LogStore::new();
+        let a = store.registry.source("AppA");
+        let b = store.registry.source("AppB");
+        let user = store.registry.user("alice");
+        for i in 0..2 * 24 * 12 {
+            let t = i * 5 * 60_000;
+            store.push(
+                LogRecord::minimal(a, Millis(t))
+                    .with_user(user)
+                    .with_text("Invoke SVCB [fct [query]]"),
+            );
+            store.push(
+                LogRecord::minimal(b, Millis(t + 120))
+                    .with_user(user)
+                    .with_text("handling request"),
+            );
+        }
+        store.finalize();
+        (store, vec!["SVCB".to_owned()])
+    }
+
+    #[test]
+    fn failing_l2_still_yields_l1_and_l3_windows() {
+        let (store, ids) = two_day_store();
+        let window = TimeRange::new(Millis(0), Millis(2 * MS_PER_DAY));
+        let healthy_cfg = PipelineConfig::all_defaults_with_par(logdep_par::ParConfig::serial());
+        let cfg = PipelineConfig {
+            l2: Some(L2Config {
+                alpha: 2.0,
+                ..L2Config::default()
+            }),
+            ..healthy_cfg.clone()
+        };
+        let healthy = run_window_cached(
+            &store,
+            window,
+            &ids,
+            &healthy_cfg,
+            &mut EvidenceCache::new(),
+        )
+        .expect("healthy window");
+        let degraded = run_window_cached(&store, window, &ids, &cfg, &mut EvidenceCache::new())
+            .expect("a failing detector must not abort the window");
+        assert_eq!(degraded.l1, healthy.l1);
+        assert_eq!(degraded.l3, healthy.l3);
+        assert!(degraded.l3.is_some() && degraded.l2.is_none());
+        let l2 = &degraded.health[1];
+        assert_eq!(l2.detector, DetectorKind::L2);
+        assert!(l2.enabled && !l2.ok, "{l2:?}");
+        let error = l2.error.as_deref().unwrap_or_default();
+        assert!(error.contains("alpha"), "{error}");
+        assert!(degraded.health[0].ok && degraded.health[2].ok);
+
+        let path = std::env::temp_dir()
+            .join(format!("logdep-window-{}", std::process::id()))
+            .join("degraded.ck");
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("scratch dir");
+        let plan = DailyPlan {
+            start_day: 0,
+            window_days: 1,
+            advance_days: 1,
+            steps: 2,
+        };
+        let report = run_daily_durable(
+            &store,
+            &ids,
+            &cfg,
+            &plan,
+            &path,
+            false,
+            &mut NoopPolicy,
+            &mut |_, _| {},
+        )
+        .expect("daily run completes with L2 down");
+        assert_eq!(report.steps_run, 2);
+        assert!(report.checkpointed);
+        assert!(path.exists());
+        assert!(!report.final_outcome.health[1].ok);
+        assert!(report.final_outcome.l1.is_some() && report.final_outcome.l3.is_some());
     }
 }

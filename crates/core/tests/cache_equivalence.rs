@@ -152,22 +152,6 @@ fn l1_cached_matches_batch_cold_warm_and_after_invalidation() {
 }
 
 #[test]
-fn l1_cache_survives_json_round_trip() {
-    let land = landscape(1);
-    let sources = land.store.active_sources();
-    let range = TimeRange::new(Millis(0), Millis::from_days(1));
-    let cfg = l1_cfg();
-    let par = pool(1);
-
-    let mut cache = EvidenceCache::new();
-    let first = run_l1_cached(&land.store, range, &sources, &cfg, &par, &mut cache).unwrap();
-    let mut restored = EvidenceCache::from_json(&cache.to_json().unwrap()).unwrap();
-    let replayed = run_l1_cached(&land.store, range, &sources, &cfg, &par, &mut restored).unwrap();
-    assert_eq!(l1_snapshot(&replayed), l1_snapshot(&first));
-    assert_eq!(restored.stats().l1_misses, 0, "round trip lost entries");
-}
-
-#[test]
 fn l2_windowed_matches_batch_cold_and_warm() {
     let land = landscape(2);
     let range = TimeRange::new(Millis(0), Millis::from_days(2));

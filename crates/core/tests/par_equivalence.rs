@@ -217,7 +217,8 @@ fn full_pipeline_is_bit_identical_at_every_thread_count() {
             l3: Some(L3Config::with_stop_patterns(standard_stop_patterns())),
             par,
         };
-        let out = run_pipeline(&land.store, land.range, &land.service_ids, None, &cfg);
+        let out =
+            run_pipeline(&land.store, land.range, &land.service_ids, None, &cfg).expect("pipeline");
         assert!(out.fully_healthy(), "health: {:?}", out.health);
         let snap = pipeline_snapshot(&out);
         match &baseline {

@@ -128,7 +128,7 @@ pub struct Event {
     pub seq: u64,
     /// Begin / end / point.
     pub phase: Phase,
-    /// Dotted event name (`pipeline`, `detector.l1`, `daily.step`, …).
+    /// Dotted event name (`window`, `detector.l1`, `daily.step`, …).
     pub name: String,
     /// Ordered key/value payload; order is the emission order.
     pub fields: Vec<(String, Field)>,

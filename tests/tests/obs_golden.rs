@@ -143,7 +143,8 @@ fn batch_pipeline_trace_is_golden() {
     assert_conformant("obs_batch", |par| {
         let cfg = pipeline_config(par);
         traced(|| {
-            run_pipeline(&land.store, day_range(0, 2), &land.service_ids, None, &cfg);
+            run_pipeline(&land.store, day_range(0, 2), &land.service_ids, None, &cfg)
+                .expect("batch run");
         })
     });
 }
