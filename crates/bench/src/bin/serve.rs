@@ -13,10 +13,10 @@
 //! the repository root (the committed evidence artifact).
 
 use logdep::health::PipelineConfig;
-use logdep::EvidenceCache;
+use logdep::{DailyPlan, EvidenceCache};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
 use logdep_par::ParConfig;
-use logdep_serve::{HttpClient, IndexPlan, ModelIndex, ServeConfig, Server, ServerHandle};
+use logdep_serve::{HttpClient, ModelIndex, ServeConfig, Server, ServerHandle};
 use logdep_sim::SimConfig;
 use serde::Serialize;
 use std::time::Instant;
@@ -53,7 +53,7 @@ fn build_index(wb: &Workbench, steps: u64, generation: u64) -> ModelIndex {
         l3: Some(wb.l3_config()),
         par: ParConfig::default(),
     };
-    let plan = IndexPlan {
+    let plan = DailyPlan {
         start_day: 0,
         window_days: 1,
         advance_days: 1,

@@ -13,14 +13,14 @@ use logdep::l1::{run_l1_pool, L1Config};
 use logdep::l2::{run_l2_pool, L2Config};
 use logdep::l3::{run_l3, run_l3_pool, L3Config};
 use logdep::window::{run_window_cached, WindowOutcome};
-use logdep::AppServiceModel;
+use logdep::{AppServiceModel, MineError};
 use logdep_faults::{inject as inject_faults, FaultConfig};
 use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_par::ParConfig;
-use logdep_serve::{run_server, IndexPlan, ServeConfig, Server, SnapshotSource};
+use logdep_serve::{run_server, ServeConfig, Server, SnapshotSource};
 use logdep_sessions::{reconstruct, SessionConfig};
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate as run_sim, ServiceDirectory, SimConfig};
@@ -172,11 +172,7 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// `logdep l1` — activity-correlation mining.
 pub fn l1(args: &Args, out: &mut dyn Write) -> CmdResult {
     let store = load_logs(args, "logs")?;
-    let cfg = L1Config {
-        minlogs: args.parsed_or("minlogs", 25)?,
-        seed: args.parsed_or("seed", 7)?,
-        ..L1Config::default()
-    };
+    let cfg = l1_config(args)?;
     let sources = store.active_sources();
     let res = run_l1_pool(
         &store,
@@ -235,6 +231,51 @@ fn l3_config(args: &Args) -> Result<L3Config, Box<dyn Error>> {
     })
 }
 
+fn l1_config(args: &Args) -> Result<L1Config, Box<dyn Error>> {
+    Ok(L1Config {
+        minlogs: args.parsed_or("minlogs", 25)?,
+        seed: args.parsed_or("seed", 7)?,
+        ..L1Config::default()
+    })
+}
+
+/// The detectors `daily` and `serve` mine with: L1 and L2 always, L3
+/// when `with_l3`.
+fn pipeline_config(args: &Args, with_l3: bool) -> Result<PipelineConfig, Box<dyn Error>> {
+    Ok(PipelineConfig {
+        l1: Some(l1_config(args)?),
+        l2: Some(L2Config::default()),
+        l3: with_l3.then(|| l3_config(args)).transpose()?,
+        par: par_config(args)?,
+    })
+}
+
+/// The window schedule of `daily` and `serve`, from `--window-days`,
+/// `--start-day`, `--advance-days` and `--steps`, rejected with the
+/// offending flag's name when its windows do not fit the clock.
+fn daily_plan(args: &Args) -> Result<DailyPlan, Box<dyn Error>> {
+    let window_days: i64 = args.parsed_or("window-days", 7)?;
+    let start_day: i64 = args.parsed_or("start-day", 0)?;
+    let advance_days: i64 = args.parsed_or("advance-days", 1)?;
+    let steps: i64 = args.parsed_or("steps", 1)?;
+    if window_days <= 0 || advance_days <= 0 || steps <= 0 {
+        return Err("--window-days, --advance-days and --steps must be positive".into());
+    }
+    let plan = DailyPlan {
+        start_day,
+        window_days,
+        advance_days,
+        steps: u64::try_from(steps).unwrap_or(1),
+    };
+    plan.validate().map_err(|e| match e {
+        MineError::InvalidConfig { name, reason } => {
+            format!("flag --{}: {reason}", name.replace('_', "-")).into()
+        }
+        other => Box::<dyn Error>::from(other),
+    })?;
+    Ok(plan)
+}
+
 /// `logdep l3` — directory-citation mining.
 pub fn l3(args: &Args, out: &mut dyn Write) -> CmdResult {
     let store = load_logs(args, "logs")?;
@@ -256,9 +297,9 @@ pub fn l3(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// One advance step's summary line, shared by the in-memory and the
 /// durable `daily` paths (tests parse this shape).
-fn window_line(window: TimeRange, outcome: &WindowOutcome) -> String {
-    let day_start = window.start.0.div_euclid(MS_PER_DAY);
-    let day_end = window.end.0.div_euclid(MS_PER_DAY);
+fn window_line(outcome: &WindowOutcome) -> String {
+    let day_start = outcome.window.start.0.div_euclid(MS_PER_DAY);
+    let day_end = outcome.window.end.0.div_euclid(MS_PER_DAY);
     format!(
         "window days {day_start}..{day_end}: L1 {} pairs, L2 {} pairs, L3 {} deps \
          (cache: {} hits, {} misses)",
@@ -347,49 +388,23 @@ pub fn daily(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
     let store = load_logs(args, "logs")?;
-    let window_days: i64 = args.parsed_or("window-days", 7)?;
-    let start_day: i64 = args.parsed_or("start-day", 0)?;
-    let advance_days: i64 = args.parsed_or("advance-days", 1)?;
-    let steps: i64 = args.parsed_or("steps", 1)?;
-    if window_days <= 0 || advance_days <= 0 || steps <= 0 {
-        return Err("--window-days, --advance-days and --steps must be positive".into());
-    }
+    let plan = daily_plan(args)?;
     let resume: bool = args.parsed_or("resume", false)?;
 
     let ids = match args.optional("directory") {
         Some(path) => load_directory(path)?,
         None => Vec::new(),
     };
-    let cfg = PipelineConfig {
-        l1: Some(L1Config {
-            minlogs: args.parsed_or("minlogs", 25)?,
-            seed: args.parsed_or("seed", 7)?,
-            ..L1Config::default()
-        }),
-        l2: Some(L2Config::default()),
-        l3: if ids.is_empty() {
-            None
-        } else {
-            Some(l3_config(args)?)
-        },
-        par: par_config(args)?,
-    };
+    let cfg = pipeline_config(args, !ids.is_empty())?;
 
-    let plan = DailyPlan {
-        start_day,
-        window_days,
-        advance_days,
-        steps: u64::try_from(steps).unwrap_or(1),
-    };
     let Some(cache_path) = args.optional("cache").map(str::to_owned) else {
         if resume {
             return Err("--resume needs --cache (nothing persists without one)".into());
         }
         let mut cache = EvidenceCache::new();
-        for step in 1..=plan.steps {
-            let window = plan.window(step);
-            let outcome = run_window_cached(&store, window, &ids, &cfg, &mut cache)?;
-            writeln!(out, "{}", window_line(window, &outcome))?;
+        for i in 0..plan.steps {
+            let outcome = run_window_cached(&store, plan.window(i), &ids, &cfg, &mut cache)?;
+            writeln!(out, "{}", window_line(&outcome))?;
         }
         return Ok(());
     };
@@ -404,7 +419,7 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
         path,
         resume,
         &mut NoopPolicy,
-        &mut |step, outcome| step_lines.push(window_line(plan.window(step), outcome)),
+        &mut |_, outcome| step_lines.push(window_line(outcome)),
     )
     .map_err(|e| format!("cache {cache_path}: {e}"))?;
 
@@ -429,8 +444,7 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
     if report.steps_run == 0 {
         // Fully resumed: the final window was recomputed from cache
         // hits for the report; show it so the run is never silent.
-        let line = window_line(plan.window(plan.steps), &report.final_outcome);
-        writeln!(out, "{line}")?;
+        writeln!(out, "{}", window_line(&report.final_outcome))?;
     }
     if report.checkpointed {
         writeln!(
@@ -726,11 +740,7 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
         };
         match *layer {
             "l1" => {
-                let cfg = L1Config {
-                    minlogs: args.parsed_or("minlogs", 25)?,
-                    seed: args.parsed_or("seed", 7)?,
-                    ..L1Config::default()
-                };
+                let cfg = l1_config(args)?;
                 let before =
                     run_l1_pool(&store_a, range, &store_a.active_sources(), &cfg, &par)?.detected;
                 let after =
@@ -890,38 +900,13 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("--workers, --max-conns and --request-timeout-ms must be positive".into());
     }
 
-    let window_days: i64 = args.parsed_or("window-days", 7)?;
-    let start_day: i64 = args.parsed_or("start-day", 0)?;
-    let advance_days: i64 = args.parsed_or("advance-days", 1)?;
-    let steps: i64 = args.parsed_or("steps", 1)?;
-    if window_days <= 0 || advance_days <= 0 || steps <= 0 {
-        return Err("--window-days, --advance-days and --steps must be positive".into());
-    }
-    let ids_given = args.optional("directory").is_some();
+    let plan = daily_plan(args)?;
     let source = SnapshotSource {
         logs: args.required("logs")?.to_owned(),
         directory: args.optional("directory").map(str::to_owned),
         store: args.optional("store").map(std::path::PathBuf::from),
-        plan: IndexPlan {
-            start_day,
-            window_days,
-            advance_days,
-            steps: u64::try_from(steps).unwrap_or(1),
-        },
-        cfg: PipelineConfig {
-            l1: Some(L1Config {
-                minlogs: args.parsed_or("minlogs", 25)?,
-                seed: args.parsed_or("seed", 7)?,
-                ..L1Config::default()
-            }),
-            l2: Some(L2Config::default()),
-            l3: if ids_given {
-                Some(l3_config(args)?)
-            } else {
-                None
-            },
-            par: par_config(args)?,
-        },
+        plan,
+        cfg: pipeline_config(args, args.optional("directory").is_some())?,
     };
 
     let index = logdep_serve::run_reload(&source, 1)?;

@@ -807,3 +807,29 @@ fn wall_clock_flag_stamps_the_trace() {
     let text = std::fs::read_to_string(&trace).expect("trace written");
     assert!(text.contains("\"wall_us\":"), "{text}");
 }
+
+#[test]
+fn day_flags_past_the_clock_are_flag_errors() {
+    let dir = TempDir::new("day-range");
+    let (logs, _) = simulated(&dir);
+    // The first start day whose one-day window ends past the largest
+    // millisecond timestamp, and one whose start alone overflows it.
+    for start_day in ["106751991167", "200000000000"] {
+        for command in ["daily", "serve"] {
+            let (code, out) = run(&[
+                command,
+                "--logs",
+                &logs,
+                "--window-days",
+                "1",
+                "--start-day",
+                start_day,
+            ]);
+            assert_eq!(code, 1, "{command} --start-day {start_day}: {out}");
+            assert!(
+                out.contains("error: flag --start-day:"),
+                "{command} --start-day {start_day}: {out}"
+            );
+        }
+    }
+}

@@ -46,6 +46,7 @@ use logdep_obs::{record, Field};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
+use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
 
 /// The durable writes the store performs, in the order a run meets
@@ -323,6 +324,13 @@ impl SegmentPayload {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Inserts every entry into `cache`.
+    fn apply_to(self, cache: &mut EvidenceCache) {
+        cache.l1.extend(self.l1);
+        cache.l2.extend(self.l2);
+        cache.l3.extend(self.l3);
+    }
 }
 
 /// One journal record: the cache delta of a completed step plus the
@@ -353,23 +361,147 @@ fn header_fnv(cache_version: u32, n_segments: u64, completed: u64, plan_fp: u64)
     f.finish()
 }
 
-fn segment_fnv(day: i64, payload: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.push_str("seg");
-    f.push_i64(day);
-    f.push_u64(payload.len() as u64);
-    f.push_bytes(payload);
-    f.finish()
+/// The framed record both checkpoint segments and journal records are
+/// stored as:
+///
+/// ```text
+/// <tag> <key>... <len> <fnv>\n<JSON payload, exactly len bytes>\n
+/// ```
+///
+/// The checksum folds a domain tag, every key, the length and the
+/// payload, so a frame can neither tear nor move to another key
+/// without failing verification.
+struct Frame<const N: usize> {
+    /// First token of the frame's header line.
+    tag: &'static str,
+    /// Domain separator folded into the checksum.
+    fnv_tag: &'static str,
+    /// What decode errors call the frame.
+    noun: &'static str,
+    /// Names of the key fields, in header order.
+    keys: [&'static str; N],
 }
 
-fn journal_fnv(step: u64, plan_fp: u64, payload: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.push_str("jrn");
-    f.push_u64(step);
-    f.push_u64(plan_fp);
-    f.push_u64(payload.len() as u64);
-    f.push_bytes(payload);
-    f.finish()
+/// One day of checkpointed evidence: `SEG <day> <len> <fnv>`.
+const SEGMENT: Frame<1> = Frame {
+    tag: "SEG",
+    fnv_tag: "seg",
+    noun: "segment",
+    keys: ["day"],
+};
+
+/// One completed step in the journal: `J <step> <plan_fp> <len> <fnv>`.
+const RECORD: Frame<2> = Frame {
+    tag: "J",
+    fnv_tag: "jrn",
+    noun: "record",
+    keys: ["step", "plan_fp"],
+};
+
+/// A frame key: a header token that is also folded into the checksum.
+trait FrameKey: Copy + Default + std::fmt::Display + std::str::FromStr {
+    fn fold(self, f: &mut Fnv);
+}
+
+impl FrameKey for i64 {
+    fn fold(self, f: &mut Fnv) {
+        f.push_i64(self);
+    }
+}
+
+impl FrameKey for u64 {
+    fn fold(self, f: &mut Fnv) {
+        f.push_u64(self);
+    }
+}
+
+impl<const N: usize> Frame<N> {
+    fn fnv<K: FrameKey>(&self, keys: [K; N], payload: &[u8]) -> u64 {
+        let mut f = Fnv::new();
+        f.push_str(self.fnv_tag);
+        for k in keys {
+            k.fold(&mut f);
+        }
+        f.push_u64(payload.len() as u64);
+        f.push_bytes(payload);
+        f.finish()
+    }
+
+    /// Appends `value` framed under `keys` to `out`.
+    fn write<K: FrameKey, T: Serialize>(
+        &self,
+        keys: [K; N],
+        value: &T,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DurableError> {
+        let json = serde_json::to_string(value).map_err(|e| codec_err(self.noun, e))?;
+        let mut header = self.tag.to_string();
+        for k in keys {
+            header.push_str(&format!(" {k}"));
+        }
+        let fnv = self.fnv(keys, json.as_bytes());
+        header.push_str(&format!(" {} {fnv}\n", json.len()));
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(json.as_bytes());
+        out.push(b'\n');
+        Ok(())
+    }
+
+    /// Decodes the frame starting at `pos`, verifying its length,
+    /// terminator and checksum: its keys, its payload, and the offset
+    /// just past it.
+    fn read<K: FrameKey, T: Deserialize>(
+        &self,
+        bytes: &[u8],
+        pos: usize,
+    ) -> Result<([K; N], T, usize), String> {
+        let noun = self.noun;
+        let nl =
+            find_byte(bytes, pos, b'\n').ok_or_else(|| format!("unterminated {noun} header"))?;
+        let line = bytes
+            .get(pos..nl)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or_else(|| format!("{noun} header not utf-8"))?;
+        let mut it = line.split_ascii_whitespace();
+        if it.next() != Some(self.tag) {
+            return Err(format!("missing {} tag", self.tag));
+        }
+        let mut keys = [K::default(); N];
+        for (key, name) in keys.iter_mut().zip(self.keys) {
+            *key = it
+                .next()
+                .and_then(|t| t.parse().ok())
+                .ok_or_else(|| format!("bad {noun} {name}"))?;
+        }
+        let len: usize = it
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| format!("bad {noun} length"))?;
+        let fnv: u64 = it
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| format!("bad {noun} checksum"))?;
+        if it.next().is_some() {
+            return Err(format!("trailing {noun} header tokens"));
+        }
+        let pay_start = nl + 1;
+        let pay_end = pay_start
+            .checked_add(len)
+            .ok_or_else(|| format!("{noun} length overflow"))?;
+        let payload = bytes
+            .get(pay_start..pay_end)
+            .ok_or_else(|| format!("{noun} payload truncated"))?;
+        if bytes.get(pay_end) != Some(&b'\n') {
+            return Err(format!("missing {noun} terminator"));
+        }
+        if self.fnv(keys, payload) != fnv {
+            return Err(format!("{noun} checksum mismatch"));
+        }
+        let text = std::str::from_utf8(payload).map_err(|_| format!("{noun} payload not utf-8"))?;
+        let value =
+            serde_json::from_str(text).map_err(|e| format!("{noun} payload unparsable: {e}"))?;
+        Ok((keys, value, pay_end + 1))
+    }
 }
 
 /// Encodes a checkpoint: header line + one checksummed segment per day.
@@ -398,11 +530,7 @@ fn encode_checkpoint(
     )
     .into_bytes();
     for (day, payload) in &days {
-        let json = serde_json::to_string(payload).map_err(|e| codec_err("segment", e))?;
-        let fnv = segment_fnv(*day, json.as_bytes());
-        out.extend_from_slice(format!("SEG {day} {} {fnv}\n", json.len()).as_bytes());
-        out.extend_from_slice(json.as_bytes());
-        out.push(b'\n');
+        SEGMENT.write([*day], payload, &mut out)?;
     }
     Ok(out)
 }
@@ -501,20 +629,10 @@ fn decode_checkpoint(bytes: &[u8]) -> DecodedCheckpoint {
     let mut decoded = 0u64;
     while pos < bytes.len() {
         let seg_start = pos;
-        match decode_segment(bytes, pos) {
+        match SEGMENT.read::<i64, SegmentPayload>(bytes, pos) {
             Ok((_day, payload, next)) => {
-                for (k, v) in payload.l1 {
-                    d.cache.l1.insert(k, v);
-                    d.restored += 1;
-                }
-                for (k, v) in payload.l2 {
-                    d.cache.l2.insert(k, v);
-                    d.restored += 1;
-                }
-                for (k, v) in payload.l3 {
-                    d.cache.l3.insert(k, v);
-                    d.restored += 1;
-                }
+                d.restored += payload.len();
+                payload.apply_to(&mut d.cache);
                 decoded += 1;
                 pos = next;
             }
@@ -599,66 +717,21 @@ fn decode_header(bytes: &[u8]) -> Result<Header, String> {
     })
 }
 
-fn decode_segment(bytes: &[u8], pos: usize) -> Result<(i64, SegmentPayload, usize), String> {
-    let nl =
-        find_byte(bytes, pos, b'\n').ok_or_else(|| "unterminated segment header".to_string())?;
-    let line = bytes
-        .get(pos..nl)
-        .and_then(|b| std::str::from_utf8(b).ok())
-        .ok_or_else(|| "segment header not utf-8".to_string())?;
-    let mut it = line.split_ascii_whitespace();
-    if it.next() != Some("SEG") {
-        return Err("missing SEG tag".to_string());
-    }
-    let day: i64 = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| "bad segment day".to_string())?;
-    let len: usize = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| "bad segment length".to_string())?;
-    let fnv: u64 = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| "bad segment checksum".to_string())?;
-    if it.next().is_some() {
-        return Err("trailing segment header tokens".to_string());
-    }
-    let pay_start = nl + 1;
-    let pay_end = pay_start
-        .checked_add(len)
-        .ok_or_else(|| "segment length overflow".to_string())?;
-    let payload = bytes
-        .get(pay_start..pay_end)
-        .ok_or_else(|| "segment payload truncated".to_string())?;
-    if bytes.get(pay_end) != Some(&b'\n') {
-        return Err("missing segment terminator".to_string());
-    }
-    if segment_fnv(day, payload) != fnv {
-        return Err("segment checksum mismatch".to_string());
-    }
-    let text = std::str::from_utf8(payload).map_err(|_| "segment payload not utf-8".to_string())?;
-    let parsed: SegmentPayload =
-        serde_json::from_str(text).map_err(|e| format!("segment payload unparsable: {e}"))?;
-    Ok((day, parsed, pay_end + 1))
-}
-
 fn encode_journal_record(
     step: u64,
     plan_fp: u64,
     payload: &JournalPayload,
 ) -> Result<Vec<u8>, DurableError> {
-    let json = serde_json::to_string(payload).map_err(|e| codec_err("journal record", e))?;
-    let fnv = journal_fnv(step, plan_fp, json.as_bytes());
-    let mut out = format!("J {step} {plan_fp} {} {fnv}\n", json.len()).into_bytes();
-    out.extend_from_slice(json.as_bytes());
-    out.push(b'\n');
+    let mut out = Vec::new();
+    RECORD.write([step, plan_fp], payload, &mut out)?;
     Ok(out)
 }
 
+#[derive(Default)]
 struct DecodedJournal {
     records: Vec<(u64, u64, JournalPayload)>,
+    /// Byte range of each record, parallel to `records`.
+    spans: Vec<Range<usize>>,
     /// Byte length of the longest cleanly-decoding record prefix.
     clean_len: usize,
     /// Whether bytes beyond the clean prefix exist (a torn tail).
@@ -669,77 +742,180 @@ struct DecodedJournal {
 /// at the tail, so everything before the first damaged record is
 /// trustworthy and everything from it on is not.
 fn decode_journal(bytes: &[u8]) -> DecodedJournal {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match decode_journal_record(bytes, pos) {
-            Ok((step, fp, payload, next)) => {
-                records.push((step, fp, payload));
-                pos = next;
+    let mut dj = DecodedJournal::default();
+    while dj.clean_len < bytes.len() {
+        let pos = dj.clean_len;
+        match RECORD.read::<u64, JournalPayload>(bytes, pos) {
+            Ok(([step, plan_fp], payload, next)) if payload.window_start <= payload.window_end => {
+                dj.records.push((step, plan_fp, payload));
+                dj.spans.push(pos..next);
+                dj.clean_len = next;
             }
-            Err(_) => {
-                return DecodedJournal {
-                    records,
-                    clean_len: pos,
-                    torn: true,
-                }
+            // A checksummed record with an inverted window is as
+            // untrustworthy as a torn one.
+            Ok(_) | Err(_) => {
+                dj.torn = true;
+                break;
             }
         }
     }
-    DecodedJournal {
-        records,
-        clean_len: pos,
-        torn: false,
-    }
+    dj
 }
 
-fn decode_journal_record(
-    bytes: &[u8],
-    pos: usize,
-) -> Result<(u64, u64, JournalPayload, usize), String> {
-    let nl =
-        find_byte(bytes, pos, b'\n').ok_or_else(|| "unterminated record header".to_string())?;
-    let line = bytes
-        .get(pos..nl)
-        .and_then(|b| std::str::from_utf8(b).ok())
-        .ok_or_else(|| "record header not utf-8".to_string())?;
-    let mut it = line.split_ascii_whitespace();
-    if it.next() != Some("J") {
-        return Err("missing J tag".to_string());
-    }
-    let mut next_u64 = |name: &str| -> Result<u64, String> {
-        it.next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| format!("bad record field {name}"))
+/// The writes a recovery pass asks for, in the order
+/// [`DurableStore::open`] performs them.
+#[derive(Default)]
+struct RecoveryWrites {
+    /// Corrupt byte regions for the quarantine file, in order.
+    quarantine: Vec<Vec<u8>>,
+    /// The journal's new contents, when it must be rewritten.
+    journal: Option<Vec<u8>>,
+}
+
+/// The recovery pass: every decision about a store's bytes, made
+/// without touching a file. It restores the intact checkpoint
+/// segments, restarts progress on a `plan-changed` checkpoint, and
+/// replays the journal's records for `plan_fp` in step order — skipping
+/// stale-plan records, stopping at a gap, and setting a torn tail
+/// aside. `plan_fp` `None` judges the store against the plan signature
+/// its checkpoint records (0 when it has no readable header). Returns
+/// the restored store, its events, and the writes that bring the files
+/// in line with it.
+fn recover(
+    path: &Path,
+    checkpoint: Option<&[u8]>,
+    journal: &[u8],
+    plan_fp: Option<u64>,
+) -> (DurableStore, RecoveryWrites) {
+    let decoded = checkpoint.map(decode_checkpoint);
+    let plan_fp = plan_fp.unwrap_or(decoded.as_ref().map_or(0, |d| d.plan_fp));
+    let mut s = DurableStore {
+        path: path.to_path_buf(),
+        cache: EvidenceCache::new(),
+        completed: 0,
+        plan_fp,
+        completed_at_load: 0,
+        journal_records_at_load: 0,
+        checkpoint_valid_at_load: false,
+        events: Vec::new(),
+        ledgered: 0,
+        restored_entries: 0,
     };
-    let step = next_u64("step")?;
-    let plan_fp = next_u64("plan_fp")?;
-    let len = next_u64("len")?;
-    let fnv = next_u64("fnv")?;
-    if it.next().is_some() {
-        return Err("trailing record header tokens".to_string());
+    let mut writes = RecoveryWrites::default();
+    if let Some(d) = decoded {
+        writes.quarantine = d.quarantined;
+        s.events = d.events;
+        if d.header_ok && d.version_ok {
+            s.cache = d.cache;
+            s.restored_entries = d.restored;
+            if d.plan_fp == plan_fp {
+                s.completed = d.completed;
+                s.checkpoint_valid_at_load = d.intact;
+            } else {
+                s.events.push(event(
+                    "plan-changed",
+                    false,
+                    format!(
+                        "plan signature {plan_fp} != stored {}; keeping warm cache, restarting progress",
+                        d.plan_fp
+                    ),
+                ));
+            }
+        }
     }
-    let len = usize::try_from(len).map_err(|_| "record length overflow".to_string())?;
-    let pay_start = nl + 1;
-    let pay_end = pay_start
-        .checked_add(len)
-        .ok_or_else(|| "record length overflow".to_string())?;
-    let payload = bytes
-        .get(pay_start..pay_end)
-        .ok_or_else(|| "record payload truncated".to_string())?;
-    if bytes.get(pay_end) != Some(&b'\n') {
-        return Err("missing record terminator".to_string());
+    s.completed_at_load = s.completed;
+
+    let dj = decode_journal(journal);
+    let mut rewrite = dj.torn;
+    if dj.torn {
+        let tail = journal.get(dj.clean_len..).unwrap_or_default();
+        s.events.push(event(
+            "journal-torn",
+            true,
+            format!(
+                "{} damaged bytes past the clean prefix; truncating",
+                tail.len()
+            ),
+        ));
+        writes.quarantine.push(tail.to_vec());
     }
-    if journal_fnv(step, plan_fp, payload) != fnv {
-        return Err("record checksum mismatch".to_string());
+    let mut retained: Vec<u8> = Vec::new();
+    let mut stale = 0usize;
+    let mut applied = 0usize;
+    let mut applied_entries = 0usize;
+    for ((step, rec_fp, payload), span) in dj.records.into_iter().zip(dj.spans) {
+        if rec_fp != plan_fp {
+            stale += 1;
+            rewrite = true;
+            continue;
+        }
+        let next = s.completed.saturating_add(1);
+        if step > next {
+            s.events.push(event(
+                "journal-gap",
+                true,
+                format!("expected step {next}, found {step}; truncating"),
+            ));
+            rewrite = true;
+            break;
+        }
+        // A step at or below `completed` is already folded into the
+        // checkpoint (a crash landed between the checkpoint rename and
+        // the journal reset): kept, not re-applied.
+        if step == next {
+            let window = TimeRange::new(Millis(payload.window_start), Millis(payload.window_end));
+            applied_entries += payload.delta.len();
+            payload.delta.apply_to(&mut s.cache);
+            s.cache.evict_outside(window);
+            s.completed = step;
+            applied += 1;
+        }
+        retained.extend_from_slice(journal.get(span).unwrap_or_default());
+        s.journal_records_at_load += 1;
     }
-    let text = std::str::from_utf8(payload).map_err(|_| "record payload not utf-8".to_string())?;
-    let parsed: JournalPayload =
-        serde_json::from_str(text).map_err(|e| format!("record payload unparsable: {e}"))?;
-    if parsed.window_end < parsed.window_start {
-        return Err("inverted record window".to_string());
+    if stale > 0 {
+        s.events.push(event(
+            "journal-stale-plan",
+            false,
+            format!("{stale} records from a different plan discarded"),
+        ));
     }
-    Ok((step, plan_fp, parsed, pay_end + 1))
+    if applied > 0 {
+        s.events.push(event(
+            "journal-replayed",
+            false,
+            format!("replayed {applied} steps ({applied_entries} entries) past the checkpoint"),
+        ));
+        s.restored_entries += applied_entries;
+    }
+    if rewrite {
+        writes.journal = Some(retained);
+    }
+    (s, writes)
+}
+
+/// Reads the checkpoint and journal at `path` and runs [`recover`]
+/// over them; a missing checkpoint is reported as `missing`.
+fn recover_at(
+    path: &Path,
+    plan_fp: Option<u64>,
+    missing: RecoveryEvent,
+) -> Result<(DurableStore, RecoveryWrites), DurableError> {
+    let checkpoint = read_if_exists(path)?;
+    let journal = read_if_exists(&sibling(path, ".journal"))?.unwrap_or_default();
+    let (mut store, writes) = recover(path, checkpoint.as_deref(), &journal, plan_fp);
+    if checkpoint.is_none() {
+        store.events.insert(0, missing);
+    }
+    Ok((store, writes))
+}
+
+fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, DurableError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(path, e)),
+    }
 }
 
 /// The crash-safe on-disk store: checkpoint + journal + quarantine +
@@ -769,161 +945,36 @@ impl DurableStore {
         plan_fp: u64,
         policy: &mut dyn WritePolicy,
     ) -> Result<Self, DurableError> {
-        let mut store = Self {
-            path: path.to_path_buf(),
-            cache: EvidenceCache::new(),
-            completed: 0,
-            plan_fp,
-            completed_at_load: 0,
-            journal_records_at_load: 0,
-            checkpoint_valid_at_load: false,
-            events: Vec::new(),
-            ledgered: 0,
-            restored_entries: 0,
-        };
-        match std::fs::read(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                store.events.push(event(
-                    "cold-start",
-                    false,
-                    format!("no checkpoint at {}; starting cold", path.display()),
-                ));
-            }
-            Err(e) => return Err(io_err(path, e)),
-            Ok(bytes) => {
-                let d = decode_checkpoint(&bytes);
-                for region in &d.quarantined {
-                    store.quarantine(region, policy)?;
-                }
-                store.events.extend(d.events);
-                if d.header_ok && d.version_ok {
-                    store.cache = d.cache;
-                    store.completed = d.completed;
-                    store.restored_entries = d.restored;
-                    store.checkpoint_valid_at_load = d.intact;
-                    if d.plan_fp != plan_fp {
-                        store.events.push(event(
-                            "plan-changed",
-                            false,
-                            format!(
-                                "plan signature {} != stored {}; keeping warm cache, restarting progress",
-                                plan_fp, d.plan_fp
-                            ),
-                        ));
-                        store.completed = 0;
-                        store.checkpoint_valid_at_load = false;
-                    }
-                }
-            }
-        }
-        store.completed_at_load = store.completed;
-        store.replay_journal(policy)?;
-        Ok(store)
+        Self::open_with(path, Some(plan_fp), policy)
     }
 
     /// Opens the store against whatever plan signature the checkpoint
     /// itself records (0 when there is none) — the entry point for
     /// `cache repair`, which must preserve intact state verbatim.
     pub fn open_existing(path: &Path, policy: &mut dyn WritePolicy) -> Result<Self, DurableError> {
-        let stored_fp = match std::fs::read(path) {
-            Ok(bytes) => decode_header(&bytes).map(|h| h.plan_fp).unwrap_or(0),
-            Err(_) => 0,
-        };
-        Self::open(path, stored_fp, policy)
+        Self::open_with(path, None, policy)
     }
 
-    fn replay_journal(&mut self, policy: &mut dyn WritePolicy) -> Result<(), DurableError> {
-        let jpath = self.journal_path();
-        let jbytes = match std::fs::read(&jpath) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(&jpath, e)),
-            Ok(b) => b,
-        };
-        let dj = decode_journal(&jbytes);
-        let mut rewrite = dj.torn;
-        if dj.torn {
-            let torn = jbytes.len().saturating_sub(dj.clean_len);
-            self.events.push(event(
-                "journal-torn",
-                true,
-                format!("{torn} damaged bytes past the clean prefix; truncating"),
-            ));
-            if let Some(tail) = jbytes.get(dj.clean_len..) {
-                self.quarantine(tail, policy)?;
-            }
+    /// Runs the recovery pass, then performs the writes it asked for:
+    /// every quarantine append in order, then the journal rewrite.
+    fn open_with(
+        path: &Path,
+        plan_fp: Option<u64>,
+        policy: &mut dyn WritePolicy,
+    ) -> Result<Self, DurableError> {
+        let missing = event(
+            "cold-start",
+            false,
+            format!("no checkpoint at {}; starting cold", path.display()),
+        );
+        let (store, writes) = recover_at(path, plan_fp, missing)?;
+        for region in &writes.quarantine {
+            store.quarantine(region, policy)?;
         }
-        let mut retained: Vec<u8> = Vec::new();
-        let mut stale = 0usize;
-        let mut kept = 0usize;
-        let mut applied = 0usize;
-        let mut applied_entries = 0usize;
-        for (step, rec_fp, payload) in dj.records {
-            if rec_fp != self.plan_fp {
-                stale += 1;
-                rewrite = true;
-                continue;
-            }
-            if step <= self.completed {
-                // Already folded into the checkpoint (a crash landed
-                // between the checkpoint rename and the journal reset).
-                retained.extend_from_slice(&encode_journal_record(step, rec_fp, &payload)?);
-                kept += 1;
-                continue;
-            }
-            if step == self.completed + 1 {
-                for (k, v) in &payload.delta.l1 {
-                    self.cache.l1.insert(*k, v.clone());
-                    applied_entries += 1;
-                }
-                for (k, v) in &payload.delta.l2 {
-                    self.cache.l2.insert(*k, v.clone());
-                    applied_entries += 1;
-                }
-                for (k, v) in &payload.delta.l3 {
-                    self.cache.l3.insert(*k, v.clone());
-                    applied_entries += 1;
-                }
-                self.cache.evict_outside(TimeRange::new(
-                    Millis(payload.window_start),
-                    Millis(payload.window_end),
-                ));
-                self.completed = step;
-                retained.extend_from_slice(&encode_journal_record(step, rec_fp, &payload)?);
-                kept += 1;
-                applied += 1;
-                continue;
-            }
-            self.events.push(event(
-                "journal-gap",
-                true,
-                format!(
-                    "expected step {}, found {step}; truncating",
-                    self.completed + 1
-                ),
-            ));
-            rewrite = true;
-            break;
+        if let Some(bytes) = &writes.journal {
+            store.write_journal(bytes, policy)?;
         }
-        if stale > 0 {
-            self.events.push(event(
-                "journal-stale-plan",
-                false,
-                format!("{stale} records from a different plan discarded"),
-            ));
-        }
-        if applied > 0 {
-            self.events.push(event(
-                "journal-replayed",
-                false,
-                format!("replayed {applied} steps ({applied_entries} entries) past the checkpoint"),
-            ));
-            self.restored_entries += applied_entries;
-        }
-        if rewrite {
-            self.write_journal(&retained, policy)?;
-        }
-        self.journal_records_at_load = kept;
-        Ok(())
+        Ok(store)
     }
 
     fn journal_path(&self) -> PathBuf {
@@ -1079,6 +1130,16 @@ impl DurableStore {
         &self.path
     }
 
+    /// What the store holds and observed, as a [`StoreReport`].
+    fn report(&self) -> StoreReport {
+        StoreReport {
+            events: self.events.clone(),
+            cache_entries: self.cache.len(),
+            completed: self.completed,
+            journal_records: self.journal_records_at_load,
+        }
+    }
+
     /// The store's standing as a detector-style health row: `ok` while
     /// no corruption was detected, `detected` counting restored
     /// entries, so `daily` reports surface recovery alongside L1–L3.
@@ -1095,9 +1156,11 @@ impl DurableStore {
     }
 }
 
-/// The nightly advance schedule: `steps` windows of `window_days`
-/// days, the first starting at `start_day`, each advancing by
-/// `advance_days`. Steps are 1-based.
+/// The sliding-window schedule of `logdep daily` and `logdep serve`:
+/// `steps` windows of `window_days` days, the first starting at
+/// `start_day`, each advancing by `advance_days`. Windows are indexed
+/// from 0; the durable journal numbers its steps from 1, so journal
+/// step `s` mines `window(s - 1)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DailyPlan {
     /// Day the first window starts at.
@@ -1110,20 +1173,30 @@ pub struct DailyPlan {
     pub steps: u64,
 }
 
+/// The days whose first millisecond a [`Millis`] can hold.
+const CLOCK_DAYS: RangeInclusive<i64> = (i64::MIN / MS_PER_DAY)..=(i64::MAX / MS_PER_DAY);
+
 impl DailyPlan {
-    /// The analysis window of 1-based `step`.
-    pub fn window(&self, step: u64) -> TimeRange {
-        let offset = i64::try_from(step.saturating_sub(1)).unwrap_or(i64::MAX);
-        let start = self
-            .start_day
-            .saturating_add(offset.saturating_mul(self.advance_days));
+    /// The day window `i` starts.
+    pub fn day(&self, i: u64) -> i64 {
+        let i = i64::try_from(i).unwrap_or(i64::MAX);
+        self.start_day
+            .saturating_add(i.saturating_mul(self.advance_days))
+    }
+
+    /// Window `i` as a time range. Never panics: outside a
+    /// [`validate`](Self::validate)d plan the bounds saturate.
+    pub fn window(&self, i: u64) -> TimeRange {
+        let start = self.day(i);
+        let end = start.saturating_add(self.window_days).max(start);
         TimeRange::new(
-            Millis::from_days(start),
-            Millis::from_days(start.saturating_add(self.window_days)),
+            Millis(start.saturating_mul(MS_PER_DAY)),
+            Millis(end.saturating_mul(MS_PER_DAY)),
         )
     }
 
-    /// Rejects degenerate schedules.
+    /// Rejects degenerate schedules, and schedules whose windows do
+    /// not all fit the millisecond clock.
     pub fn validate(&self) -> Result<(), MineError> {
         if self.window_days < 1 {
             return Err(MineError::InvalidConfig {
@@ -1142,6 +1215,26 @@ impl DailyPlan {
                 name: "steps",
                 reason: "must run at least one step".to_string(),
             });
+        }
+        // Windows only move forward, so the first window's start and
+        // the last window's end bound them all.
+        let end_of = |i: u64| {
+            i64::try_from(i)
+                .ok()
+                .and_then(|i| i.checked_mul(self.advance_days))
+                .and_then(|offset| offset.checked_add(self.start_day))
+                .and_then(|start| start.checked_add(self.window_days))
+        };
+        for (i, name) in [(0, "start_day"), (self.steps - 1, "steps")] {
+            let on_clock = end_of(i).is_some_and(|end| CLOCK_DAYS.contains(&end));
+            if !on_clock || !CLOCK_DAYS.contains(&self.start_day) {
+                return Err(MineError::InvalidConfig {
+                    name,
+                    reason: format!(
+                        "window {i} falls outside the millisecond clock's days {CLOCK_DAYS:?}"
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -1332,7 +1425,7 @@ pub fn run_daily_durable(
     let mut final_outcome: Option<WindowOutcome> = None;
     let first = store.completed().saturating_add(1);
     for step in first..=plan.steps {
-        let window = plan.window(step);
+        let window = plan.window(step - 1);
         record(|r| {
             r.span_begin(
                 "daily.step",
@@ -1368,7 +1461,7 @@ pub fn run_daily_durable(
             // Fully resumed: recompute the last window for the report.
             // Every probe hits, so the cache (and checkpoint bytes)
             // are unchanged.
-            let window = plan.window(plan.steps);
+            let window = plan.window(plan.steps - 1);
             run_window_cached(logs, window, service_ids, cfg, store.cache_mut())?
         }
     };
@@ -1425,11 +1518,12 @@ pub fn run_daily_durable(
 pub struct StoreReport {
     /// Everything verification observed, corruption and otherwise.
     pub events: Vec<RecoveryEvent>,
-    /// Entries that decode cleanly from the checkpoint.
+    /// Entries the store restores: intact checkpoint segments plus the
+    /// replayed journal records.
     pub cache_entries: usize,
-    /// Progress counter the checkpoint records.
+    /// Last completed step, after journal replay.
     pub completed: u64,
-    /// Intact journal records on disk.
+    /// Journal records recovery keeps.
     pub journal_records: usize,
 }
 
@@ -1440,73 +1534,25 @@ impl StoreReport {
     }
 }
 
+/// Runs the recovery pass [`DurableStore::open_existing`] runs, but
+/// writes nothing: returns the cache that open would restore and the
+/// report of what it found. Safe to run against a live store; repair
+/// is [`repair_store`]'s job.
+pub fn open_read_only(path: &Path) -> Result<(EvidenceCache, StoreReport), DurableError> {
+    let missing = event(
+        "missing",
+        false,
+        format!("no checkpoint at {}", path.display()),
+    );
+    let (store, _) = recover_at(path, None, missing)?;
+    let report = store.report();
+    Ok((store.cache, report))
+}
+
 /// Verifies every checksum of the store at `path` without writing a
 /// single byte — safe to run against a live store.
 pub fn verify_store(path: &Path) -> Result<StoreReport, DurableError> {
-    let mut events = Vec::new();
-    let mut cache_entries = 0usize;
-    let mut completed = 0u64;
-    let mut plan_fp = 0u64;
-    match std::fs::read(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            events.push(event(
-                "missing",
-                false,
-                format!("no checkpoint at {}", path.display()),
-            ));
-        }
-        Err(e) => return Err(io_err(path, e)),
-        Ok(bytes) => {
-            let d = decode_checkpoint(&bytes);
-            events.extend(d.events);
-            cache_entries = d.restored;
-            completed = d.completed;
-            plan_fp = d.plan_fp;
-        }
-    }
-    let jpath = sibling(path, ".journal");
-    let mut journal_records = 0usize;
-    match std::fs::read(&jpath) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(io_err(&jpath, e)),
-        Ok(bytes) => {
-            let dj = decode_journal(&bytes);
-            if dj.torn {
-                events.push(event(
-                    "journal-torn",
-                    true,
-                    format!(
-                        "{} damaged bytes past the clean prefix",
-                        bytes.len().saturating_sub(dj.clean_len)
-                    ),
-                ));
-            }
-            let mut expect = completed + 1;
-            for (step, rec_fp, _payload) in &dj.records {
-                journal_records += 1;
-                if *rec_fp != plan_fp {
-                    continue;
-                }
-                if *step > completed && *step != expect {
-                    events.push(event(
-                        "journal-gap",
-                        true,
-                        format!("expected step {expect}, found {step}"),
-                    ));
-                    break;
-                }
-                if *step == expect {
-                    expect += 1;
-                }
-            }
-        }
-    }
-    Ok(StoreReport {
-        events,
-        cache_entries,
-        completed,
-        journal_records,
-    })
+    open_read_only(path).map(|(_, report)| report)
 }
 
 /// Repairs the store at `path` in place: quarantines damage, replays
@@ -1526,12 +1572,7 @@ pub fn repair_store(path: &Path) -> Result<StoreReport, DurableError> {
         ),
     ));
     store.append_ledger(&mut policy)?;
-    Ok(StoreReport {
-        events: store.events.clone(),
-        cache_entries: store.cache.len(),
-        completed: store.completed,
-        journal_records: 0,
-    })
+    Ok(store.report())
 }
 
 #[cfg(test)]
@@ -1854,13 +1895,14 @@ mod tests {
         };
         assert!(plan.validate().is_ok());
         assert_eq!(
-            plan.window(1),
+            plan.window(0),
             TimeRange::new(Millis::from_days(3), Millis::from_days(10))
         );
         assert_eq!(
-            plan.window(4),
+            plan.window(3),
             TimeRange::new(Millis::from_days(6), Millis::from_days(13))
         );
+        assert_eq!(plan.day(3), 6);
         assert!(DailyPlan {
             window_days: 0,
             ..plan
@@ -1874,6 +1916,134 @@ mod tests {
         .validate()
         .is_err());
         assert!(DailyPlan { steps: 0, ..plan }.validate().is_err());
+    }
+
+    #[test]
+    fn daily_plan_rejects_windows_off_the_millisecond_clock() {
+        let last_day = i64::MAX / MS_PER_DAY;
+        let plan = DailyPlan {
+            start_day: last_day - 1,
+            window_days: 1,
+            advance_days: 1,
+            steps: 1,
+        };
+        assert!(plan.validate().is_ok());
+        let rejected = |plan: DailyPlan| match plan.validate() {
+            Err(MineError::InvalidConfig { name, .. }) => Some(name),
+            _ => None,
+        };
+        let past_end = DailyPlan {
+            start_day: last_day,
+            ..plan
+        };
+        assert_eq!(rejected(past_end), Some("start_day"));
+        let far = DailyPlan {
+            start_day: 200_000_000_000,
+            ..plan
+        };
+        assert_eq!(rejected(far), Some("start_day"));
+        let before_start = DailyPlan {
+            start_day: i64::MIN / MS_PER_DAY - 1,
+            ..plan
+        };
+        assert_eq!(rejected(before_start), Some("start_day"));
+        assert_eq!(rejected(DailyPlan { steps: 2, ..plan }), Some("steps"));
+        let long = DailyPlan {
+            start_day: 0,
+            steps: u64::MAX,
+            ..plan
+        };
+        assert_eq!(rejected(long), Some("steps"));
+        // Windows of a rejected plan saturate instead of panicking.
+        for plan in [past_end, far, long] {
+            let w = plan.window(plan.steps - 1);
+            assert!(w.start <= w.end);
+        }
+    }
+
+    /// Bytes the encoder wrote before segments and journal records
+    /// shared one frame codec; stores written then must still read.
+    #[test]
+    fn on_disk_format_is_pinned() {
+        const CHECKPOINT: &str = "LOGDEP-DUR v1 1 2 4 99 4256224291720675030\n\
+SEG 0 106 17576523638702620903\n\
+{\"l1\":[[{\"fingerprint\":1,\"start\":0,\"end\":86400000,\"digest\":11},[[3,4,true],[0,2,false]]]],\"l2\":[],\"l3\":[]}\n\
+SEG 1 283 16044180610580456926\n\
+{\"l1\":[],\"l2\":[[{\"fingerprint\":2,\"start\":86400000,\"end\":172800000,\"digest\":21},{\"joint\":[[[0,1],5]],\"first_margin\":[[0,5]],\"second_margin\":[[1,5]],\"total\":9}]],\"l3\":[[{\"fingerprint\":3,\"start\":86400000,\"end\":172800000,\"digest\":31},{\"citations\":[[[2,0],7]],\"scanned\":40,\"stopped\":2}]]}\n";
+        const JOURNAL: &str = "J 5 99 160 12527053497270730231\n\
+{\"window_start\":86400000,\"window_end\":259200000,\"delta\":{\"l1\":[[{\"fingerprint\":1,\"start\":172800000,\"end\":259200000,\"digest\":12},[[1,1,true]]]],\"l2\":[],\"l3\":[]}}\n";
+
+        let mut cache = sample_cache();
+        cache.l1.remove(&key(1, 1, 12));
+        let l3 = cache.l3.pop_first().expect("sample l3 entry").1;
+        cache.l3.insert(key(1, 3, 31), l3);
+        let bytes = encode_checkpoint(&cache, 4, 99).expect("encode");
+        assert_eq!(String::from_utf8_lossy(&bytes), CHECKPOINT);
+        let d = decode_checkpoint(CHECKPOINT.as_bytes());
+        assert!(d.intact && d.events.is_empty(), "{:?}", d.events);
+        assert!(caches_equal(&d.cache, &cache));
+
+        let mut delta = SegmentPayload::default();
+        delta.l1.push((key(2, 1, 12), vec![(1, 1, true)]));
+        let payload = JournalPayload {
+            window_start: MS_PER_DAY,
+            window_end: 3 * MS_PER_DAY,
+            delta,
+        };
+        let record = encode_journal_record(5, 99, &payload).expect("encode");
+        assert_eq!(String::from_utf8_lossy(&record), JOURNAL);
+        let dj = decode_journal(JOURNAL.as_bytes());
+        assert!(!dj.torn);
+        assert_eq!(dj.records, vec![(5, 99, payload)]);
+    }
+
+    #[test]
+    fn verify_reports_the_state_after_replay_and_writes_nothing() {
+        let path = fresh_store_path("verify-replay.ck");
+        let mut policy = NoopPolicy;
+        let mut store = DurableStore::open(&path, 77, &mut policy).expect("open");
+        store.checkpoint(&mut policy).expect("checkpoint");
+        let window = TimeRange::new(Millis(0), Millis(10 * MS_PER_DAY));
+        for (step, _fp, payload) in sample_journal_records() {
+            payload.delta.clone().apply_to(store.cache_mut());
+            store
+                .append_step(step, window, payload.delta, &mut policy)
+                .expect("append");
+        }
+        // A record of another plan, then a torn tail.
+        let kept = std::fs::read(sibling(&path, ".journal")).expect("journal");
+        let mut journal = kept.clone();
+        let stale = &sample_journal_records()[0].2;
+        journal.extend_from_slice(&encode_journal_record(4, 78, stale).expect("encode"));
+        journal.extend_from_slice(b"J 5 77 9");
+        std::fs::write(sibling(&path, ".journal"), &journal).expect("tear"); // lint:allow(non-atomic-persist) — deliberately simulating a torn append in a test
+
+        let (cache, report) = open_read_only(&path).expect("read only");
+        assert!(caches_equal(&cache, store.cache()));
+        assert_eq!(report.cache_entries, store.cache().len());
+        assert_eq!(report.completed, 3);
+        assert_eq!(report.journal_records, 3);
+        let codes: Vec<&str> = report.events.iter().map(|e| e.code.as_str()).collect();
+        assert_eq!(
+            codes,
+            ["journal-torn", "journal-stale-plan", "journal-replayed"]
+        );
+        assert!(!report.clean());
+        assert_eq!(
+            std::fs::read(sibling(&path, ".journal")).expect("journal"),
+            journal
+        );
+        assert!(std::fs::metadata(sibling(&path, ".quarantine")).is_err());
+
+        // Opening for writing takes the same decisions, then acts on them.
+        let reopened = DurableStore::open(&path, 77, &mut policy).expect("reopen");
+        assert_eq!(reopened.events(), &report.events[..]);
+        assert!(caches_equal(reopened.cache(), &cache));
+        assert_eq!(
+            std::fs::read(sibling(&path, ".journal")).expect("journal"),
+            kept
+        );
+        assert!(std::fs::metadata(sibling(&path, ".quarantine")).is_ok());
     }
 
     fn cache_from(entries: &[(u64, i64, u64)]) -> EvidenceCache {

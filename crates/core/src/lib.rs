@@ -75,9 +75,9 @@ pub mod window;
 
 pub use cache::{run_l1_cached, run_l1_slots_cached, CacheStats, EvidenceCache, EvidenceKey};
 pub use durable::{
-    persist_atomic, plan_signature, repair_store, run_daily_durable, verify_store, DailyPlan,
-    DailyReport, DurableError, DurableOp, DurableStore, NoopPolicy, RecoveryEvent, StoreReport,
-    WriteDecision, WritePolicy,
+    open_read_only, persist_atomic, plan_signature, repair_store, run_daily_durable, verify_store,
+    DailyPlan, DailyReport, DurableError, DurableOp, DurableStore, NoopPolicy, RecoveryEvent,
+    StoreReport, WriteDecision, WritePolicy,
 };
 pub use error::{MineError, Result};
 pub use graph::DependencyGraph;

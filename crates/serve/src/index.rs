@@ -2,7 +2,7 @@
 //! sequence of mined per-day model snapshots.
 //!
 //! A [`ModelIndex`] is built once (per reload) from a `LogStore` by
-//! running the cached window pipeline over a [`IndexPlan`] of sliding
+//! running the cached window pipeline over a [`DailyPlan`] of sliding
 //! windows, then frozen. Everything a request handler needs — name
 //! lookups, per-detector pair evidence, forward/reverse adjacency for
 //! impact BFS, per-layer churn between any two days, and the build's
@@ -16,47 +16,9 @@
 use crate::ServeError;
 use logdep::evolution::{app_service_churn, pair_churn, Churn};
 use logdep::obs;
-use logdep::{AppServiceModel, EvidenceCache, PairModel, PipelineConfig};
-use logdep_logstore::time::{TimeRange, MS_PER_DAY};
-use logdep_logstore::{LogStore, Millis, SourceId};
+use logdep::{AppServiceModel, DailyPlan, EvidenceCache, PairModel, PipelineConfig};
+use logdep_logstore::{LogStore, SourceId};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The sliding-window schedule an index build mines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexPlan {
-    /// First window starts at this day.
-    pub start_day: i64,
-    /// Width of each window in days.
-    pub window_days: i64,
-    /// Days the window advances between snapshots.
-    pub advance_days: i64,
-    /// Number of snapshots to mine.
-    pub steps: u64,
-}
-
-impl Default for IndexPlan {
-    fn default() -> Self {
-        Self {
-            start_day: 0,
-            window_days: 1,
-            advance_days: 1,
-            steps: 1,
-        }
-    }
-}
-
-impl IndexPlan {
-    /// The day the `step`-th window starts.
-    pub fn day(&self, step: u64) -> i64 {
-        self.start_day + (step as i64) * self.advance_days
-    }
-
-    /// The `step`-th window as a time range.
-    pub fn window(&self, step: u64) -> TimeRange {
-        let start = Millis::from_days(self.day(step));
-        TimeRange::new(start, Millis(start.0 + self.window_days * MS_PER_DAY))
-    }
-}
 
 /// One mined snapshot: the three detector models for one window.
 #[derive(Debug, Clone, Default)]
@@ -135,10 +97,12 @@ impl ModelIndex {
         store: &LogStore,
         service_ids: &[String],
         cfg: &PipelineConfig,
-        plan: &IndexPlan,
+        plan: &DailyPlan,
         cache: &mut EvidenceCache,
         generation: u64,
     ) -> Result<Self, ServeError> {
+        plan.validate()
+            .map_err(|e| ServeError::Build(format!("plan: {e}")))?;
         let previous = obs::set_recorder(obs::Recorder::new());
         let mined = mine_days(store, service_ids, cfg, plan, cache);
         let recorder = obs::take_recorder().unwrap_or_default();
@@ -409,7 +373,7 @@ fn mine_days(
     store: &LogStore,
     service_ids: &[String],
     cfg: &PipelineConfig,
-    plan: &IndexPlan,
+    plan: &DailyPlan,
     cache: &mut EvidenceCache,
 ) -> Result<BTreeMap<i64, DayModels>, ServeError> {
     let mut days = BTreeMap::new();

@@ -37,8 +37,11 @@ pub mod loader;
 pub mod server;
 
 pub use client::HttpClient;
-pub use index::{DayModels, IndexPlan, ModelIndex};
+pub use index::{DayModels, ModelIndex};
 pub use loader::{run_reload, SnapshotSource};
+/// The window schedule an index build mines. The alias exists only
+/// because the benchmark package names the schedule `IndexPlan`.
+pub use logdep::DailyPlan as IndexPlan;
 pub use server::{run_server, ServeConfig, Server, ServerHandle};
 
 /// Errors surfaced by the serving layer.

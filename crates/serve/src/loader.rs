@@ -4,13 +4,16 @@
 //! A reload re-ingests the log export(s), re-reads the service
 //! directory, warms the evidence cache from the durable store mined by
 //! `logdep daily` (when one is given), and builds a fresh
-//! [`ModelIndex`]. The server's orchestrator thread is the only caller
+//! [`ModelIndex`]. The store is read through [`open_read_only`], the
+//! recovery pass `cache verify` runs, so a reload never writes it: a
+//! damaged store is reported on the `reload` span and left for `logdep
+//! cache repair`. The server's orchestrator thread is the only caller
 //! at serve time; request handlers are denied any path into this
 //! module by the `blocking-io-in-handler` workspace lint.
 
-use crate::index::{IndexPlan, ModelIndex};
+use crate::index::ModelIndex;
 use crate::ServeError;
-use logdep::{DurableStore, EvidenceCache, NoopPolicy, PipelineConfig};
+use logdep::{open_read_only, DailyPlan, EvidenceCache, PipelineConfig};
 use logdep_logstore::load_logs;
 use logdep_obs::{record, Field};
 use logdep_par::ParConfig;
@@ -27,7 +30,7 @@ pub struct SnapshotSource {
     /// Durable evidence store to warm the cache from, if present.
     pub store: Option<PathBuf>,
     /// The window schedule to mine.
-    pub plan: IndexPlan,
+    pub plan: DailyPlan,
     /// Detector configuration.
     pub cfg: PipelineConfig,
 }
@@ -94,13 +97,13 @@ fn directory_ids(path: &str) -> Result<Vec<String>, ServeError> {
 /// How a reload warmed its evidence cache from the durable store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheWarmth {
-    /// The store opened clean; the cache is what it held.
+    /// The store read clean; the cache is what it restores.
     Warm,
     /// No store was given, or none exists yet: a cold cache.
     Cold,
-    /// The store failed to open, or opening found corruption (its
-    /// damaged regions are quarantined): at best a partly warm cache,
-    /// and `logdep cache repair` has work to do.
+    /// The store could not be read, or reading it found corruption: at
+    /// best a partly warm cache. The reload leaves the damage on disk
+    /// as it found it; `logdep cache repair` has work to do.
     Error,
 }
 
@@ -115,11 +118,11 @@ impl CacheWarmth {
     }
 }
 
-/// Clones the evidence cache out of the durable store, if one exists.
-/// A missing or unreadable store degrades to a cold cache — serving
-/// must come up even when mining state is damaged (repair is `logdep
-/// cache repair`'s job, not the server's) — and the returned
-/// [`CacheWarmth`] says which case it was.
+/// Takes the evidence cache the durable store restores, if one exists,
+/// without writing the store. A missing or unreadable store degrades to
+/// a cold cache — serving must come up even when mining state is
+/// damaged (repair is `logdep cache repair`'s job, not the server's) —
+/// and the returned [`CacheWarmth`] says which case it was.
 fn warm_cache(source: &SnapshotSource) -> (EvidenceCache, CacheWarmth) {
     let Some(path) = &source.store else {
         return (EvidenceCache::new(), CacheWarmth::Cold);
@@ -127,11 +130,9 @@ fn warm_cache(source: &SnapshotSource) -> (EvidenceCache, CacheWarmth) {
     if !path.exists() {
         return (EvidenceCache::new(), CacheWarmth::Cold);
     }
-    match DurableStore::open_existing(path, &mut NoopPolicy) {
-        Ok(store) if store.events().iter().any(|e| e.corruption) => {
-            (store.cache().clone(), CacheWarmth::Error)
-        }
-        Ok(store) => (store.cache().clone(), CacheWarmth::Warm),
+    match open_read_only(path) {
+        Ok((cache, report)) if report.clean() => (cache, CacheWarmth::Warm),
+        Ok((cache, _)) => (cache, CacheWarmth::Error),
         Err(_) => (EvidenceCache::new(), CacheWarmth::Error),
     }
 }
@@ -139,6 +140,10 @@ fn warm_cache(source: &SnapshotSource) -> (EvidenceCache, CacheWarmth) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logdep::l2::L2Config;
+    use logdep::{
+        run_daily_durable, verify_store, DurableOp, NoopPolicy, WriteDecision, WritePolicy,
+    };
     use logdep_obs::{set_recorder, take_recorder, Phase, Recorder};
     use std::path::Path;
 
@@ -157,7 +162,7 @@ mod tests {
             logs: logs.to_string_lossy().into_owned(),
             directory: None,
             store,
-            plan: IndexPlan {
+            plan: DailyPlan {
                 start_day: 0,
                 window_days: 1,
                 advance_days: 1,
@@ -219,6 +224,106 @@ mod tests {
         let mut src = source(&dir, None);
         src.logs = dir.join("absent.tsv").to_string_lossy().into_owned();
         assert_eq!(traced_reload(&src), (false, None));
+        std::fs::remove_dir_all(dir).expect("remove scratch dir");
+    }
+
+    /// Lets every write through until `op`, then simulates a crash.
+    struct CrashAt(DurableOp);
+
+    impl WritePolicy for CrashAt {
+        fn before_write(&mut self, op: DurableOp, _bytes: &[u8]) -> WriteDecision {
+            if op == self.0 {
+                WriteDecision::Abort { partial: None }
+            } else {
+                WriteDecision::Proceed
+            }
+        }
+    }
+
+    /// A store whose checkpoint holds plan A and whose journal holds the
+    /// records of a plan-B run killed before its checkpoint.
+    fn stale_plan_store(dir: &Path, src: &SnapshotSource) -> PathBuf {
+        let path = dir.join("cache.ck");
+        let (logs, _) = load_logs(&src.logs, &ParConfig::serial()).expect("load logs");
+        let cfg = PipelineConfig {
+            l2: Some(L2Config::default()),
+            ..src.cfg.clone()
+        };
+        let plan_a = src.plan;
+        let plan_b = DailyPlan { steps: 2, ..plan_a };
+        run_daily_durable(
+            &logs,
+            &[],
+            &cfg,
+            &plan_a,
+            &path,
+            false,
+            &mut NoopPolicy,
+            &mut |_, _| {},
+        )
+        .expect("plan A run");
+        let killed = run_daily_durable(
+            &logs,
+            &[],
+            &cfg,
+            &plan_b,
+            &path,
+            false,
+            &mut CrashAt(DurableOp::CheckpointWrite),
+            &mut |_, _| {},
+        );
+        assert!(killed.is_err(), "plan B run was not killed");
+        path
+    }
+
+    /// The bytes of the store's checkpoint, journal, ledger and
+    /// quarantine files (`None` when absent).
+    fn store_files(path: &Path) -> Vec<Option<Vec<u8>>> {
+        ["", ".journal", ".ledger", ".quarantine"]
+            .iter()
+            .map(|suffix| {
+                let mut file = path.as_os_str().to_os_string();
+                file.push(suffix);
+                std::fs::read(PathBuf::from(file)).ok()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reload_leaves_the_store_untouched() {
+        let dir = scratch_dir("untouched");
+        let mut src = source(&dir, None);
+        let path = stale_plan_store(&dir, &src);
+        src.store = Some(path.clone());
+        let before = store_files(&path);
+        assert!(
+            before[1].as_ref().is_some_and(|j| !j.is_empty()),
+            "no journal"
+        );
+        assert!(before[3].is_none(), "quarantine before any damage");
+
+        // Stale-plan journal records are no corruption: a warm reload.
+        assert_eq!(traced_reload(&src), (true, Some(Field::from("warm"))));
+        assert!(verify_store(&path).expect("verify").clean());
+        assert_eq!(
+            store_files(&path),
+            before,
+            "reload or verify wrote the store"
+        );
+
+        // A torn journal tail is: the reload says so and still writes
+        // nothing, leaving the wreck for `cache repair`.
+        let mut journal = before[1].clone().unwrap_or_default();
+        journal.extend_from_slice(b"J 3 1 2");
+        std::fs::write(dir.join("cache.ck.journal"), &journal).expect("tear journal");
+        let before = store_files(&path);
+        assert_eq!(traced_reload(&src), (true, Some(Field::from("error"))));
+        assert!(!verify_store(&path).expect("verify").clean());
+        assert_eq!(
+            store_files(&path),
+            before,
+            "reload or verify wrote the store"
+        );
         std::fs::remove_dir_all(dir).expect("remove scratch dir");
     }
 }

@@ -4,9 +4,9 @@
 //! and concurrent readers racing repeated swaps always observe a
 //! complete body from exactly one generation — never a torn mix.
 
-use logdep::{EvidenceCache, PipelineConfig};
+use logdep::{DailyPlan, EvidenceCache, PipelineConfig};
 use logdep_logstore::SourceId;
-use logdep_serve::{HttpClient, IndexPlan, ModelIndex, ServeConfig, Server, ServerHandle};
+use logdep_serve::{HttpClient, ModelIndex, ServeConfig, Server, ServerHandle};
 use logdep_sim::{simulate, SimConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ fn build_index(seed: u64, failure_rate: f64, generation: u64) -> ModelIndex {
     sim.days = DAYS;
     let out = simulate(&sim);
     let service_ids: Vec<String> = out.directory.ids().iter().map(|s| s.to_string()).collect();
-    let plan = IndexPlan {
+    let plan = DailyPlan {
         start_day: 0,
         window_days: 1,
         advance_days: 1,
