@@ -210,10 +210,13 @@ pub(crate) fn slot_evidence(
     sources: &[SourceId],
     cfg: &L1Config,
 ) -> Vec<(usize, usize, bool)> {
-    let k = sources.len();
-    // Sources active enough in this slot.
-    let active: Vec<usize> = (0..k)
-        .filter(|&i| store.timeline(sources[i]).count_in(slot) >= cfg.minlogs)
+    // Sources active enough in this slot, each with its in-slot logs
+    // (sliced once here, shared by every pair the source is in).
+    let active: Vec<(usize, &[Millis])> = sources
+        .iter()
+        .map(|&source| store.timeline(source).slice_in(slot))
+        .enumerate()
+        .filter(|(_, in_slot)| in_slot.len() >= cfg.minlogs)
         .collect();
     if active.len() < 2 {
         return Vec::new();
@@ -223,7 +226,7 @@ pub(crate) fn slot_evidence(
     // partners. Seeded per (seed, slot token, source) for
     // reproducibility independent of iteration order.
     let mut random_sides: Vec<Option<DistanceSamples>> = Vec::with_capacity(active.len());
-    for &i in &active {
+    for &(i, _) in &active {
         let mut sampler = Sampler::from_seed(cfg.seed ^ token << 20 ^ sources[i].0 as u64);
         let side = match cfg.reference {
             ReferenceProcess::Homogeneous => {
@@ -243,15 +246,15 @@ pub(crate) fn slot_evidence(
                         Millis(r.client_ts.0 + jitter)
                     })
                     .collect();
-                side_from_points(store.timeline(sources[i]), &picks, cfg)
+                side_from_points(store.timeline(sources[i]), picks, cfg)
             }
         };
         random_sides.push(side);
     }
 
     let mut evidence = Vec::new();
-    for (ai, &i) in active.iter().enumerate() {
-        for (bi, &j) in active.iter().enumerate() {
+    for (ai, &(i, a_slot)) in active.iter().enumerate() {
+        for (bi, &(j, b_slot)) in active.iter().enumerate() {
             if bi <= ai {
                 continue;
             }
@@ -259,7 +262,6 @@ pub(crate) fn slot_evidence(
             let pos_ab = match &random_sides[ai] {
                 Some(r) => {
                     let a_tl = store.timeline(sources[i]);
-                    let b_slot = store.timeline(sources[j]).slice_in(slot);
                     let mut sampler = Sampler::from_seed(
                         cfg.seed
                             ^ 0x0b51de
@@ -278,7 +280,6 @@ pub(crate) fn slot_evidence(
                 && match &random_sides[bi] {
                     Some(r) => {
                         let b_tl = store.timeline(sources[j]);
-                        let a_slot = store.timeline(sources[i]).slice_in(slot);
                         let mut sampler = Sampler::from_seed(
                             cfg.seed
                                 ^ 0x0b51de

@@ -42,17 +42,18 @@ pub struct DirectionOutcome {
 /// timeline, or nothing after the point for [`DistanceKind::Next`]) are
 /// dropped.
 ///
-/// The query points are sorted once and every distance comes from one
-/// O(n + m) two-pointer merge sweep ([`Timeline::dists_to_nearest_sorted`])
-/// instead of a binary search per point. The multiset of distances is
-/// identical to the per-point search — only their order changes, and
-/// [`summarize`] sorts anyway.
-fn distances(a: &Timeline, points: &[Millis], kind: DistanceKind) -> Vec<f64> {
-    let mut sorted: Vec<Millis> = points.to_vec();
-    sorted.sort_unstable();
+/// Takes the caller's freshly drawn points by value and sorts them in
+/// place; every distance then comes from one merge sweep
+/// ([`Timeline::dists_to_nearest_sorted`]) that starts at the first
+/// point, in O(log n + m + k) for the m points and the k logs of `a`
+/// between the first and the last point, instead of a binary search per
+/// point. The multiset of distances is identical to the per-point
+/// search — only their order changes, and [`summarize`] sorts anyway.
+fn distances(a: &Timeline, mut points: Vec<Millis>, kind: DistanceKind) -> Vec<f64> {
+    points.sort_unstable();
     let raw = match kind {
-        DistanceKind::Nearest => a.dists_to_nearest_sorted(&sorted),
-        DistanceKind::Next => a.dists_to_next_sorted(&sorted),
+        DistanceKind::Nearest => a.dists_to_nearest_sorted(&points),
+        DistanceKind::Next => a.dists_to_next_sorted(&points),
     };
     raw.into_iter().map(|d| d as f64).collect()
 }
@@ -187,14 +188,14 @@ pub(crate) fn random_side(
         .into_iter()
         .map(|x| Millis(x as i64))
         .collect();
-    summarize(distances(a, &points, cfg.distance), cfg)
+    summarize(distances(a, points, cfg.distance), cfg)
 }
 
 /// Reference side built from explicit comparison points (the
 /// load-proportional reference process of §5).
 pub(crate) fn side_from_points(
     a: &Timeline,
-    points: &[Millis],
+    points: Vec<Millis>,
     cfg: &L1Config,
 ) -> Option<DistanceSamples> {
     summarize(distances(a, points, cfg.distance), cfg)
@@ -209,7 +210,7 @@ pub(crate) fn b_side(
     sampler: &mut Sampler,
 ) -> Option<DistanceSamples> {
     let points = sampler.subsample(b_slot, cfg.sample_size);
-    summarize(distances(a, &points, cfg.distance), cfg)
+    summarize(distances(a, points, cfg.distance), cfg)
 }
 
 /// Decides the direction test given both sides.

@@ -83,11 +83,15 @@ impl Timeline {
     }
 
     /// Batched [`dist_to_nearest`] for an *ascending* query sequence:
-    /// one two-pointer merge sweep over both sorted sequences computes
-    /// every distance in O(n + m) total, instead of one O(log n) binary
-    /// search per point. Returns one entry per query point in query
-    /// order (each bit-identical to the per-point search), or an empty
-    /// vector on an empty timeline, where no distance is defined.
+    /// one binary search places a cursor at the first query, then one
+    /// two-pointer merge sweep over both sorted sequences computes every
+    /// distance. The total cost is O(log n + m + k) for n timestamps, m
+    /// queries and the k timestamps between the first and the last
+    /// query, so it depends on the span the queries cover (for L1, one
+    /// slot), not on how many timestamps precede it. Returns one entry
+    /// per query point in query order (each bit-identical to the
+    /// per-point search), or an empty vector on an empty timeline, where
+    /// no distance is defined.
     ///
     /// [`dist_to_nearest`]: Timeline::dist_to_nearest
     ///
@@ -104,11 +108,9 @@ impl Timeline {
         let mut out = Vec::with_capacity(sorted_points.len());
         // Invariant: `i` is the first index with points[i] >= t; the
         // queries ascend, so it only ever moves forward.
-        let mut i = 0usize;
+        let mut i = self.sweep_start(sorted_points);
         for &t in sorted_points {
-            while i < self.points.len() && self.points[i] < t {
-                i += 1;
-            }
+            i = self.advance(i, t);
             let after = self.points.get(i).map(|&p| p - t);
             let before = if i > 0 {
                 Some(t - self.points[i - 1])
@@ -126,10 +128,11 @@ impl Timeline {
     }
 
     /// Batched [`dist_to_next`] for an *ascending* query sequence — the
-    /// forward-only sweep companion of [`dists_to_nearest_sorted`].
-    /// Queries past the last timestamp have no next distance; since the
-    /// queries ascend those form a suffix, so the result is one entry
-    /// per query point of the defined prefix, in query order.
+    /// forward-only sweep companion of [`dists_to_nearest_sorted`], with
+    /// the same O(log n + m + k) cost. Queries past the last timestamp
+    /// have no next distance; since the queries ascend those form a
+    /// suffix, so the result is one entry per query point of the defined
+    /// prefix, in query order.
     ///
     /// [`dist_to_next`]: Timeline::dist_to_next
     /// [`dists_to_nearest_sorted`]: Timeline::dists_to_nearest_sorted
@@ -142,17 +145,36 @@ impl Timeline {
             "dists_to_next_sorted: query points not sorted"
         );
         let mut out = Vec::with_capacity(sorted_points.len());
-        let mut i = 0usize;
+        let mut i = self.sweep_start(sorted_points);
         for &t in sorted_points {
-            while i < self.points.len() && self.points[i] < t {
-                i += 1;
-            }
+            i = self.advance(i, t);
             match self.points.get(i) {
                 Some(&p) => out.push(p - t),
                 None => break, // every later query is also past the end
             }
         }
         out
+    }
+
+    /// Where a sweep over ascending queries starts: the first index
+    /// with `points[i] >= ` the first query, by binary search. Every
+    /// timestamp before it lies below every query, so walking it one
+    /// step at a time would only reach the same index.
+    fn sweep_start(&self, sorted_points: &[Millis]) -> usize {
+        sorted_points
+            .first()
+            .map_or(0, |&t| self.points.partition_point(|&p| p < t))
+    }
+
+    /// Moves the sweep cursor from `i` to the first index with
+    /// `points[i] >= t` (`t` at least the previous query).
+    fn advance(&self, mut i: usize, t: Millis) -> usize {
+        while i < self.points.len() && self.points[i] < t {
+            i += 1;
+            #[cfg(test)]
+            SWEEP_STEPS.with(|steps| steps.set(steps.get() + 1));
+        }
+        i
     }
 
     /// Content digest (FNV-1a over the timestamp bytes) of the whole
@@ -242,6 +264,12 @@ impl FromIterator<Millis> for Timeline {
     fn from_iter<I: IntoIterator<Item = Millis>>(iter: I) -> Self {
         Timeline::from_unsorted(iter.into_iter().collect())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cursor steps taken by the sweeps on this thread (tests only).
+    static SWEEP_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// FNV-1a 64-bit offset basis.
@@ -362,6 +390,57 @@ mod tests {
         let queries = [Millis(15), Millis(15), Millis(15)];
         assert_eq!(t.dists_to_nearest_sorted(&queries), vec![5, 5, 5]);
         assert_eq!(t.dists_to_next_sorted(&queries), vec![5, 5, 5]);
+    }
+
+    /// Cursor steps one sweep takes on this thread.
+    fn steps_of(sweep: impl FnOnce()) -> usize {
+        SWEEP_STEPS.with(|steps| steps.set(0));
+        sweep();
+        SWEEP_STEPS.with(|steps| steps.get())
+    }
+
+    #[test]
+    fn sweep_work_does_not_depend_on_the_history_before_the_slot() {
+        // One hour-long slot late in the timeline: 200 timestamps and
+        // 350 queries inside it, with a few timestamps just before it.
+        let slot_start = 1_000_000_000i64;
+        let in_slot: Vec<i64> = (0..200).map(|i| slot_start + i * 18_000).collect();
+        let mut late = vec![slot_start - 5_000, slot_start - 1];
+        late.extend(&in_slot);
+        let queries: Vec<Millis> = (0..350)
+            .map(|i| Millis(slot_start + 500 + i * 10_000))
+            .collect();
+
+        let short = tl(&late);
+        let mut with_history: Vec<i64> = (0..100_000).map(|i| i * 1_000).collect();
+        with_history.extend(&late);
+        let long = tl(&with_history);
+
+        let nearest_short = steps_of(|| drop(short.dists_to_nearest_sorted(&queries)));
+        let nearest_long = steps_of(|| drop(long.dists_to_nearest_sorted(&queries)));
+        let next_short = steps_of(|| drop(short.dists_to_next_sorted(&queries)));
+        let next_long = steps_of(|| drop(long.dists_to_next_sorted(&queries)));
+        assert_eq!(
+            nearest_short, nearest_long,
+            "nearest: 10^5 earlier points cost steps"
+        );
+        assert_eq!(
+            next_short, next_long,
+            "next: 10^5 earlier points cost steps"
+        );
+        // The cursor only crosses timestamps between the first and the
+        // last query.
+        assert!(nearest_short > 0, "the step counter must see the sweep");
+        assert!(nearest_short <= in_slot.len(), "{nearest_short} steps");
+        assert!(next_short <= in_slot.len(), "{next_short} steps");
+        assert_eq!(
+            short.dists_to_nearest_sorted(&queries),
+            long.dists_to_nearest_sorted(&queries)
+        );
+        assert_eq!(
+            short.dists_to_next_sorted(&queries),
+            long.dists_to_next_sorted(&queries)
+        );
     }
 
     #[test]

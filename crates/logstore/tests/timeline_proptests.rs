@@ -1,6 +1,10 @@
-//! Property tests pinning the O(n+m) merge-sweep distance kernels to
-//! the per-point binary-search reference, and the content digests to
-//! their invalidation contract.
+//! Property tests pinning the merge-sweep distance kernels to the
+//! per-point binary-search reference and to the sweep they replaced
+//! (cursor from index 0), and the content digests to their invalidation
+//! contract.
+
+// Test code: the reference keeps the old sweep's indexing as it was.
+#![allow(clippy::indexing_slicing)]
 
 use logdep_logstore::time::{Millis, TimeRange};
 use logdep_logstore::Timeline;
@@ -19,7 +23,90 @@ fn sorted_queries(queries: Vec<i64>) -> Vec<Millis> {
     qs
 }
 
+/// The sweeps as they were before they started at the first query:
+/// the cursor walks every timestamp from index 0.
+mod from_zero {
+    use logdep_logstore::time::Millis;
+
+    pub fn nearest(points: &[Millis], queries: &[Millis]) -> Vec<i64> {
+        if points.is_empty() {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(queries.len());
+        let mut i = 0usize;
+        for &t in queries {
+            while i < points.len() && points[i] < t {
+                i += 1;
+            }
+            let after = points.get(i).map(|&p| p - t);
+            let before = i.checked_sub(1).and_then(|b| points.get(b)).map(|&p| t - p);
+            match (before, after) {
+                (Some(b), Some(a)) => out.push(b.min(a)),
+                (Some(b), None) => out.push(b),
+                (None, Some(a)) => out.push(a),
+                (None, None) => {}
+            }
+        }
+        out
+    }
+
+    pub fn next(points: &[Millis], queries: &[Millis]) -> Vec<i64> {
+        let mut out = Vec::with_capacity(queries.len());
+        let mut i = 0usize;
+        for &t in queries {
+            while i < points.len() && points[i] < t {
+                i += 1;
+            }
+            match points.get(i) {
+                Some(&p) => out.push(p - t),
+                None => break,
+            }
+        }
+        out
+    }
+}
+
 proptest! {
+    #[test]
+    fn slot_anchored_sweeps_equal_the_sweeps_from_zero(
+        points in prop::collection::vec(-T..T, 0..200),
+        queries in prop::collection::vec(-T..T, 0..200),
+    ) {
+        let tl = timeline(points);
+        let qs = sorted_queries(queries);
+        prop_assert_eq!(tl.dists_to_nearest_sorted(&qs), from_zero::nearest(tl.points(), &qs));
+        prop_assert_eq!(tl.dists_to_next_sorted(&qs), from_zero::next(tl.points(), &qs));
+    }
+
+    #[test]
+    fn slot_anchored_sweeps_skip_history_exactly(
+        history in prop::collection::vec(0..T, 0..2_000),
+        near in prop::collection::vec(-T..T, 0..100),
+        queries in prop::collection::vec(-T..T, 0..100),
+    ) {
+        // Queries start after many points: the history lies below -T,
+        // the anchored cursor jumps it, the reference walks it, and the
+        // distances agree.
+        let tl = timeline(history.into_iter().map(|h| h - 2 * T).chain(near).collect());
+        let qs = sorted_queries(queries);
+        prop_assert_eq!(tl.dists_to_nearest_sorted(&qs), from_zero::nearest(tl.points(), &qs));
+        prop_assert_eq!(tl.dists_to_next_sorted(&qs), from_zero::next(tl.points(), &qs));
+    }
+
+    #[test]
+    fn slot_anchored_sweeps_agree_on_duplicates(
+        points in prop::collection::vec(-50i64..50, 0..60),
+        queries in prop::collection::vec(-60i64..60, 0..60),
+        reps in 1usize..8,
+    ) {
+        // A narrow value range forces repeated timestamps and repeated
+        // queries, including queries equal to timestamps.
+        let tl = timeline(points.iter().flat_map(|&p| std::iter::repeat_n(p, reps)).collect());
+        let qs = sorted_queries(queries.iter().flat_map(|&q| std::iter::repeat_n(q, reps)).collect());
+        prop_assert_eq!(tl.dists_to_nearest_sorted(&qs), from_zero::nearest(tl.points(), &qs));
+        prop_assert_eq!(tl.dists_to_next_sorted(&qs), from_zero::next(tl.points(), &qs));
+    }
+
     #[test]
     fn sweep_nearest_equals_per_point_binary_search(
         points in prop::collection::vec(-T..T, 0..200),
@@ -107,6 +194,23 @@ proptest! {
         prop_assert_ne!(
             base.digest_neighborhood(range, margin),
             edited.digest_neighborhood(range, margin)
+        );
+    }
+}
+
+#[test]
+fn slot_anchored_sweeps_on_empty_inputs() {
+    let empty = timeline(Vec::new());
+    let some = timeline(vec![1, 5, 9]);
+    let qs = sorted_queries(vec![0, 5, 10]);
+    for (tl, queries) in [(&empty, &qs[..]), (&some, &[][..]), (&empty, &[][..])] {
+        assert_eq!(
+            tl.dists_to_nearest_sorted(queries),
+            from_zero::nearest(tl.points(), queries)
+        );
+        assert_eq!(
+            tl.dists_to_next_sorted(queries),
+            from_zero::next(tl.points(), queries)
         );
     }
 }

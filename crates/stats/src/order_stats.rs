@@ -13,8 +13,18 @@
 //! with probability `P(j ≤ B ≤ k − 1)` where `B ~ Binomial(n, q)`. We pick
 //! the symmetric-tail ranks: the largest `j` with `P(B < j) ≤ α/2` and the
 //! smallest `k` with `P(B ≥ k) ≤ α/2`.
+//!
+//! The ranks and their coverage depend on `(n, q, level)` only, never on
+//! the sample, so each thread memoizes them: L1 computes a median CI for
+//! every directional test, over a few hundred distinct sample sizes at
+//! one level, and the rank search (binomial quantiles plus a boundary
+//! walk of CDF evaluations) would otherwise dominate its cost. Input
+//! checks still run on every call; only the rank search is reused, and
+//! its memoized result is the bit-identical value the search returns.
 
 use crate::{binomial, error::check_level, error::check_no_nan, Result, StatsError};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// A confidence interval for a quantile, with the ranks that produced it
 /// and the coverage actually achieved.
@@ -54,7 +64,9 @@ pub fn quantile_ci(sample: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
 /// [`quantile_ci`] over data that is already sorted ascending.
 ///
 /// Returns an error if the sample is empty, contains NaN, or is not
-/// sorted.
+/// sorted. The ranks come from the calling thread's memo (see the module
+/// docs), so repeated calls with one `(len, q, level)` cost the checks,
+/// one memo lookup and the point estimate.
 pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
     check_no_nan(sorted)?;
     check_level(level)?;
@@ -72,6 +84,66 @@ pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<Quantile
         });
     }
 
+    let ranks = memo_ci_ranks(n, q, level)?;
+    Ok(QuantileCi {
+        lower: sorted[ranks.lower_rank - 1],
+        upper: sorted[ranks.upper_rank - 1],
+        lower_rank: ranks.lower_rank,
+        upper_rank: ranks.upper_rank,
+        achieved_level: ranks.achieved_level,
+        point: interpolated_quantile(sorted, q),
+    })
+}
+
+/// The sample-independent part of a quantile CI: the 1-based ranks of
+/// its bounds and their exact coverage. A function of `(n, q, level)`
+/// alone, which is what lets [`memo_ci_ranks`] reuse it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CiRanks {
+    lower_rank: usize,
+    upper_rank: usize,
+    achieved_level: f64,
+}
+
+/// Most rank entries one thread keeps before the memo starts over.
+/// L1 asks for a few hundred sample sizes at one level, far below it.
+const RANK_MEMO_CAP: usize = 16_384;
+
+thread_local! {
+    /// Per-thread memo of [`ci_ranks`], keyed by `(n, q bits, level bits)`.
+    static RANK_MEMO: RefCell<HashMap<(usize, u64, u64), CiRanks>> =
+        RefCell::new(HashMap::new());
+}
+
+/// [`ci_ranks`] through the per-thread memo, which pays each direct
+/// search (some 20–30 regularized-beta evaluations) once per key and
+/// thread. Callers validate `q`, `level` and `n ≥ 1` first, and only
+/// successful results are stored.
+fn memo_ci_ranks(n: usize, q: f64, level: f64) -> Result<CiRanks> {
+    let key = (n, q.to_bits(), level.to_bits());
+    if let Some(ranks) = RANK_MEMO.with(|memo| memo.borrow().get(&key).copied()) {
+        return Ok(ranks);
+    }
+    let ranks = ci_ranks(n, q, level)?;
+    RANK_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= RANK_MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(key, ranks);
+    });
+    Ok(ranks)
+}
+
+/// Number of rank entries memoized on the current thread.
+#[cfg(test)]
+fn rank_memo_len() -> usize {
+    RANK_MEMO.with(|memo| memo.borrow().len())
+}
+
+/// The symmetric-tail ranks `(j, k)` of the `q`-quantile CI for a
+/// sample of `n ≥ 1` at two-sided `level`, and their exact coverage.
+fn ci_ranks(n: usize, q: f64, level: f64) -> Result<CiRanks> {
     let alpha = 1.0 - level;
     let nn = n as u64;
 
@@ -104,13 +176,10 @@ pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<Quantile
     // x_q ≤ X_(k) ⇔ B ≤ k−1, so coverage = P(j ≤ B ≤ k−1).
     let achieved = binomial::cdf(nn, q, k - 1)? - binomial::cdf(nn, q, j - 1)?;
 
-    Ok(QuantileCi {
-        lower: sorted[(j - 1) as usize],
-        upper: sorted[(k - 1) as usize],
+    Ok(CiRanks {
         lower_rank: j as usize,
         upper_rank: k as usize,
         achieved_level: achieved,
-        point: interpolated_quantile(sorted, q),
     })
 }
 
@@ -246,5 +315,81 @@ mod tests {
         }
         let rate = covered as f64 / trials as f64;
         assert!(rate > 0.91, "coverage too low: {rate}");
+    }
+
+    const MEMO_QS: [f64; 3] = [0.25, 0.5, 0.9];
+    const MEMO_LEVELS: [f64; 4] = [0.8, 0.95, 0.984, 0.99];
+
+    #[test]
+    fn rank_memo_matches_the_direct_search() {
+        // A fresh thread starts with an empty memo: the first pass misses
+        // on every key, the second hits on every key. Both must return
+        // exactly what the direct search returns, field for field.
+        std::thread::spawn(|| {
+            let mut direct = Vec::new();
+            for n in 1..=1000 {
+                for q in MEMO_QS {
+                    for level in MEMO_LEVELS {
+                        direct.push(((n, q, level), ci_ranks(n, q, level).unwrap()));
+                    }
+                }
+            }
+            assert_eq!(
+                rank_memo_len(),
+                0,
+                "the direct search must not fill the memo"
+            );
+            for pass in ["cold", "warm"] {
+                for &((n, q, level), want) in &direct {
+                    let got = memo_ci_ranks(n, q, level).unwrap();
+                    assert_eq!(got, want, "{pass} n={n} q={q} level={level}");
+                    assert_eq!(
+                        got.achieved_level.to_bits(),
+                        want.achieved_level.to_bits(),
+                        "{pass} n={n} q={q} level={level}"
+                    );
+                }
+                assert_eq!(rank_memo_len(), direct.len(), "{pass} pass");
+            }
+            // The public entry point reads the same memo.
+            let sorted: Vec<f64> = (0..500).map(f64::from).collect();
+            let ci = quantile_ci_sorted(&sorted, 0.9, 0.984).unwrap();
+            let want = ci_ranks(500, 0.9, 0.984).unwrap();
+            assert_eq!(
+                (ci.lower_rank, ci.upper_rank),
+                (want.lower_rank, want.upper_rank)
+            );
+            assert_eq!(ci.achieved_level.to_bits(), want.achieved_level.to_bits());
+            assert_eq!(rank_memo_len(), direct.len());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn rejected_inputs_never_reach_the_rank_memo() {
+        std::thread::spawn(|| {
+            let ok = [1.0, 2.0, 3.0];
+            for level in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+                assert!(
+                    quantile_ci_sorted(&ok, 0.5, level).is_err(),
+                    "level {level}"
+                );
+            }
+            for q in [0.0, 1.0, -0.1, 1.1, f64::NAN] {
+                assert!(quantile_ci_sorted(&ok, q, 0.95).is_err(), "q {q}");
+            }
+            assert!(quantile_ci_sorted(&[1.0, f64::NAN, 3.0], 0.5, 0.95).is_err());
+            assert!(quantile_ci_sorted(&[], 0.5, 0.95).is_err());
+            assert!(quantile_ci_sorted(&[3.0, 1.0, 2.0], 0.5, 0.95).is_err());
+            assert!(quantile_ci(&[], 0.5, 0.95).is_err());
+            assert!(median_ci(&[1.0, f64::NAN], 0.95).is_err());
+            assert_eq!(rank_memo_len(), 0);
+            // A valid call afterwards stores exactly one entry.
+            assert!(quantile_ci_sorted(&ok, 0.5, 0.95).is_ok());
+            assert_eq!(rank_memo_len(), 1);
+        })
+        .join()
+        .unwrap();
     }
 }
