@@ -3,9 +3,10 @@
 //! linearly with respect to the number of logs".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use logdep::l1::{run_l1, L1Config};
-use logdep::l2::{run_l2, L2Config};
-use logdep::l3::{run_l3, L3Config};
+use logdep::l1::{run_l1_pool, L1Config};
+use logdep::l2::{run_l2_pool, L2Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig, SimOutput};
@@ -29,7 +30,9 @@ fn bench_l3(c: &mut Criterion) {
             BenchmarkId::from_parameter(out.store.len()),
             &out,
             |b, out| {
-                b.iter(|| run_l3(&out.store, range, &ids, &cfg).expect("L3"));
+                b.iter(|| {
+                    run_l3_pool(&out.store, range, &ids, &cfg, &ParConfig::default()).expect("L3")
+                });
             },
         );
     }
@@ -47,7 +50,7 @@ fn bench_l2(c: &mut Criterion) {
             BenchmarkId::from_parameter(out.store.len()),
             &out,
             |b, out| {
-                b.iter(|| run_l2(&out.store, range, &cfg).expect("L2"));
+                b.iter(|| run_l2_pool(&out.store, range, &cfg, &ParConfig::default()).expect("L2"));
             },
         );
     }
@@ -71,7 +74,10 @@ fn bench_l1(c: &mut Criterion) {
             BenchmarkId::from_parameter(out.store.len()),
             &out,
             |b, out| {
-                b.iter(|| run_l1(&out.store, range, &sources, &cfg).expect("L1"));
+                b.iter(|| {
+                    run_l1_pool(&out.store, range, &sources, &cfg, &ParConfig::default())
+                        .expect("L1")
+                });
             },
         );
     }

@@ -6,8 +6,9 @@
 //! Li–Ma style baseline, and each single-change variant over one day,
 //! plus a `minlogs`/slot-length sensitivity sweep.
 
-use logdep::l1::{run_l1, CenterStat, DecisionRule, DistanceKind, L1Config};
+use logdep::l1::{run_l1_pool, CenterStat, DecisionRule, DistanceKind, L1Config};
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
@@ -29,6 +30,7 @@ struct AblationReport {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let sources = wb.out.store.active_sources();
@@ -37,7 +39,7 @@ fn main() {
     let base = wb.l1_config();
 
     let run = |cfg: &L1Config| -> (usize, usize, f64) {
-        let res = run_l1(&wb.out.store, range, &sources, cfg).expect("L1 run");
+        let res = run_l1_pool(&wb.out.store, range, &sources, cfg, &par).expect("L1 run");
         let d = diff_pairs(&res.detected, &wb.pair_ref);
         (d.tp(), d.fp(), d.true_positive_ratio())
     };

@@ -7,8 +7,9 @@
 //! coincidences. This binary runs both gates on the same day and also
 //! reports how the significance level α shifts the operating point.
 
-use logdep::l2::{run_l2, L2Config};
+use logdep::l2::{run_l2_pool, L2Config};
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_stats::contingency::AssociationStatistic;
@@ -30,6 +31,7 @@ struct AblationL2Report {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let day = 0i64;
@@ -48,7 +50,7 @@ fn main() {
                 alpha,
                 ..wb.l2_config()
             };
-            let res = run_l2(&wb.out.store, range, &cfg).expect("L2 run");
+            let res = run_l2_pool(&wb.out.store, range, &cfg, &par).expect("L2 run");
             let d = diff_pairs(&res.detected, &wb.pair_ref);
             let name = match stat {
                 AssociationStatistic::Dunning => "dunning",

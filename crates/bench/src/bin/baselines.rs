@@ -10,8 +10,9 @@
 //!   delicate, expensive" supervision the paper set out to avoid.
 
 use logdep::baselines::{pair_features, run_agrawal, AgrawalConfig, EnselClassifier, EnselConfig};
-use logdep::l1::run_l1;
+use logdep::l1::run_l1_pool;
 use logdep::model::{diff_pairs, PairModel};
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::SourceId;
@@ -28,6 +29,7 @@ struct BaselinesReport {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let day = TimeRange::day(0);
@@ -35,7 +37,7 @@ fn main() {
     let mut report = BaselinesReport::default();
 
     // --- Technique L1 (the paper's unsupervised method).
-    let l1 = run_l1(&wb.out.store, day, &sources, &wb.l1_config()).expect("L1");
+    let l1 = run_l1_pool(&wb.out.store, day, &sources, &wb.l1_config(), &par).expect("L1");
     let d = diff_pairs(&l1.detected, &wb.pair_ref);
     report.l1 = (d.tp(), d.fp());
 

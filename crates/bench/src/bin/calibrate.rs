@@ -1,15 +1,17 @@
 //! Calibration scratchpad: runs all three techniques over the paper
 //! week and prints the daily series next to the paper's target bands.
 
-use logdep::eval::{l1_daily, l2_daily, l3_daily};
+use logdep::eval::{daily_series, DailySeries};
 use logdep::l1::L1Config;
 use logdep::l2::L2Config;
 use logdep::l3::L3Config;
-use logdep::{AppServiceModel, PairModel};
+use logdep::par::ParConfig;
+use logdep::{AppServiceModel, PairModel, PipelineConfig};
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig};
 
 fn main() {
+    let par = ParConfig::default();
     let out = simulate(&SimConfig::paper_week(42, 1.0));
     let store = &out.store;
     let truth = &out.truth;
@@ -33,6 +35,12 @@ fn main() {
     )
     .expect("ids resolve");
 
+    // One layer's daily series on the mining driver.
+    let daily = |cfg: PipelineConfig| -> DailySeries {
+        let run = daily_series(store, 7, &service_ids, &cfg, &pair_ref, &svc_ref).unwrap();
+        run.l1.or(run.l2).or(run.l3).unwrap()
+    };
+
     println!(
         "reference: {} pairs, {} app-service",
         pair_ref.len(),
@@ -41,7 +49,10 @@ fn main() {
 
     // --- L3 (paper: TP 141-152 weekday / 116-117 weekend; FP 7-11 / 5).
     let l3cfg = L3Config::with_stop_patterns(standard_stop_patterns());
-    let s3 = l3_daily(store, 7, &service_ids, &l3cfg, &svc_ref).unwrap();
+    let s3 = daily(PipelineConfig {
+        l3: Some(l3cfg),
+        ..PipelineConfig::default()
+    });
     println!("\nL3 (paper tp 141-152 wd, 116 we; fp 7-11; tpr ci [.93,.96]):");
     for d in &s3.days {
         println!(
@@ -54,7 +65,10 @@ fn main() {
 
     // --- L2 (paper: tp 62-74 wd, 51/52 we; fp 21-25 / 19-21; ci [.71,.78]).
     let l2cfg = L2Config::default();
-    let s2 = l2_daily(store, 7, &l2cfg, &pair_ref).unwrap();
+    let s2 = daily(PipelineConfig {
+        l2: Some(l2cfg),
+        ..PipelineConfig::default()
+    });
     println!("\nL2 (paper tp 62-74 wd, ~51 we; fp 21-25; tpr ci [.71,.78]):");
     for d in &s2.days {
         println!(
@@ -69,14 +83,14 @@ fn main() {
     let sources = store.active_sources();
     // Near-miss diagnostics on day 0 with minlogs=25.
     {
-        use logdep::l1::run_l1;
+        use logdep::l1::run_l1_pool;
         use logdep_logstore::time::TimeRange;
         let l1cfg = L1Config {
             minlogs: 25,
             seed: 7,
             ..L1Config::default()
         };
-        let res = run_l1(store, TimeRange::day(0), &sources, &l1cfg).unwrap();
+        let res = run_l1_pool(store, TimeRange::day(0), &sources, &l1cfg, &par).unwrap();
         let mut bands = [0usize; 5];
         for o in &res.outcomes {
             if o.support >= 8 {
@@ -94,7 +108,10 @@ fn main() {
             seed: 7,
             ..L1Config::default()
         };
-        let s1 = l1_daily(store, 7, &sources, &l1cfg, &pair_ref).unwrap();
+        let s1 = daily(PipelineConfig {
+            l1: Some(l1cfg),
+            ..PipelineConfig::default()
+        });
         println!("\nL1 minlogs={minlogs} (paper tp 30-46; fp 11-22; tpr ci [.63,.73]):");
         for d in &s1.days {
             println!(

@@ -6,10 +6,11 @@
 //! free text), so their agreement is a strong confidence signal.
 
 use logdep::ensemble::{app_service_to_pairs, Ensemble};
-use logdep::l1::run_l1;
-use logdep::l2::run_l2;
-use logdep::l3::run_l3;
+use logdep::l1::run_l1_pool;
+use logdep::l2::run_l2_pool;
+use logdep::l3::run_l3_pool;
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
@@ -31,14 +32,15 @@ struct EnsembleReport {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let day = TimeRange::day(0);
     let sources = wb.out.store.active_sources();
 
-    let l1 = run_l1(&wb.out.store, day, &sources, &wb.l1_config()).expect("L1");
-    let l2 = run_l2(&wb.out.store, day, &wb.l2_config()).expect("L2");
-    let l3 = run_l3(&wb.out.store, day, &wb.service_ids, &wb.l3_config()).expect("L3");
+    let l1 = run_l1_pool(&wb.out.store, day, &sources, &wb.l1_config(), &par).expect("L1");
+    let l2 = run_l2_pool(&wb.out.store, day, &wb.l2_config(), &par).expect("L2");
+    let l3 = run_l3_pool(&wb.out.store, day, &wb.service_ids, &wb.l3_config(), &par).expect("L3");
     let l3_pairs = app_service_to_pairs(&l3.detected, &wb.owners);
 
     let ensemble = Ensemble::combine(&l1.detected, &l2.detected, &l3_pairs);

@@ -11,10 +11,11 @@
 //!   non-homogeneous comparison process, same comparison.
 
 use logdep::l1::{
-    adaptive_slots, run_l1, run_l1_slots, AdaptiveConfig, L1Config, ReferenceProcess,
+    adaptive_slots, run_l1_pool, run_l1_slots_pool, AdaptiveConfig, L1Config, ReferenceProcess,
 };
-use logdep::l2::{delay_profiles, detect_directions, run_l2, DelayConfig, DirectionConfig};
+use logdep::l2::{delay_profiles, detect_directions, run_l2_pool, DelayConfig, DirectionConfig};
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_sessions::reconstruct_range;
@@ -35,6 +36,7 @@ struct ExtensionsReport {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let day = TimeRange::day(0);
@@ -59,7 +61,7 @@ fn main() {
     }
 
     // --- L2 + direction detection.
-    let l2 = run_l2(&wb.out.store, day, &wb.l2_config()).expect("L2");
+    let l2 = run_l2_pool(&wb.out.store, day, &wb.l2_config(), &par).expect("L2");
     let sessions = reconstruct_range(&wb.out.store, day, &wb.l2_config().session);
     let detected_pairs: Vec<_> = l2.detected.iter().collect();
     let directions = detect_directions(
@@ -121,7 +123,7 @@ fn main() {
     // --- L1: fixed vs adaptive slots vs load-proportional reference.
     let sources = wb.out.store.active_sources();
     let base = wb.l1_config();
-    let fixed = run_l1(&wb.out.store, day, &sources, &base).expect("L1");
+    let fixed = run_l1_pool(&wb.out.store, day, &sources, &base, &par).expect("L1");
     let dfix = diff_pairs(&fixed.detected, &wb.pair_ref);
     report.l1_fixed = (dfix.tp(), dfix.fp());
 
@@ -133,7 +135,8 @@ fn main() {
     };
     let slots = adaptive_slots(&wb.out.store, day, &acfg).expect("slots");
     report.adaptive_slot_count = slots.len();
-    let adaptive = run_l1_slots(&wb.out.store, &slots, &sources, &base).expect("L1 adaptive");
+    let adaptive =
+        run_l1_slots_pool(&wb.out.store, &slots, &sources, &base, &par).expect("L1 adaptive");
     let dada = diff_pairs(&adaptive.detected, &wb.pair_ref);
     report.l1_adaptive = (dada.tp(), dada.fp());
 
@@ -141,7 +144,7 @@ fn main() {
         reference: ReferenceProcess::LoadProportional,
         ..base
     };
-    let loadp = run_l1(&wb.out.store, day, &sources, &lp).expect("L1 load-proportional");
+    let loadp = run_l1_pool(&wb.out.store, day, &sources, &lp, &par).expect("L1 load-proportional");
     let dlp = diff_pairs(&loadp.detected, &wb.pair_ref);
     report.l1_load_proportional = (dlp.tp(), dlp.fp());
 

@@ -5,7 +5,7 @@
 //! median true-positive ratio [0.63, 0.73]; classification error on
 //! the 1253 unrelated pairs stays ~2 %.
 
-use logdep::eval::l1_daily;
+use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use serde::Serialize;
@@ -22,15 +22,11 @@ struct Fig5Report {
 fn main() {
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
-    let sources = wb.out.store.active_sources();
-    let series = l1_daily(
-        &wb.out.store,
-        wb.days,
-        &sources,
-        &wb.l1_config(),
-        &wb.pair_ref,
-    )
-    .expect("L1 daily run");
+    let cfg = PipelineConfig {
+        l1: Some(wb.l1_config()),
+        ..PipelineConfig::default()
+    };
+    let series = wb.daily_series(&cfg).l1.expect("L1 daily run");
 
     println!("Figure 5 — L1 positive decisions per day (th_pr=0.6, th_s=0.3)");
     println!("paper: tp 30–46, fp 11–22, tpr CI@0.984 [0.63, 0.73]\n");

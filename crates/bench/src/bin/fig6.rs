@@ -5,8 +5,9 @@
 //! weekend) at 21–25 (19/21) false positives; tpr CI@0.984
 //! [0.71, 0.78].
 
-use logdep::eval::l2_daily;
-use logdep::l2::run_l2;
+use logdep::l2::run_l2_pool;
+use logdep::par::ParConfig;
+use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -24,16 +25,24 @@ struct Fig6Report {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let cfg = wb.l2_config();
-    let series = l2_daily(&wb.out.store, wb.days, &cfg, &wb.pair_ref).expect("L2 daily run");
+    let series = wb
+        .daily_series(&PipelineConfig {
+            l2: Some(cfg.clone()),
+            ..PipelineConfig::default()
+        })
+        .l2
+        .expect("L2 daily run");
 
     // Session statistics per day (paper commentary around Figure 6).
     let mut sessions = Vec::new();
     let mut fractions = Vec::new();
     for day in 0..wb.days as i64 {
-        let res = run_l2(&wb.out.store, TimeRange::day(day), &cfg).expect("session stats");
+        let res =
+            run_l2_pool(&wb.out.store, TimeRange::day(day), &cfg, &par).expect("session stats");
         sessions.push(res.session_stats.n_sessions);
         fractions.push(res.session_stats.assigned_fraction());
     }

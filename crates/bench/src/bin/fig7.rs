@@ -5,8 +5,9 @@
 //! small nor too big" raises the fraction of correct decisions while
 //! slightly lowering the absolute number of true positives.
 
-use logdep::l2::{run_l2, L2Config};
+use logdep::l2::{run_l2_pool, L2Config};
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep_bench::ascii::stacked_days;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -27,6 +28,7 @@ struct Fig7Report {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let day = 6i64; // the paper's 12.12.2005
@@ -56,7 +58,7 @@ fn main() {
             timeout_ms: to,
             ..wb.l2_config()
         };
-        let res = run_l2(&wb.out.store, TimeRange::day(day), &cfg).expect("L2 run");
+        let res = run_l2_pool(&wb.out.store, TimeRange::day(day), &cfg, &par).expect("L2 run");
         let d = diff_pairs(&res.detected, &wb.pair_ref);
         labels.push(match to {
             Some(ms) => format!("{:.1}s", ms as f64 / 1000.0),

@@ -4,7 +4,7 @@
 //! Paper (§4.8): 141–152 true positives on week days (116/117 on the
 //! weekend) at 7–11 (5) false positives; tpr CI@0.984 [0.93, 0.96].
 
-use logdep::eval::l3_daily;
+use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use serde::Serialize;
@@ -21,14 +21,11 @@ struct Fig8Report {
 fn main() {
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
-    let series = l3_daily(
-        &wb.out.store,
-        wb.days,
-        &wb.service_ids,
-        &wb.l3_config(),
-        &wb.svc_ref,
-    )
-    .expect("L3 daily run");
+    let cfg = PipelineConfig {
+        l3: Some(wb.l3_config()),
+        ..PipelineConfig::default()
+    };
+    let series = wb.daily_series(&cfg).l3.expect("L3 daily run");
 
     println!("Figure 8 — L3 positive decisions per day (10 stop patterns)");
     println!("paper: tp 141–152 wd / 116–117 we, fp 7–11 / 5, tpr CI@0.984 [0.93, 0.96]\n");

@@ -1,14 +1,16 @@
 //! Diagnostic scratchpad for the Figure 9 load experiment: compares a
 //! night hour and a peak hour in detail.
 
-use logdep::l1::{run_l1, L1Config};
-use logdep::l3::run_l3;
+use logdep::l1::{run_l1_pool, L1Config};
+use logdep::l3::run_l3_pool;
+use logdep::par::ParConfig;
 use logdep::PairModel;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use std::collections::BTreeSet;
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let excluded: BTreeSet<_> = wb.excluded.iter().copied().collect();
@@ -20,7 +22,7 @@ fn main() {
     for (label, day, hour) in [("night", 1i64, 3i64), ("peak", 1, 10)] {
         let range = TimeRange::hour_of_day(day, hour);
         let n_logs = wb.out.store.range(range).len();
-        let l3 = run_l3(&wb.out.store, range, &wb.service_ids, &wb.l3_config()).unwrap();
+        let l3 = run_l3_pool(&wb.out.store, range, &wb.service_ids, &wb.l3_config(), &par).unwrap();
         let mut oracle = PairModel::new();
         for (app, svc) in l3.detected.iter() {
             if excluded.contains(&app) {
@@ -37,7 +39,7 @@ fn main() {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let l1 = run_l1(&wb.out.store, range, &sources, &l1cfg).unwrap();
+        let l1 = run_l1_pool(&wb.out.store, range, &sources, &l1cfg, &par).unwrap();
         let mut testable = 0;
         let mut found = 0;
         for (a, b) in oracle.iter() {

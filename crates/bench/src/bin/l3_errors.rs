@@ -9,8 +9,9 @@
 //! 5 similar-but-wrong service ids. Without stop patterns, inverted
 //! dependencies rise from 2 to 24.
 
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::diff_app_service;
+use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -39,12 +40,19 @@ struct Taxonomy {
 }
 
 fn main() {
+    let par = ParConfig::default();
     let (seed, scale) = cli_seed_scale();
     let wb = Workbench::paper_week(seed, scale);
     let whole_week = TimeRange::new(Millis(0), Millis::from_days(wb.days as i64 + 1));
 
-    let res =
-        run_l3(&wb.out.store, whole_week, &wb.service_ids, &wb.l3_config()).expect("L3 union run");
+    let res = run_l3_pool(
+        &wb.out.store,
+        whole_week,
+        &wb.service_ids,
+        &wb.l3_config(),
+        &par,
+    )
+    .expect("L3 union run");
     let diff = diff_app_service(&res.detected, &wb.svc_ref);
 
     // Name-based taxonomy sets from the generated topology.
@@ -131,11 +139,12 @@ fn main() {
     }
 
     // Ablation: no stop patterns → inverted dependencies jump.
-    let res_nostop = run_l3(
+    let res_nostop = run_l3_pool(
         &wb.out.store,
         whole_week,
         &wb.service_ids,
         &L3Config::default(),
+        &par,
     )
     .expect("L3 without stop patterns");
     t.inverted_without_stop_patterns = res_nostop

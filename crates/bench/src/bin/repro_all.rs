@@ -3,7 +3,7 @@
 //! combined JSON report. The per-figure binaries remain the detailed
 //! views; this is the "is the whole reproduction still green?" check.
 
-use logdep::eval::{l1_daily, l2_daily, l3_daily, load_experiment, timeout_study, LoadConfig};
+use logdep::eval::{load_experiment, timeout_study, LoadConfig};
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use serde::Serialize;
 
@@ -37,12 +37,13 @@ fn main() {
         .map(|d| d.1)
         .collect();
 
-    eprintln!("running L3, L2, L1 daily series...");
-    let l3 =
-        l3_daily(store, days, &wb.service_ids, &wb.l3_config(), &wb.svc_ref).expect("L3 daily");
-    let l2 = l2_daily(store, days, &wb.l2_config(), &wb.pair_ref).expect("L2 daily");
-    let sources = store.active_sources();
-    let l1 = l1_daily(store, days, &sources, &wb.l1_config(), &wb.pair_ref).expect("L1 daily");
+    eprintln!("running the L1, L2, L3 daily series...");
+    let run = wb.daily_series(&wb.pipeline_config());
+    let (l1, l2, l3) = (
+        run.l1.expect("L1 daily"),
+        run.l2.expect("L2 daily"),
+        run.l3.expect("L3 daily"),
+    );
 
     eprintln!("running the timeout study...");
     let study = timeout_study(

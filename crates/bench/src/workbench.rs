@@ -1,9 +1,10 @@
 //! The shared experiment workbench.
 
+use logdep::eval::{daily_series, DailyRun};
 use logdep::l1::L1Config;
 use logdep::l2::L2Config;
 use logdep::l3::L3Config;
-use logdep::{AppServiceModel, PairModel};
+use logdep::{AppServiceModel, PairModel, PipelineConfig};
 use logdep_logstore::SourceId;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig, SimOutput};
@@ -107,6 +108,31 @@ impl Workbench {
     /// The paper's L3 configuration: the 10 standard stop patterns.
     pub fn l3_config(&self) -> L3Config {
         L3Config::with_stop_patterns(standard_stop_patterns())
+    }
+
+    /// All three layers with the calibrated configurations above, on
+    /// the default worker pool.
+    pub fn pipeline_config(&self) -> PipelineConfig {
+        PipelineConfig {
+            l1: Some(self.l1_config()),
+            l2: Some(self.l2_config()),
+            l3: Some(self.l3_config()),
+            ..PipelineConfig::default()
+        }
+    }
+
+    /// Mines every simulated day with the layers `cfg` enables and
+    /// diffs them against the references ([`daily_series`]).
+    pub fn daily_series(&self, cfg: &PipelineConfig) -> DailyRun {
+        daily_series(
+            &self.out.store,
+            self.days,
+            &self.service_ids,
+            cfg,
+            &self.pair_ref,
+            &self.svc_ref,
+        )
+        .expect("daily series")
     }
 
     /// Resolves a source id to its application name.

@@ -11,7 +11,7 @@ use logdep::graph::DependencyGraph;
 use logdep::health::PipelineConfig;
 use logdep::l1::{run_l1_pool, L1Config};
 use logdep::l2::{run_l2_pool, L2Config};
-use logdep::l3::{run_l3, run_l3_pool, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::window::{run_window_cached, WindowOutcome};
 use logdep::{AppServiceModel, MineError};
 use logdep_faults::{inject as inject_faults, FaultConfig};
@@ -46,13 +46,13 @@ commands:
   cache     verify --cache CACHE.ck | repair --cache CACHE.ck
   sessions  --logs LOGS.tsv
   templates --logs LOGS.tsv --source APP [--support N]
-  churn     --before A.tsv --after B.tsv [--layers l1,l2,l3]
+  churn     --before A.tsv --after B.tsv [--layers l1,l2,l3 --threads N]
             [--directory DIR.xml (required with l3)]
   serve     --logs LOGS.tsv [--addr HOST:PORT --directory DIR.xml
             --store CACHE.ck --workers N --max-conns N
             --request-timeout-ms MS --window-days N --steps N]
   impact    --logs LOGS.tsv --directory DIR.xml --owners OWNERS.tsv
-            [--app NAME | --symptoms \"A,B,C\"]
+            [--app NAME | --symptoms \"A,B,C\"] [--threads N]
   inject    --logs LOGS.tsv --out FAULTY.tsv [--intensity X --seed N
             --ledger LEDGER.json]
   ingest    --logs LOGS.tsv [--max-error-fraction X --dedup BOOL
@@ -584,7 +584,7 @@ pub fn impact(args: &Args, out: &mut dyn Write) -> CmdResult {
         .collect::<Result<_, _>>()?;
 
     let cfg = l3_config(args)?;
-    let res = run_l3(&store, full_range(args)?, &ids, &cfg)?;
+    let res = run_l3_pool(&store, full_range(args)?, &ids, &cfg, &par_config(args)?)?;
     let graph = DependencyGraph::from_app_service(&res.detected, &owners);
     writeln!(
         out,
@@ -760,8 +760,8 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
             _ => {
                 let ids = load_directory(args.required("directory")?)?;
                 let cfg = l3_config(args)?;
-                let before = run_l3(&store_a, range, &ids, &cfg)?.detected;
-                let after = run_l3(&store_b, range, &ids, &cfg)?.detected;
+                let before = run_l3_pool(&store_a, range, &ids, &cfg, &par)?.detected;
+                let after = run_l3_pool(&store_b, range, &ids, &cfg, &par)?.detected;
                 l3_churn_lines(out, &tag, &store_a, &store_b, &ids, &before, &after)?;
             }
         }

@@ -155,15 +155,79 @@ fn threads_flag_changes_nothing_but_zero_is_rejected() {
     assert_eq!(code, 0, "{wide}");
     assert_eq!(serial, wide, "L3 output must not depend on --threads");
 
+    // churn (every layer) and impact mine at the --threads width too.
+    let logs_b = dir.path("logs-b.tsv");
+    let dir_b = dir.path("dir-b.xml");
+    let (code, out) = run(&[
+        "simulate",
+        "--out",
+        &logs_b,
+        "--directory",
+        &dir_b,
+        "--days",
+        "1",
+        "--seed",
+        "6",
+        "--scale",
+        "0.1",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let owners = format!("{directory}.owners.tsv");
+    let churn_run = |n: &str| {
+        run(&[
+            "churn",
+            "--before",
+            &logs,
+            "--after",
+            &logs_b,
+            "--layers",
+            "l1,l2,l3",
+            "--minlogs",
+            "12",
+            "--directory",
+            &directory,
+            "--stop-patterns",
+            "standard",
+            "--threads",
+            n,
+        ])
+    };
+    let impact_run = |n: &str| {
+        run(&[
+            "impact",
+            "--logs",
+            &logs,
+            "--directory",
+            &directory,
+            "--owners",
+            &owners,
+            "--stop-patterns",
+            "standard",
+            "--threads",
+            n,
+        ])
+    };
+    let (code, serial) = churn_run("1");
+    assert_eq!(code, 0, "{serial}");
+    let (code, wide) = churn_run("4");
+    assert_eq!(code, 0, "{wide}");
+    assert_eq!(serial, wide, "churn output must not depend on --threads");
+    let (code, serial) = impact_run("1");
+    assert_eq!(code, 0, "{serial}");
+    let (code, wide) = impact_run("4");
+    assert_eq!(code, 0, "{wide}");
+    assert_eq!(serial, wide, "impact output must not depend on --threads");
+
     // Zero threads is a clean usage error on every mining command.
     for cmd in ["l1", "l2"] {
         let (code, out) = run(&[cmd, "--logs", &logs, "--threads", "0"]);
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("--threads"), "{out}");
     }
-    let (code, out) = l3_run("0");
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("--threads"), "{out}");
+    for (code, out) in [l3_run("0"), churn_run("0"), impact_run("0")] {
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("--threads"), "{out}");
+    }
 
     // And so is a non-numeric value.
     let (code, out) = run(&["l1", "--logs", &logs, "--threads", "many"]);

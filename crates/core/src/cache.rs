@@ -484,7 +484,8 @@ mod tests {
     fn cached_l1_matches_batch_cold_and_warm() {
         let (store, sources) = coupled_store(4);
         let range = TimeRange::new(Millis(0), Millis(4 * MS_PER_HOUR));
-        let batch = crate::l1::run_l1(&store, range, &sources, &cfg()).unwrap();
+        let batch =
+            crate::l1::run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
 
         let mut cache = EvidenceCache::new();
         let par = ParConfig::serial();

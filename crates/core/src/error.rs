@@ -1,5 +1,6 @@
 //! Error type for the mining pipeline.
 
+use crate::health::DetectorKind;
 use logdep_stats::StatsError;
 use std::fmt;
 
@@ -19,6 +20,14 @@ pub enum MineError {
     UnknownName(String),
     /// The experiment had no data to work on (empty range, no sessions).
     NoData(&'static str),
+    /// A detector the evaluation needs failed on the driver; `error`
+    /// is its health row's message.
+    DetectorFailed {
+        /// The failed detector.
+        detector: DetectorKind,
+        /// Why it failed.
+        error: String,
+    },
 }
 
 impl fmt::Display for MineError {
@@ -30,6 +39,9 @@ impl fmt::Display for MineError {
             }
             MineError::UnknownName(n) => write!(f, "unknown name: {n:?}"),
             MineError::NoData(what) => write!(f, "no data for {what}"),
+            MineError::DetectorFailed { detector, error } => {
+                write!(f, "detector {detector} failed: {error}")
+            }
         }
     }
 }

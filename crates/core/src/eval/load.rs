@@ -9,12 +9,13 @@
 //! percentages on the hourly log volume shows L1's slope strictly
 //! negative and L2's compatible with zero.
 
-use crate::l1::{run_l1, L1Config};
-use crate::l2::{run_l2, L2Config};
-use crate::l3::{run_l3, L3Config};
+use crate::l1::{run_l1_pool, L1Config};
+use crate::l2::{run_l2_pool, L2Config};
+use crate::l3::{run_l3_pool, L3Config};
 use crate::model::PairModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, SourceId};
+use logdep_par::ParConfig;
 use logdep_stats::regression::{linear_fit, Interval};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -102,6 +103,7 @@ pub fn load_experiment(
         });
     }
     let excluded: BTreeSet<SourceId> = cfg.exclude_apps.iter().copied().collect();
+    let par = ParConfig::default();
 
     let mut points = Vec::new();
     for hour in 0..(cfg.days as i64 * 24) {
@@ -114,7 +116,7 @@ pub fn load_experiment(
         // Oracle: L3-realized dependencies, intersected with the static
         // reference (L3's few false positives must not pollute the
         // oracle), excluding unreliable loggers.
-        let l3 = run_l3(store, range, service_ids, &cfg.l3)?;
+        let l3 = run_l3_pool(store, range, service_ids, &cfg.l3, &par)?;
         let mut oracle = PairModel::new();
         for (app, svc) in l3.detected.iter() {
             if excluded.contains(&app) {
@@ -138,8 +140,8 @@ pub fn load_experiment(
             .collect();
         sources.sort_unstable();
 
-        let l1 = run_l1(store, range, &sources, &cfg.l1)?;
-        let l2 = run_l2(store, range, &cfg.l2)?;
+        let l1 = run_l1_pool(store, range, &sources, &cfg.l1, &par)?;
+        let l2 = run_l2_pool(store, range, &cfg.l2, &par)?;
 
         let found = |detected: &PairModel| {
             oracle

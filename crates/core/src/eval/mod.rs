@@ -1,8 +1,8 @@
 //! The evaluation harness of §4 of the paper.
 //!
-//! * [`daily`] — per-day runs of each technique against a reference
-//!   model, with cross-day order-statistics confidence intervals
-//!   (Figures 5, 6, 8);
+//! * [`daily`] — per-day runs of the enabled techniques on the
+//!   one mining driver, diffed against a reference model, with
+//!   cross-day order-statistics confidence intervals (Figures 5, 6, 8);
 //! * [`timeout`] — the timeout-influence study (Figure 7, Table 2);
 //! * [`load`] — the system-load study validating L1/L2 against L3 as a
 //!   dynamic oracle (Figure 9).
@@ -11,6 +11,6 @@ pub mod daily;
 pub mod load;
 pub mod timeout;
 
-pub use daily::{l1_daily, l2_daily, l3_daily, DailyOutcome, DailySeries};
+pub use daily::{daily_series, DailyOutcome, DailyRun, DailySeries};
 pub use load::{load_experiment, HourPoint, LoadConfig, LoadExperiment};
 pub use timeout::{timeout_study, TimeoutRow, TimeoutStudy};

@@ -1,14 +1,15 @@
 //! The timeout-influence study (§4.7 of the paper: Figure 7, Table 2).
 //!
 //! For each finite timeout and the infinite baseline, technique L2 runs
-//! on every day; the paired daily differences `tpr_to − tpr_inf` and
+//! on every day through [`daily_series`] with only L2 enabled; the paired daily differences `tpr_to − tpr_inf` and
 //! `tp_to − tp_inf` are summarized by a median with an order-statistics
 //! CI (0.98 level in the paper) and by the exact Wilcoxon signed-rank
 //! test (p = 0.0156 when all 7 days agree in sign).
 
-use super::daily::{l2_daily, DailySeries};
+use super::daily::{daily_series, DailySeries};
+use crate::health::PipelineConfig;
 use crate::l2::L2Config;
-use crate::model::PairModel;
+use crate::model::{AppServiceModel, PairModel};
 use logdep_logstore::LogStore;
 use logdep_stats::order_stats::median_ci;
 use logdep_stats::wilcoxon::{signed_rank, Alternative};
@@ -58,20 +59,23 @@ pub fn timeout_study(
     reference: &PairModel,
     ci_level: f64,
 ) -> crate::Result<TimeoutStudy> {
-    let inf_cfg = L2Config {
-        timeout_ms: None,
-        ..base_cfg.clone()
+    let l2_series = |timeout_ms: Option<i64>| -> crate::Result<DailySeries> {
+        let cfg = PipelineConfig {
+            l2: Some(L2Config {
+                timeout_ms,
+                ..base_cfg.clone()
+            }),
+            ..PipelineConfig::default()
+        };
+        let run = daily_series(store, days, &[], &cfg, reference, &AppServiceModel::new())?;
+        Ok(run.l2.unwrap_or_default())
     };
-    let baseline = l2_daily(store, days, &inf_cfg, reference)?;
+    let baseline = l2_series(None)?;
 
     let mut series = Vec::new();
     let mut rows = Vec::new();
     for &to in timeouts_ms {
-        let cfg = L2Config {
-            timeout_ms: Some(to),
-            ..base_cfg.clone()
-        };
-        let s = l2_daily(store, days, &cfg, reference)?;
+        let s = l2_series(Some(to))?;
 
         // Paired daily differences. tpr in percentage points.
         let d_tpr: Vec<f64> = s

@@ -9,9 +9,9 @@
 //! of its two halves differ significantly under a two-sided binomial
 //! test (under stationarity the split is a fair coin per log).
 //!
-//! Feed the result to [`run_l1_slots`].
+//! Feed the result to [`run_l1_slots_pool`].
 //!
-//! [`run_l1_slots`]: super::run_l1_slots
+//! [`run_l1_slots_pool`]: super::run_l1_slots_pool
 
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, Millis};
@@ -219,7 +219,8 @@ mod tests {
 
     #[test]
     fn adaptive_slots_feed_run_l1() {
-        use crate::l1::{run_l1_slots, L1Config};
+        use crate::l1::{run_l1_slots_pool, L1Config};
+        use logdep_par::ParConfig;
         // Two coupled apps over six hours with a busy second half.
         let mut store = LogStore::new();
         let a = store.registry.source("A");
@@ -242,7 +243,7 @@ mod tests {
             seed: 2,
             ..L1Config::default()
         };
-        let res = run_l1_slots(&store, &slots, &[a, b], &cfg).unwrap();
+        let res = run_l1_slots_pool(&store, &slots, &[a, b], &cfg, &ParConfig::default()).unwrap();
         assert!(res.detected.contains(a, b), "coupled pair missed: {res:?}");
     }
 }

@@ -46,19 +46,8 @@ pub struct L1Result {
 }
 
 /// Runs technique L1 on `range`, considering the given candidate
-/// sources (pass `store.active_sources()` for "everything"). Thread
-/// count comes from [`ParConfig::default`] (`LOGDEP_THREADS` or the
-/// hardware); results are bit-identical at every thread count.
-pub fn run_l1(
-    store: &LogStore,
-    range: TimeRange,
-    sources: &[SourceId],
-    cfg: &L1Config,
-) -> crate::Result<L1Result> {
-    run_l1_pool(store, range, sources, cfg, &ParConfig::default())
-}
-
-/// [`run_l1`] with an explicit worker-pool configuration.
+/// sources (pass `store.active_sources()` for "everything"), on the
+/// worker pool `par`; results are bit-identical at every width.
 pub fn run_l1_pool(
     store: &LogStore,
     range: TimeRange,
@@ -73,16 +62,6 @@ pub fn run_l1_pool(
 
 /// Runs technique L1 over an explicit slot list — the entry point for
 /// the adaptive-slot variant (§5 of the paper; see [`super::adaptive`]).
-pub fn run_l1_slots(
-    store: &LogStore,
-    slots: &[TimeRange],
-    sources: &[SourceId],
-    cfg: &L1Config,
-) -> crate::Result<L1Result> {
-    run_l1_slots_pool(store, slots, sources, cfg, &ParConfig::default())
-}
-
-/// [`run_l1_slots`] with an explicit worker-pool configuration.
 ///
 /// Slots are independent by construction (every RNG stream is seeded
 /// from `(seed, slot token, source)` alone, where the token depends on
@@ -341,7 +320,7 @@ mod tests {
     fn detects_the_coupled_pair_only() {
         let (store, sources) = coupled_store(6);
         let range = TimeRange::new(Millis(0), Millis(6 * MS_PER_HOUR));
-        let res = run_l1(&store, range, &sources, &cfg()).unwrap();
+        let res = run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
         assert_eq!(res.n_slots, 6);
         assert!(
             res.detected.contains(sources[0], sources[1]),
@@ -356,7 +335,7 @@ mod tests {
     fn outcomes_report_support_and_pr() {
         let (store, sources) = coupled_store(4);
         let range = TimeRange::new(Millis(0), Millis(4 * MS_PER_HOUR));
-        let res = run_l1(&store, range, &sources, &cfg()).unwrap();
+        let res = run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
         let out = res
             .outcomes
             .iter()
@@ -375,7 +354,7 @@ mod tests {
             minlogs: 10_000, // nobody qualifies
             ..cfg()
         };
-        let res = run_l1(&store, range, &sources, &strict).unwrap();
+        let res = run_l1_pool(&store, range, &sources, &strict, &ParConfig::default()).unwrap();
         assert!(res.detected.is_empty());
         assert!(res.outcomes.is_empty(), "no pair should have support");
     }
@@ -385,7 +364,7 @@ mod tests {
         // Data in only 1 of 24 slots → support 1/24 < th_s = 0.3.
         let (store, sources) = coupled_store(1);
         let range = TimeRange::new(Millis(0), Millis(24 * MS_PER_HOUR));
-        let res = run_l1(&store, range, &sources, &cfg()).unwrap();
+        let res = run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
         assert_eq!(res.n_slots, 24);
         assert!(res.detected.is_empty(), "support gate failed");
         let out = res
@@ -401,8 +380,8 @@ mod tests {
     fn deterministic_across_runs() {
         let (store, sources) = coupled_store(3);
         let range = TimeRange::new(Millis(0), Millis(3 * MS_PER_HOUR));
-        let r1 = run_l1(&store, range, &sources, &cfg()).unwrap();
-        let r2 = run_l1(&store, range, &sources, &cfg()).unwrap();
+        let r1 = run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
+        let r2 = run_l1_pool(&store, range, &sources, &cfg(), &ParConfig::default()).unwrap();
         assert_eq!(r1, r2);
     }
 
@@ -414,14 +393,14 @@ mod tests {
             th_pr: 2.0,
             ..L1Config::default()
         };
-        assert!(run_l1(&store, range, &sources, &bad).is_err());
+        assert!(run_l1_pool(&store, range, &sources, &bad, &ParConfig::default()).is_err());
     }
 
     #[test]
     fn empty_sources_yield_empty_result() {
         let (store, _) = coupled_store(1);
         let range = TimeRange::new(Millis(0), Millis(MS_PER_HOUR));
-        let res = run_l1(&store, range, &[], &cfg()).unwrap();
+        let res = run_l1_pool(&store, range, &[], &cfg(), &ParConfig::default()).unwrap();
         assert!(res.detected.is_empty());
         assert!(res.outcomes.is_empty());
     }

@@ -26,6 +26,6 @@ mod test;
 
 pub use adaptive::{adaptive_slots, AdaptiveConfig};
 pub(crate) use algorithm::{combine_evidence, slot_evidence, slot_token, LOAD_JITTER_MS};
-pub use algorithm::{run_l1, run_l1_pool, run_l1_slots, run_l1_slots_pool, L1Result, PairOutcome};
+pub use algorithm::{run_l1_pool, run_l1_slots_pool, L1Result, PairOutcome};
 pub use config::{CenterStat, DecisionRule, DistanceKind, L1Config, ReferenceProcess};
 pub use test::{direction_test, DirectionOutcome, DistanceSamples};

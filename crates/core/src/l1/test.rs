@@ -174,9 +174,10 @@ fn summarize(dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
 
 /// Random-side sample of the test: distances of `sample_size` uniform
 /// points in `range` to timeline `a`. Reusable across all `B`s sharing
-/// the same `A` and slot — the hot-path optimization of [`run_l1`].
+/// the same `A` and slot — the hot-path optimization of
+/// [`slot_evidence`].
 ///
-/// [`run_l1`]: super::run_l1
+/// [`slot_evidence`]: super::slot_evidence
 pub(crate) fn random_side(
     a: &Timeline,
     range: TimeRange,

@@ -97,14 +97,8 @@ pub struct L2Result {
     pub session_stats: SessionStats,
 }
 
-/// Runs technique L2 on the records within `range`. Thread count comes
-/// from [`ParConfig::default`] (`LOGDEP_THREADS` or the hardware);
-/// results are bit-identical at every thread count.
-pub fn run_l2(store: &LogStore, range: TimeRange, cfg: &L2Config) -> crate::Result<L2Result> {
-    run_l2_pool(store, range, cfg, &ParConfig::default())
-}
-
-/// [`run_l2`] with an explicit worker-pool configuration. Bigram
+/// Runs technique L2 on the records within `range` on the worker
+/// pool `par`; results are bit-identical at every width. Bigram
 /// counting shards across sessions on the pool (see
 /// [`extract_bigrams_pool`]); the G² pass over the deterministic,
 /// sorted type list stays serial — it is a few hundred 2×2 tests.
@@ -218,7 +212,8 @@ mod tests {
     #[test]
     fn detects_caller_callee_pair() {
         let (store, s) = sessioned_store(40);
-        let res = run_l2(&store, range(), &L2Config::default()).unwrap();
+        let res =
+            run_l2_pool(&store, range(), &L2Config::default(), &ParConfig::default()).unwrap();
         assert!(
             res.detected.contains(s[0], s[1]),
             "caller/callee pair missed; outcomes: {:?}",
@@ -236,7 +231,8 @@ mod tests {
         // type somewhat associated, but the tight caller→callee type
         // must carry (much) more evidence than the floater→caller one.
         let (store, s) = sessioned_store(40);
-        let res = run_l2(&store, range(), &L2Config::default()).unwrap();
+        let res =
+            run_l2_pool(&store, range(), &L2Config::default(), &ParConfig::default()).unwrap();
         // Only *immediately succeeding* logs form bigrams: the callee
         // always intervenes between caller and floater, so the ordered
         // type (Caller → Floater) must never be observed at all, while
@@ -271,8 +267,20 @@ mod tests {
     #[test]
     fn timeout_prunes_distant_bigrams() {
         let (store, _) = sessioned_store(30);
-        let with_to = run_l2(&store, range(), &L2Config::with_timeout(Some(300))).unwrap();
-        let without = run_l2(&store, range(), &L2Config::with_timeout(None)).unwrap();
+        let with_to = run_l2_pool(
+            &store,
+            range(),
+            &L2Config::with_timeout(Some(300)),
+            &ParConfig::default(),
+        )
+        .unwrap();
+        let without = run_l2_pool(
+            &store,
+            range(),
+            &L2Config::with_timeout(None),
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(
             with_to.bigrams.total < without.bigrams.total,
             "timeout did not drop bigrams ({} vs {})",
@@ -288,7 +296,7 @@ mod tests {
             statistic: AssociationStatistic::Pearson,
             ..L2Config::default()
         };
-        let res = run_l2(&store, range(), &cfg).unwrap();
+        let res = run_l2_pool(&store, range(), &cfg, &ParConfig::default()).unwrap();
         assert!(res.detected.contains(s[0], s[1]));
     }
 
@@ -299,7 +307,7 @@ mod tests {
             min_joint: 10_000,
             ..L2Config::default()
         };
-        let res = run_l2(&store, range(), &strict).unwrap();
+        let res = run_l2_pool(&store, range(), &strict, &ParConfig::default()).unwrap();
         assert!(res.detected.is_empty());
         assert!(res.outcomes.is_empty());
     }
@@ -308,7 +316,7 @@ mod tests {
     fn empty_range_yields_empty_result() {
         let (store, _) = sessioned_store(5);
         let empty = TimeRange::new(Millis(MS_PER_HOUR * 20), Millis(MS_PER_HOUR * 21));
-        let res = run_l2(&store, empty, &L2Config::default()).unwrap();
+        let res = run_l2_pool(&store, empty, &L2Config::default(), &ParConfig::default()).unwrap();
         assert!(res.detected.is_empty());
         assert_eq!(res.bigrams.total, 0);
         assert_eq!(res.session_stats.n_sessions, 0);
@@ -321,19 +329,19 @@ mod tests {
             alpha: 0.0,
             ..L2Config::default()
         };
-        assert!(run_l2(&store, range(), &bad).is_err());
+        assert!(run_l2_pool(&store, range(), &bad, &ParConfig::default()).is_err());
         let bad = L2Config {
             timeout_ms: Some(0),
             ..L2Config::default()
         };
-        assert!(run_l2(&store, range(), &bad).is_err());
+        assert!(run_l2_pool(&store, range(), &bad, &ParConfig::default()).is_err());
     }
 
     #[test]
     fn deterministic() {
         let (store, _) = sessioned_store(20);
-        let a = run_l2(&store, range(), &L2Config::default()).unwrap();
-        let b = run_l2(&store, range(), &L2Config::default()).unwrap();
+        let a = run_l2_pool(&store, range(), &L2Config::default(), &ParConfig::default()).unwrap();
+        let b = run_l2_pool(&store, range(), &L2Config::default(), &ParConfig::default()).unwrap();
         assert_eq!(a.detected, b.detected);
         assert_eq!(a.outcomes, b.outcomes);
     }

@@ -50,7 +50,7 @@ impl L3Config {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L3Result {
     /// Dependencies declared (service index = position in the id list
-    /// passed to [`run_l3`]).
+    /// passed to [`run_l3_pool`]).
     pub detected: AppServiceModel,
     /// Citation counts per `(app, service index)`, including pairs
     /// below `min_citations`. Ordered so snapshots and serialization
@@ -84,19 +84,7 @@ impl ScanShard {
 }
 
 /// Runs technique L3 over the records in `range`, scanning for the
-/// given directory ids. Thread count comes from [`ParConfig::default`]
-/// (`LOGDEP_THREADS` or the hardware); results are bit-identical at
-/// every thread count.
-pub fn run_l3(
-    store: &LogStore,
-    range: TimeRange,
-    service_ids: &[String],
-    cfg: &L3Config,
-) -> crate::Result<L3Result> {
-    run_l3_pool(store, range, service_ids, cfg, &ParConfig::default())
-}
-
-/// [`run_l3`] with an explicit worker-pool configuration.
+/// given directory ids on the worker pool `par`.
 ///
 /// The Aho–Corasick automaton is built once and shared read-only; the
 /// log lines fan out in contiguous chunks, each worker counting
@@ -187,11 +175,12 @@ mod tests {
             ("AppA", "(DPINOTE) notify( $p )"),
             ("AppB", "heartbeat ok"),
         ]);
-        let res = run_l3(
+        let res = run_l3_pool(
             &store,
             whole(),
             &ids(&["DPINOTE", "OTHER"]),
             &L3Config::default(),
+            &ParConfig::default(),
         )
         .unwrap();
         let a = store.registry.find_source("AppA").unwrap();
@@ -209,7 +198,8 @@ mod tests {
             ("AppA", "calling SVC.q for record 1"),
         ]);
         let cfg = L3Config::with_stop_patterns(["serving request*"]);
-        let res = run_l3(&store, whole(), &ids(&["SVC"]), &cfg).unwrap();
+        let res =
+            run_l3_pool(&store, whole(), &ids(&["SVC"]), &cfg, &ParConfig::default()).unwrap();
         let a = store.registry.find_source("AppA").unwrap();
         let srv = store.registry.find_source("Server").unwrap();
         assert!(res.detected.contains(a, 0));
@@ -217,7 +207,14 @@ mod tests {
         assert_eq!(res.stopped_logs, 1);
 
         // Without stop patterns the inverted dependency appears (§4.8).
-        let res = run_l3(&store, whole(), &ids(&["SVC"]), &L3Config::default()).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &ids(&["SVC"]),
+            &L3Config::default(),
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(res.detected.contains(srv, 0));
     }
 
@@ -225,7 +222,14 @@ mod tests {
     fn whole_word_prevents_renamed_id_hits() {
         let store = store_with_texts(&[("App", "calling UPSRV.update for record 2")]);
         // Directory only publishes the renamed id UPSRV2.
-        let res = run_l3(&store, whole(), &ids(&["UPSRV2"]), &L3Config::default()).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &ids(&["UPSRV2"]),
+            &L3Config::default(),
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(
             res.detected.is_empty(),
             "UPSRV2 must not match inside UPSRV text"
@@ -234,13 +238,27 @@ mod tests {
         // Substring mode (whole_word = false) would *also* not match here
         // (UPSRV2 is longer); but the reverse trap is covered:
         let store = store_with_texts(&[("App", "calling UPSRV2.update for record 2")]);
-        let res = run_l3(&store, whole(), &ids(&["UPSRV"]), &L3Config::default()).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &ids(&["UPSRV"]),
+            &L3Config::default(),
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(res.detected.is_empty(), "whole-word must reject prefix hit");
         let lax = L3Config {
             whole_word: false,
             ..L3Config::default()
         };
-        let res = run_l3(&store, whole(), &ids(&["UPSRV"]), &lax).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &ids(&["UPSRV"]),
+            &lax,
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert_eq!(res.detected.len(), 1, "substring mode accepts prefix hit");
     }
 
@@ -252,7 +270,14 @@ mod tests {
             min_citations: 3,
             ..L3Config::default()
         };
-        let res = run_l3(&store, whole(), &ids(&["SVC"]), &strict).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &ids(&["SVC"]),
+            &strict,
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(res.detected.is_empty());
         let a = store.registry.find_source("App").unwrap();
         assert_eq!(res.citations[&(a, 0)], 2, "counts still recorded");
@@ -264,11 +289,12 @@ mod tests {
             ("App", "SVC early"), // t = 0
             ("App", "SVC late"),  // t = 10
         ]);
-        let res = run_l3(
+        let res = run_l3_pool(
             &store,
             TimeRange::new(Millis(5), Millis(100)),
             &ids(&["SVC"]),
             &L3Config::default(),
+            &ParConfig::default(),
         )
         .unwrap();
         let a = store.registry.find_source("App").unwrap();
@@ -279,11 +305,12 @@ mod tests {
     #[test]
     fn multiple_ids_in_one_log() {
         let store = store_with_texts(&[("App", "exception via GATEWAY calling (ARCHIVE)")]);
-        let res = run_l3(
+        let res = run_l3_pool(
             &store,
             whole(),
             &ids(&["GATEWAY", "ARCHIVE"]),
             &L3Config::default(),
+            &ParConfig::default(),
         )
         .unwrap();
         assert_eq!(res.detected.len(), 2);
@@ -292,7 +319,14 @@ mod tests {
     #[test]
     fn empty_directory_detects_nothing() {
         let store = store_with_texts(&[("App", "anything at all")]);
-        let res = run_l3(&store, whole(), &[], &L3Config::default()).unwrap();
+        let res = run_l3_pool(
+            &store,
+            whole(),
+            &[],
+            &L3Config::default(),
+            &ParConfig::default(),
+        )
+        .unwrap();
         assert!(res.detected.is_empty());
         assert_eq!(res.scanned_logs, 1);
     }

@@ -10,7 +10,5 @@
 //! otherwise invert the dependency direction.
 
 mod algorithm;
-mod incremental;
 
-pub use algorithm::{run_l3, run_l3_pool, L3Config, L3Result};
-pub use incremental::IncrementalL3;
+pub use algorithm::{run_l3_pool, L3Config, L3Result};

@@ -34,7 +34,8 @@
 //! ## Quick start
 //!
 //! ```
-//! use logdep::l3::{run_l3, L3Config};
+//! use logdep::l3::{run_l3_pool, L3Config};
+//! use logdep::par::ParConfig;
 //! use logdep_logstore::{LogRecord, LogStore, Millis};
 //! use logdep_logstore::time::TimeRange;
 //!
@@ -46,11 +47,12 @@
 //! store.finalize();
 //!
 //! let ids = vec!["DPINOTIFICATION".to_owned()];
-//! let res = run_l3(
+//! let res = run_l3_pool(
 //!     &store,
 //!     TimeRange::new(Millis(0), Millis(1_000)),
 //!     &ids,
 //!     &L3Config::default(),
+//!     &ParConfig::default(),
 //! ).unwrap();
 //! assert!(res.detected.contains(app, 0));
 //! ```

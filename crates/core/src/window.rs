@@ -30,11 +30,12 @@ use crate::health::{
 };
 use crate::l1::L1Result;
 use crate::l2::{associations, count_session, merge_counts, BigramCounts, L2Config, L2Result};
-use crate::l3::{IncrementalL3, L3Config, L3Result};
+use crate::l3::{run_l3_pool, L3Config, L3Result};
 use crate::model::AppServiceModel;
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_obs::{record, Field};
+use logdep_par::ParConfig;
 use logdep_sessions::{reconstruct_range, Session};
 use std::collections::BTreeMap;
 
@@ -128,7 +129,7 @@ pub fn run_window_cached(
 }
 
 /// Technique L2 over `window` with per-day bigram memoization —
-/// byte-identical to [`crate::l2::run_l2`] on the same window.
+/// byte-identical to [`crate::l2::run_l2_pool`] on the same window.
 ///
 /// Sessions are reconstructed for the whole window (cheap — a linear
 /// sweep), bucketed by start day, and each bucket's counts are cached
@@ -236,9 +237,8 @@ fn sessions_digest(sessions: &[&Session]) -> u64 {
 }
 
 /// Technique L3 over `window` with per-day-chunk count memoization —
-/// byte-identical to [`crate::l3::run_l3`] on the same window.
-/// Each chunk's miss path feeds its records through a fresh
-/// [`IncrementalL3`], the very scanner the streaming deployment uses.
+/// byte-identical to [`run_l3_pool`] on the same window. Each chunk's
+/// miss path is [`run_l3_pool`] over the chunk on a serial pool.
 pub fn run_l3_windowed_cached(
     store: &LogStore,
     window: TimeRange,
@@ -285,13 +285,11 @@ pub fn run_l3_windowed_cached(
             }
             None => {
                 cache.stats.l3_misses += 1;
-                let mut inc = IncrementalL3::new(service_ids, cfg);
-                inc.observe_batch(records);
-                let (s, p) = inc.stats();
+                let scan = run_l3_pool(store, chunk, service_ids, cfg, &ParConfig::serial())?;
                 let fresh = L3DayCounts {
-                    citations: inc.citation_counts(),
-                    scanned: s as u64,
-                    stopped: p as u64,
+                    citations: scan.citations,
+                    scanned: scan.scanned_logs as u64,
+                    stopped: scan.stopped_logs as u64,
                 };
                 cache.l3.insert(key, fresh.clone());
                 fresh

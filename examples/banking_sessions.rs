@@ -11,7 +11,8 @@
 //! cargo run --release -p logdep-examples --example banking_sessions
 //! ```
 
-use logdep::l2::{run_l2, L2Config};
+use logdep::l2::{run_l2_pool, L2Config};
+use logdep::par::ParConfig;
 use logdep_logstore::time::{TimeRange, MS_PER_HOUR};
 use logdep_logstore::{LogRecord, LogStore, Millis};
 use rand::rngs::StdRng;
@@ -81,7 +82,7 @@ fn main() {
             timeout_ms: timeout,
             ..L2Config::default()
         };
-        let res = run_l2(&store, hour, &cfg).expect("L2 runs");
+        let res = run_l2_pool(&store, hour, &cfg, &ParConfig::default()).expect("L2 runs");
         let label = match timeout {
             Some(ms) => format!("{:>5} ms", ms),
             None => "     inf".to_owned(),

@@ -8,11 +8,11 @@
 //! cargo run --release -p logdep-examples --example hospital_week
 //! ```
 
-use logdep::eval::{l1_daily, l2_daily, l3_daily};
+use logdep::eval::daily_series;
 use logdep::l1::L1Config;
 use logdep::l2::L2Config;
 use logdep::l3::L3Config;
-use logdep::{AppServiceModel, PairModel};
+use logdep::{AppServiceModel, PairModel, PipelineConfig};
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig};
 
@@ -48,29 +48,38 @@ fn main() {
     )
     .expect("ids resolve");
 
+    // All three techniques, each day mined by the one window driver
+    // the `daily` command runs (minlogs scaled for the smaller volume).
+    let cfg = PipelineConfig {
+        l1: Some(L1Config {
+            minlogs: 10,
+            seed: 3,
+            ..L1Config::default()
+        }),
+        l2: Some(L2Config::default()),
+        l3: Some(L3Config::with_stop_patterns(standard_stop_patterns())),
+        ..PipelineConfig::default()
+    };
+    let run = daily_series(&out.store, days, &ids, &cfg, &pair_ref, &svc_ref).expect("daily run");
+    let (s1, s2, s3) = (
+        run.l1.expect("L1"),
+        run.l2.expect("L2"),
+        run.l3.expect("L3"),
+    );
+
     // L3 — the precise technique.
-    let l3cfg = L3Config::with_stop_patterns(standard_stop_patterns());
-    let s3 = l3_daily(&out.store, days, &ids, &l3cfg, &svc_ref).expect("L3");
     println!("\nL3 per day (tp/fp):");
     for d in &s3.days {
         println!("  day {}: {}/{} (tpr {:.2})", d.day, d.tp, d.fp, d.tpr);
     }
 
     // L2 — session co-occurrence.
-    let s2 = l2_daily(&out.store, days, &L2Config::default(), &pair_ref).expect("L2");
     println!("L2 per day (tp/fp):");
     for d in &s2.days {
         println!("  day {}: {}/{} (tpr {:.2})", d.day, d.tp, d.fp, d.tpr);
     }
 
-    // L1 — activity correlation (minlogs scaled for the smaller volume).
-    let l1cfg = L1Config {
-        minlogs: 10,
-        seed: 3,
-        ..L1Config::default()
-    };
-    let sources = out.store.active_sources();
-    let s1 = l1_daily(&out.store, days, &sources, &l1cfg, &pair_ref).expect("L1");
+    // L1 — activity correlation.
     println!("L1 per day (tp/fp):");
     for d in &s1.days {
         println!("  day {}: {}/{} (tpr {:.2})", d.day, d.tp, d.fp, d.tpr);

@@ -12,7 +12,8 @@
 //! ```
 
 use logdep::evolution::app_service_churn;
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep::AppServiceModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -24,11 +25,12 @@ const ADDED: usize = 9;
 const REMOVED: usize = 6;
 
 fn mine(out: &logdep_sim::SimOutput, ids: &[String]) -> AppServiceModel {
-    run_l3(
+    run_l3_pool(
         &out.store,
         TimeRange::new(Millis(0), Millis::from_days(4)),
         ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3 runs")
     .detected

@@ -9,8 +9,9 @@
 //! ```
 
 use logdep::l1::{direction_test, L1Config};
-use logdep::l2::{run_l2, L2Config};
-use logdep::l3::{run_l3, L3Config};
+use logdep::l2::{run_l2_pool, L2Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep_logstore::time::{TimeRange, MS_PER_HOUR};
 use logdep_logstore::{LogRecord, LogStore, Millis};
 use logdep_stats::sampling::Sampler;
@@ -87,7 +88,8 @@ fn main() {
     );
 
     // --- 3. Technique L2: session co-occurrence.
-    let l2 = run_l2(&store, hour, &L2Config::default()).expect("L2 runs");
+    let l2 =
+        run_l2_pool(&store, hour, &L2Config::default(), &ParConfig::default()).expect("L2 runs");
     println!(
         "L2: {} sessions, {} bigrams, detected pairs:",
         l2.session_stats.n_sessions, l2.bigrams.total
@@ -103,7 +105,14 @@ fn main() {
     // --- 4. Technique L3: directory citations in free text.
     let directory_ids = vec!["REPORTS".to_owned(), "BILLING".to_owned()];
     // (BILLING is cited too: the quickstart model has two services.)
-    let l3 = run_l3(&store, hour, &directory_ids, &L3Config::default()).expect("L3 runs");
+    let l3 = run_l3_pool(
+        &store,
+        hour,
+        &directory_ids,
+        &L3Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L3 runs");
     println!("L3: detected app -> service dependencies:");
     for (app, svc) in l3.detected.iter() {
         println!(

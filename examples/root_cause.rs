@@ -12,7 +12,8 @@
 //! ```
 
 use logdep::graph::DependencyGraph;
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig};
@@ -23,11 +24,12 @@ fn main() {
     cfg.days = 1;
     let out = simulate(&cfg);
     let ids: Vec<String> = out.directory.ids().iter().map(|s| s.to_string()).collect();
-    let res = run_l3(
+    let res = run_l3_pool(
         &out.store,
         TimeRange::day(0),
         &ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3 runs");
 

@@ -10,7 +10,8 @@
 //! cargo run --release -p logdep-examples --example soa_directory
 //! ```
 
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep_logstore::codec::{read_store, write_store};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -53,7 +54,14 @@ fn main() {
     // 3. Naive scan — no stop patterns: the server-side log of
     // DPINotifyCore inverts a dependency, and the patient whose name
     // matches a service id creates a coincidence (§4.8).
-    let naive = run_l3(&store, range, &ids, &L3Config::default()).expect("L3 naive");
+    let naive = run_l3_pool(
+        &store,
+        range,
+        &ids,
+        &L3Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L3 naive");
     println!("without stop patterns:");
     for (app, svc) in naive.detected.iter() {
         println!("  {} -> {}", store.registry.source_name(app), ids[svc]);
@@ -61,7 +69,7 @@ fn main() {
 
     // 4. Production scan with stop patterns.
     let cfg = L3Config::with_stop_patterns(["serving request*"]);
-    let res = run_l3(&store, range, &ids, &cfg).expect("L3 runs");
+    let res = run_l3_pool(&store, range, &ids, &cfg, &ParConfig::default()).expect("L3 runs");
     println!("\nwith stop patterns ({} logs stopped):", res.stopped_logs);
     for (app, svc) in res.detected.iter() {
         println!("  {} -> {}", store.registry.source_name(app), ids[svc]);

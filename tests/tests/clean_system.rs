@@ -2,8 +2,9 @@
 //! reaches (near-)perfect precision, and each §4.8 noise category
 //! reappears when its knob alone is turned back on.
 
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::{diff_app_service, AppServiceModel};
+use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_sim::textgen::standard_stop_patterns;
@@ -33,11 +34,12 @@ fn l3_diff(
     ids: &[String],
 ) -> logdep::Diff<(logdep_logstore::SourceId, usize)> {
     let range = TimeRange::new(Millis(0), Millis::from_days(4));
-    let res = run_l3(
+    let res = run_l3_pool(
         &out.store,
         range,
         ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3");
     diff_app_service(&res.detected, svc_ref)

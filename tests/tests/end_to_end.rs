@@ -2,11 +2,13 @@
 //! techniques → evaluation, checking the qualitative results the paper
 //! reports.
 
-use logdep::eval::{l2_daily, l3_daily};
-use logdep::l1::{run_l1, L1Config};
-use logdep::l2::{run_l2, L2Config};
-use logdep::l3::{run_l3, L3Config};
+use logdep::eval::{daily_series, DailySeries};
+use logdep::l1::{run_l1_pool, L1Config};
+use logdep::l2::{run_l2_pool, L2Config};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::{diff_app_service, diff_pairs, AppServiceModel, PairModel};
+use logdep::par::ParConfig;
+use logdep::PipelineConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig, SimOutput};
@@ -55,10 +57,27 @@ fn l3_cfg() -> L3Config {
     L3Config::with_stop_patterns(standard_stop_patterns())
 }
 
+/// The week's L2 and L3 daily series, mined in one pass of the driver.
+fn l2_l3_daily() -> &'static (DailySeries, DailySeries) {
+    use std::sync::OnceLock;
+    static SERIES: OnceLock<(DailySeries, DailySeries)> = OnceLock::new();
+    SERIES.get_or_init(|| {
+        let f = week();
+        let cfg = PipelineConfig {
+            l2: Some(L2Config::default()),
+            l3: Some(l3_cfg()),
+            ..PipelineConfig::default()
+        };
+        let run = daily_series(&f.out.store, 7, &f.ids, &cfg, &f.pair_ref, &f.svc_ref)
+            .expect("L2 and L3 daily");
+        (run.l2.expect("L2"), run.l3.expect("L3"))
+    })
+}
+
 #[test]
 fn l3_is_precise_and_covers_most_of_the_model() {
     let f = week();
-    let series = l3_daily(&f.out.store, 7, &f.ids, &l3_cfg(), &f.svc_ref).expect("L3");
+    let series = &l2_l3_daily().1;
     for d in &series.days {
         assert!(d.tpr > 0.85, "day {} precision {:.2} too low", d.day, d.tpr);
         // Weekends realize fewer dependencies (rare edges go quiet), so
@@ -77,8 +96,7 @@ fn l3_is_precise_and_covers_most_of_the_model() {
 
 #[test]
 fn l2_finds_a_third_of_pairs_at_decent_precision() {
-    let f = week();
-    let series = l2_daily(&f.out.store, 7, &L2Config::default(), &f.pair_ref).expect("L2");
+    let series = &l2_l3_daily().0;
     for d in &series.days {
         assert!(d.tpr > 0.5, "day {} precision {:.2}", d.day, d.tpr);
         assert!(d.tp >= 15, "day {} tp {} too low", d.day, d.tp);
@@ -94,7 +112,14 @@ fn l1_detects_strong_pairs_with_high_precision() {
         ..L1Config::default()
     };
     let sources = f.out.store.active_sources();
-    let res = run_l1(&f.out.store, TimeRange::day(0), &sources, &cfg).expect("L1");
+    let res = run_l1_pool(
+        &f.out.store,
+        TimeRange::day(0),
+        &sources,
+        &cfg,
+        &ParConfig::default(),
+    )
+    .expect("L1");
     let d = diff_pairs(&res.detected, &f.pair_ref);
     assert!(d.tp() >= 8, "only {} true pairs found", d.tp());
     assert!(
@@ -108,25 +133,22 @@ fn l1_detects_strong_pairs_with_high_precision() {
 fn technique_precision_ordering_matches_paper() {
     // §6: performance is "proportional to the amount of semantic
     // content of log messages considered": L3 ≥ L2 in precision.
-    let f = week();
-    let l3 = l3_daily(&f.out.store, 7, &f.ids, &l3_cfg(), &f.svc_ref).expect("L3");
-    let l2 = l2_daily(&f.out.store, 7, &L2Config::default(), &f.pair_ref).expect("L2");
-    let mean = |s: &logdep::eval::DailySeries| {
+    let (l2, l3) = l2_l3_daily();
+    let mean = |s: &DailySeries| {
         let v = s.tpr_values();
         v.iter().sum::<f64>() / v.len() as f64
     };
     assert!(
-        mean(&l3) > mean(&l2),
+        mean(l3) > mean(l2),
         "L3 {:.2} should beat L2 {:.2}",
-        mean(&l3),
-        mean(&l2)
+        mean(l3),
+        mean(l2)
     );
 }
 
 #[test]
 fn weekend_activity_shrinks_detections_for_l2_and_l3() {
-    let f = week();
-    let l3 = l3_daily(&f.out.store, 7, &f.ids, &l3_cfg(), &f.svc_ref).expect("L3");
+    let l3 = &l2_l3_daily().1;
     let weekday_avg: f64 = [0usize, 1, 2, 3, 6]
         .iter()
         .map(|&i| l3.days[i].tp as f64)
@@ -146,8 +168,16 @@ fn weekend_activity_shrinks_detections_for_l2_and_l3() {
 fn stop_patterns_remove_inverted_dependencies() {
     let f = week();
     let day = TimeRange::day(0);
-    let with = run_l3(&f.out.store, day, &f.ids, &l3_cfg()).expect("L3");
-    let without = run_l3(&f.out.store, day, &f.ids, &L3Config::default()).expect("L3");
+    let with =
+        run_l3_pool(&f.out.store, day, &f.ids, &l3_cfg(), &ParConfig::default()).expect("L3");
+    let without = run_l3_pool(
+        &f.out.store,
+        day,
+        &f.ids,
+        &L3Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L3");
     let owners: Vec<_> = f
         .out
         .topology
@@ -183,8 +213,22 @@ fn full_week_union_beats_single_days_for_l3() {
         logdep_logstore::Millis(0),
         logdep_logstore::Millis::from_days(8),
     );
-    let union = run_l3(&f.out.store, week_range, &f.ids, &l3_cfg()).expect("L3");
-    let day0 = run_l3(&f.out.store, TimeRange::day(0), &f.ids, &l3_cfg()).expect("L3");
+    let union = run_l3_pool(
+        &f.out.store,
+        week_range,
+        &f.ids,
+        &l3_cfg(),
+        &ParConfig::default(),
+    )
+    .expect("L3");
+    let day0 = run_l3_pool(
+        &f.out.store,
+        TimeRange::day(0),
+        &f.ids,
+        &l3_cfg(),
+        &ParConfig::default(),
+    )
+    .expect("L3");
     let du = diff_app_service(&union.detected, &f.svc_ref);
     let d0 = diff_app_service(&day0.detected, &f.svc_ref);
     assert!(du.tp() >= d0.tp(), "union {} < day0 {}", du.tp(), d0.tp());
@@ -194,8 +238,20 @@ fn full_week_union_beats_single_days_for_l3() {
 fn l2_timeout_tradeoff_holds_on_simulated_data() {
     let f = week();
     let day = TimeRange::day(0);
-    let strict = run_l2(&f.out.store, day, &L2Config::with_timeout(Some(400))).expect("L2");
-    let lax = run_l2(&f.out.store, day, &L2Config::with_timeout(None)).expect("L2");
+    let strict = run_l2_pool(
+        &f.out.store,
+        day,
+        &L2Config::with_timeout(Some(400)),
+        &ParConfig::default(),
+    )
+    .expect("L2");
+    let lax = run_l2_pool(
+        &f.out.store,
+        day,
+        &L2Config::with_timeout(None),
+        &ParConfig::default(),
+    )
+    .expect("L2");
     let ds = diff_pairs(&strict.detected, &f.pair_ref);
     let dl = diff_pairs(&lax.detected, &f.pair_ref);
     assert!(

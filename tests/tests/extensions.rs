@@ -5,10 +5,11 @@
 
 use logdep::evolution::app_service_churn;
 use logdep::graph::DependencyGraph;
-use logdep::l1::{adaptive_slots, run_l1_slots, AdaptiveConfig, L1Config};
-use logdep::l2::{delay_profiles, detect_directions, run_l2, DelayConfig, DirectionConfig};
-use logdep::l3::{run_l3, L3Config};
+use logdep::l1::{adaptive_slots, run_l1_slots_pool, AdaptiveConfig, L1Config};
+use logdep::l2::{delay_profiles, detect_directions, run_l2_pool, DelayConfig, DirectionConfig};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::diff_pairs;
+use logdep::par::ParConfig;
 use logdep::PairModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{Millis, SourceId};
@@ -29,7 +30,7 @@ fn direction_detection_mostly_agrees_with_ground_truth() {
     let out = one_day();
     let day = TimeRange::day(0);
     let l2cfg = logdep::l2::L2Config::default();
-    let l2 = run_l2(&out.store, day, &l2cfg).expect("L2");
+    let l2 = run_l2_pool(&out.store, day, &l2cfg, &ParConfig::default()).expect("L2");
     let sessions = reconstruct_range(&out.store, day, &l2cfg.session);
 
     let mut true_caller: BTreeMap<(SourceId, SourceId), SourceId> = BTreeMap::new();
@@ -73,7 +74,7 @@ fn delay_analysis_separates_causal_from_concurrent() {
     let out = one_day();
     let day = TimeRange::day(0);
     let l2cfg = logdep::l2::L2Config::default();
-    let l2 = run_l2(&out.store, day, &l2cfg).expect("L2");
+    let l2 = run_l2_pool(&out.store, day, &l2cfg, &ParConfig::default()).expect("L2");
     let sessions = reconstruct_range(&out.store, day, &l2cfg.session);
     let pair_ref = PairModel::from_names(
         &out.store.registry,
@@ -140,7 +141,8 @@ fn adaptive_slots_cover_the_range_and_find_pairs() {
         ..L1Config::default()
     };
     let sources = out.store.active_sources();
-    let res = run_l1_slots(&out.store, &slots, &sources, &l1cfg).expect("L1");
+    let res =
+        run_l1_slots_pool(&out.store, &slots, &sources, &l1cfg, &ParConfig::default()).expect("L1");
     let d = diff_pairs(&res.detected, &pair_ref);
     assert!(d.tp() >= 5, "adaptive L1 found only {} pairs", d.tp());
 }
@@ -149,11 +151,12 @@ fn adaptive_slots_cover_the_range_and_find_pairs() {
 fn graph_applications_on_mined_model() {
     let out = one_day();
     let ids: Vec<String> = out.directory.ids().iter().map(|s| s.to_string()).collect();
-    let res = run_l3(
+    let res = run_l3_pool(
         &out.store,
         TimeRange::day(0),
         &ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3");
     let owners: Vec<_> = out
@@ -204,10 +207,10 @@ fn landscape_evolution_is_detected_by_remining() {
         .collect();
     let l3cfg = L3Config::with_stop_patterns(standard_stop_patterns());
     let range = TimeRange::new(Millis(0), Millis::from_days(3));
-    let m1 = run_l3(&week1.store, range, &ids, &l3cfg)
+    let m1 = run_l3_pool(&week1.store, range, &ids, &l3cfg, &ParConfig::default())
         .expect("L3")
         .detected;
-    let m2 = run_l3(&week2.store, range, &ids, &l3cfg)
+    let m2 = run_l3_pool(&week2.store, range, &ids, &l3cfg, &ParConfig::default())
         .expect("L3")
         .detected;
 
@@ -232,8 +235,8 @@ fn landscape_evolution_is_detected_by_remining() {
 #[test]
 fn ensemble_agreement_is_a_precision_signal() {
     use logdep::ensemble::{app_service_to_pairs, Ensemble};
-    use logdep::l1::{run_l1, L1Config};
-    use logdep::l2::run_l2;
+    use logdep::l1::{run_l1_pool, L1Config};
+    use logdep::l2::run_l2_pool;
 
     let out = one_day();
     let day = TimeRange::day(0);
@@ -259,7 +262,7 @@ fn ensemble_agreement_is_a_precision_signal() {
         .collect();
 
     let sources = out.store.active_sources();
-    let l1 = run_l1(
+    let l1 = run_l1_pool(
         &out.store,
         day,
         &sources,
@@ -268,14 +271,22 @@ fn ensemble_agreement_is_a_precision_signal() {
             seed: 3,
             ..L1Config::default()
         },
+        &ParConfig::default(),
     )
     .expect("L1");
-    let l2 = run_l2(&out.store, day, &logdep::l2::L2Config::default()).expect("L2");
-    let l3 = run_l3(
+    let l2 = run_l2_pool(
+        &out.store,
+        day,
+        &logdep::l2::L2Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L2");
+    let l3 = run_l3_pool(
         &out.store,
         day,
         &ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3");
     let l3_pairs = app_service_to_pairs(&l3.detected, &owners);

@@ -2,7 +2,8 @@
 //! TSV codec and the service directory through its XML document, with
 //! mining results invariant under the round trip.
 
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep_logstore::codec::{read_store, write_store};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -13,7 +14,14 @@ fn tsv_round_trip_preserves_l3_results() {
     let out = simulate(&SimConfig::small_test(3));
     let ids: Vec<String> = out.directory.ids().iter().map(|s| s.to_string()).collect();
     let range = TimeRange::new(Millis(0), Millis::from_days(2));
-    let before = run_l3(&out.store, range, &ids, &L3Config::default()).expect("L3");
+    let before = run_l3_pool(
+        &out.store,
+        range,
+        &ids,
+        &L3Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L3");
 
     let mut buf = Vec::new();
     write_store(&mut buf, &out.store).expect("serialize");
@@ -21,7 +29,14 @@ fn tsv_round_trip_preserves_l3_results() {
     assert!(errors.is_empty(), "codec errors: {errors:?}");
     assert_eq!(parsed.len(), out.store.len());
 
-    let after = run_l3(&parsed, range, &ids, &L3Config::default()).expect("L3 again");
+    let after = run_l3_pool(
+        &parsed,
+        range,
+        &ids,
+        &L3Config::default(),
+        &ParConfig::default(),
+    )
+    .expect("L3 again");
     // Source ids may differ between registries; compare by name.
     let names = |store: &logdep_logstore::LogStore, detected: &logdep::AppServiceModel| {
         let mut v: Vec<(String, usize)> = detected

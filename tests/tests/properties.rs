@@ -2,7 +2,8 @@
 //! that must hold for *any* log stream, not just simulated ones.
 
 use logdep::l2::extract_bigrams;
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
+use logdep::par::ParConfig;
 use logdep::PairModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{HostId, LogRecord, LogStore, Millis, SourceId, UserId};
@@ -90,12 +91,12 @@ proptest! {
         let store = build_store(&rows);
         let ids = vec!["APP1".to_owned(), "SCAN".to_owned(), "DATA".to_owned()];
         let range = TimeRange::new(Millis(0), Millis(86_400_001));
-        let without = run_l3(&store, range, &ids, &L3Config::default()).unwrap();
-        let with = run_l3(
+        let without = run_l3_pool(&store, range, &ids, &L3Config::default(), &ParConfig::default()).unwrap();
+        let with = run_l3_pool(
             &store,
             range,
             &ids,
-            &L3Config::with_stop_patterns(["*a*", "*0*"]),
+            &L3Config::with_stop_patterns(["*a*", "*0*"]), &ParConfig::default(),
         )
         .unwrap();
         // Stop patterns only remove evidence: detections shrink.

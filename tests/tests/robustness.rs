@@ -1,8 +1,9 @@
 //! Robustness studies: collection interruptions, clock-skew stress and
 //! the server-timestamp trap (§4.2/§5 of the paper).
 
-use logdep::l3::{run_l3, L3Config};
+use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::{diff_app_service, AppServiceModel};
+use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_sim::textgen::standard_stop_patterns;
@@ -19,11 +20,12 @@ fn mine_l3(out: &logdep_sim::SimOutput) -> (AppServiceModel, AppServiceModel) {
             .map(|(a, s)| (a.as_str(), s.as_str())),
     )
     .expect("ids resolve");
-    let detected = run_l3(
+    let detected = run_l3_pool(
         &out.store,
         TimeRange::new(Millis(0), Millis::from_days(3)),
         &ids,
         &L3Config::with_stop_patterns(standard_stop_patterns()),
+        &ParConfig::default(),
     )
     .expect("L3")
     .detected;
@@ -90,7 +92,8 @@ fn extreme_clock_skew_degrades_l2_but_not_l3() {
     )
     .expect("names resolve");
     let true_mass = |out: &logdep_sim::SimOutput| -> u64 {
-        let res = logdep::l2::run_l2(&out.store, day, &l2cfg).expect("L2");
+        let res =
+            logdep::l2::run_l2_pool(&out.store, day, &l2cfg, &ParConfig::default()).expect("L2");
         res.bigrams
             .joint
             .iter()
@@ -144,7 +147,7 @@ fn server_timestamps_are_worse_for_l2_than_client_timestamps() {
     let l2cfg = logdep::l2::L2Config::default();
     let day = TimeRange::day(0);
     let tp = |store: &logdep_logstore::LogStore| {
-        let res = logdep::l2::run_l2(store, day, &l2cfg).expect("L2");
+        let res = logdep::l2::run_l2_pool(store, day, &l2cfg, &ParConfig::default()).expect("L2");
         logdep::diff_pairs(&res.detected, &pair_ref).tp()
     };
     let tp_client = tp(&out.store);
