@@ -22,7 +22,6 @@
 //!   fixed costs dominate).
 
 use logdep::cache::{CacheStats, EvidenceCache};
-use logdep::health::PipelineConfig;
 use logdep::l1::run_l1_pool;
 use logdep::l2::run_l2_pool;
 use logdep::l3::run_l3_pool;
@@ -30,7 +29,6 @@ use logdep::window::{run_window_cached, WindowOutcome};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
-use logdep_par::ParConfig;
 use logdep_sim::SimConfig;
 use serde::Serialize;
 use std::time::Instant;
@@ -169,12 +167,7 @@ fn main() {
         wb.out.store.len()
     );
 
-    let pcfg = PipelineConfig {
-        l1: Some(wb.l1_config()),
-        l2: Some(wb.l2_config()),
-        l3: Some(wb.l3_config()),
-        par: ParConfig::default(),
-    };
+    let pcfg = wb.pipeline_config();
     let w0 = TimeRange::new(Millis(0), Millis::from_days(window_days));
 
     // Prime: mine the first window into an empty rolling cache.

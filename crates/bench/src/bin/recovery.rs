@@ -26,7 +26,6 @@ use logdep::durable::{
 use logdep::health::PipelineConfig;
 use logdep::window::WindowOutcome;
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
-use logdep_par::ParConfig;
 use logdep_sim::SimConfig;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -175,12 +174,7 @@ fn main() {
         wb.out.store.len()
     );
 
-    let cfg = PipelineConfig {
-        l1: Some(wb.l1_config()),
-        l2: Some(wb.l2_config()),
-        l3: Some(wb.l3_config()),
-        par: ParConfig::default(),
-    };
+    let cfg = wb.pipeline_config();
     let plan = DailyPlan {
         start_day: 0,
         window_days,

@@ -17,7 +17,7 @@
 //! `--smoke` runs a one-day, low-scale variant with hard assertions
 //! (nonzero quarantine, complete model) for CI.
 
-use logdep::health::{run_pipeline, PipelineConfig, PipelineOutcome};
+use logdep::health::{run_pipeline, PipelineOutcome};
 use logdep::model::{diff_app_service, diff_pairs, AppServiceModel, PairModel};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
 use logdep_faults::{inject, FaultConfig};
@@ -25,7 +25,6 @@ use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, Millis, SourceId};
-use logdep_par::ParConfig;
 use serde::Serialize;
 
 #[derive(Serialize, Clone, Copy, PartialEq, Debug)]
@@ -179,15 +178,6 @@ fn score_outcome(
     (l1, l2, l3, ens)
 }
 
-fn pipeline_config(wb: &Workbench) -> PipelineConfig {
-    PipelineConfig {
-        l1: Some(wb.l1_config()),
-        l2: Some(wb.l2_config()),
-        l3: Some(wb.l3_config()),
-        par: ParConfig::default(),
-    }
-}
-
 fn main() {
     let mut seed = DEFAULT_SEED;
     let mut scale = 0.5f64;
@@ -221,7 +211,7 @@ fn main() {
     }
     let wb = Workbench::from_config(&cfg);
     let range = TimeRange::new(Millis(0), Millis::from_days(wb.days as i64));
-    let pcfg = pipeline_config(&wb);
+    let pcfg = wb.pipeline_config();
 
     // Clean baseline: the pristine store re-read through the same
     // serialize → resilient-ingest path the sweep uses. The simulator

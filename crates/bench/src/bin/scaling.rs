@@ -145,10 +145,8 @@ fn main() {
     for threads in SWEEP {
         let par = ParConfig::with_threads(threads).expect("sweep widths are >= 1");
         let pcfg = PipelineConfig {
-            l1: Some(wb.l1_config()),
-            l2: Some(wb.l2_config()),
-            l3: Some(wb.l3_config()),
             par,
+            ..wb.pipeline_config()
         };
         let start = Instant::now();
         let out = run_pipeline(

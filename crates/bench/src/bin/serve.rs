@@ -12,10 +12,8 @@
 //! smoke. Emits `BENCH_serve.json` under `target/experiments/` and at
 //! the repository root (the committed evidence artifact).
 
-use logdep::health::PipelineConfig;
 use logdep::{DailyPlan, EvidenceCache};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
-use logdep_par::ParConfig;
 use logdep_serve::{HttpClient, ModelIndex, ServeConfig, Server, ServerHandle};
 use logdep_sim::SimConfig;
 use serde::Serialize;
@@ -47,12 +45,7 @@ struct Report {
 }
 
 fn build_index(wb: &Workbench, steps: u64, generation: u64) -> ModelIndex {
-    let cfg = PipelineConfig {
-        l1: Some(wb.l1_config()),
-        l2: Some(wb.l2_config()),
-        l3: Some(wb.l3_config()),
-        par: ParConfig::default(),
-    };
+    let cfg = wb.pipeline_config();
     let plan = DailyPlan {
         start_day: 0,
         window_days: 1,
