@@ -537,7 +537,7 @@ pub fn templates(args: &Args, out: &mut dyn Write) -> CmdResult {
         .records()
         .iter()
         .filter(|r| r.source == source)
-        .map(|r| r.text.as_str())
+        .map(|r| store.text(r))
         .collect();
     let support = args.parsed_or("support", 10)?;
     let cfg = ClusterConfig {

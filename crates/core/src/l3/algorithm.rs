@@ -2,7 +2,7 @@
 
 use crate::model::AppServiceModel;
 use logdep_logstore::time::TimeRange;
-use logdep_logstore::{LogRecord, LogStore, SourceId};
+use logdep_logstore::{LogStore, SourceId, StoredRecord};
 use logdep_par::{par_chunks_fold, ParConfig};
 use logdep_textmatch::{MatchMode, MatcherBuilder, StopPatterns};
 use serde::{Deserialize, Serialize};
@@ -113,13 +113,14 @@ pub fn run_l3_pool(
         par,
         records,
         ScanShard::default,
-        |mut shard: ScanShard, rec: &LogRecord| {
-            if !stops.is_empty() && stops.matches(&rec.text) {
+        |mut shard: ScanShard, rec: &StoredRecord| {
+            let text = store.text(rec);
+            if !stops.is_empty() && stops.matches(text) {
                 shard.stopped += 1;
                 return shard;
             }
             shard.scanned += 1;
-            for svc in matcher.matched_ids(&rec.text) {
+            for svc in matcher.matched_ids(text) {
                 *shard.citations.entry((rec.source, svc)).or_insert(0) += 1;
             }
             shard

@@ -270,7 +270,7 @@ pub fn run_l3_windowed_cached(
         for rec in records {
             digest.push_i64(rec.client_ts.0);
             digest.push_u64(u64::from(rec.source.0));
-            digest.push_str(&rec.text);
+            digest.push_str(store.text(rec));
         }
         let key = EvidenceKey {
             fingerprint: fp,

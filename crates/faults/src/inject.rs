@@ -126,7 +126,7 @@ pub fn inject_records(store: &LogStore, cfg: &FaultConfig) -> (Vec<LogRecord>, F
         if jitter != 0 {
             ledger.jittered += 1;
         }
-        let mut out = rec.clone();
+        let mut out = rec.to_record(store);
         let offset = skew.get(out.source.index()).copied().unwrap_or(0);
         out.client_ts = Millis(t + offset + jitter);
         let duplicate =
@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(parsed.len(), s.len());
         for (x, y) in s.records().iter().zip(parsed.records()) {
             assert_eq!(x.client_ts, y.client_ts);
-            assert_eq!(x.text, y.text);
+            assert_eq!(s.text(x), parsed.text(y));
         }
     }
 

@@ -10,7 +10,7 @@
 //! `user`/`host` are `-` when absent; tabs and newlines inside `text`
 //! are escaped (`\t`, `\n`, and `\\` for a backslash).
 
-use crate::record::{LogRecord, Severity};
+use crate::record::{LogRecord, Severity, StoredRecord, TextSpan};
 use crate::registry::NameRegistry;
 use crate::store::LogStore;
 use crate::time::Millis;
@@ -39,6 +39,16 @@ fn unescape(text: &str) -> Cow<'_, str> {
         return Cow::Borrowed(text);
     }
     let mut out = String::with_capacity(text.len());
+    unescape_into(text, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends the unescaped `text` to `out` (see [`unescape`]).
+pub(crate) fn unescape_into(text: &str, out: &mut String) {
+    if !text.contains('\\') {
+        out.push_str(text);
+        return;
+    }
     let mut chars = text.chars();
     while let Some(c) = chars.next() {
         if c == '\\' {
@@ -57,7 +67,6 @@ fn unescape(text: &str) -> Cow<'_, str> {
             out.push(c);
         }
     }
-    Cow::Owned(out)
 }
 
 /// Writes one record as a TSV line (including the trailing newline).
@@ -66,31 +75,42 @@ pub fn write_record<W: Write>(
     record: &LogRecord,
     registry: &NameRegistry,
 ) -> io::Result<()> {
-    let user = record
-        .user
+    let fields = StoredRecord::new(record, TextSpan::default());
+    write_row(w, &fields, &record.text, registry)
+}
+
+/// Writes `row`'s fields and `text` as one TSV line.
+fn write_row<W: Write>(
+    w: &mut W,
+    row: &StoredRecord,
+    text: &str,
+    registry: &NameRegistry,
+) -> io::Result<()> {
+    let user = row
+        .user()
         .and_then(|u| registry.users.name(u.0))
         .unwrap_or("-");
-    let host = record
-        .host
+    let host = row
+        .host()
         .and_then(|h| registry.hosts.name(h.0))
         .unwrap_or("-");
     writeln!(
         w,
         "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        record.client_ts.as_millis(),
-        record.server_ts.as_millis(),
-        escape(registry.source_name(record.source)),
+        row.client_ts.as_millis(),
+        row.server_ts.as_millis(),
+        escape(registry.source_name(row.source)),
         escape(user),
         escape(host),
-        record.severity.tag(),
-        escape(&record.text),
+        row.severity.tag(),
+        escape(text),
     )
 }
 
 /// Writes a whole store as TSV.
 pub fn write_store<W: Write>(w: &mut W, store: &LogStore) -> io::Result<()> {
-    for record in store.records() {
-        write_record(w, record, &store.registry)?;
+    for row in store.records() {
+        write_row(w, row, store.text(row), &store.registry)?;
     }
     Ok(())
 }
@@ -124,10 +144,23 @@ impl std::error::Error for ParseError {}
 /// Parses one TSV line into a record, interning names into `registry`.
 ///
 /// The fields are slices of `line`, and a field is unescaped into a new
-/// string only when it holds a backslash, so a record costs one
-/// allocation: its text. Names are interned before the severity is
-/// checked, so a line with a bad tag still registers its names.
+/// string only when it holds a backslash, so the record's one allocation
+/// is its text. Names are interned before the severity is checked, so a
+/// line with a bad tag still registers its names. The ingest readers
+/// skip even that allocation: they unescape the text straight into the
+/// store's text arena ([`crate::LogStore::text`]).
 pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord, ParseError> {
+    let (mut record, text) = parse_fields(line, registry)?;
+    record.text = unescape(text).into_owned();
+    Ok(record)
+}
+
+/// [`parse_record`] up to the text: the record with an empty `text`
+/// (which allocates nothing), and the text field still escaped.
+pub(crate) fn parse_fields<'a>(
+    line: &'a str,
+    registry: &mut NameRegistry,
+) -> Result<(LogRecord, &'a str), ParseError> {
     let mut parts = line.splitn(7, '\t');
     let mut fields = [""; 7];
     for (n, field) in fields.iter_mut().enumerate() {
@@ -153,15 +186,16 @@ pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord
     };
     let severity =
         Severity::from_tag(severity).ok_or_else(|| ParseError::BadSeverity(severity.to_owned()))?;
-    Ok(LogRecord {
+    let record = LogRecord {
         client_ts,
         server_ts,
         source,
         user,
         host,
         severity,
-        text: unescape(text).into_owned(),
-    })
+        text: String::new(),
+    };
+    Ok((record, text))
 }
 
 /// The line loop both TSV readers share: reads into one reused byte
@@ -301,14 +335,17 @@ impl<'a> IntoIterator for &'a ParseErrors {
 /// few retained with their 1-based line number); parsing continues past
 /// them, mirroring how a real consolidation job must tolerate occasional
 /// corrupt lines. For quarantine budgets, repair and dedup, see
-/// [`crate::ingest`].
+/// [`crate::ingest`]. Fails with an I/O error wrapping
+/// [`crate::StoreFull`] when the text would pass the store's 4 GiB arena.
 pub fn read_store<R: BufRead>(r: R) -> io::Result<(LogStore, ParseErrors)> {
     let mut store = LogStore::new();
     let mut errors = ParseErrors::new();
     let mut lines = Lines::new(r);
     while let Some((lineno, line)) = lines.next_line()? {
-        match line.and_then(|line| parse_record(line, &mut store.registry)) {
-            Ok(rec) => store.push(rec),
+        match line.and_then(|line| parse_fields(line, &mut store.registry)) {
+            Ok((fields, text)) => store
+                .push_with_text(&fields, |arena| unescape_into(text, arena))
+                .map_err(io::Error::other)?,
             Err(e) => errors.record(lineno, e),
         }
     }
@@ -353,7 +390,7 @@ mod tests {
         for (a, b) in original.records().iter().zip(parsed.records()) {
             assert_eq!(a.client_ts, b.client_ts);
             assert_eq!(a.severity, b.severity);
-            assert_eq!(a.text, b.text);
+            assert_eq!(original.text(a), parsed.text(b));
             assert_eq!(
                 original.registry.source_name(a.source),
                 parsed.registry.source_name(b.source)
@@ -473,9 +510,9 @@ mod tests {
         let (parsed, _) = read_store(buf.as_slice()).unwrap();
         // AppB record (earliest, sorts first) had no user/host.
         let r = &parsed.records()[0];
-        assert!(r.user.is_none() && r.host.is_none());
+        assert!(r.user().is_none() && r.host().is_none());
         // AppA record kept them.
         let r = &parsed.records()[1];
-        assert!(r.user.is_some() && r.host.is_some());
+        assert!(r.user().is_some() && r.host().is_some());
     }
 }

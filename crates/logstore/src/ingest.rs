@@ -10,10 +10,11 @@
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
 //! machine-readable [`IngestReport`].
 
-use crate::codec::{parse_record, Lines, ParseErrors};
-use crate::record::LogRecord;
-use crate::registry::{Interner, NameRegistry};
+use crate::codec::{parse_fields, unescape_into, Lines, ParseErrors};
+use crate::record::{StoreFull, StoredRecord, TextSpan};
+use crate::registry::{HostId, Interner, NameRegistry, SourceId, UserId};
 use crate::store::LogStore;
+use crate::time::Millis;
 use logdep_par::ParConfig;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -141,6 +142,8 @@ pub enum IngestError {
         /// The policy's `max_error_fraction`.
         max_fraction: f64,
     },
+    /// The stream's text would pass the store's 4 GiB arena.
+    StoreFull,
 }
 
 impl std::fmt::Display for IngestError {
@@ -157,6 +160,7 @@ impl std::fmt::Display for IngestError {
                  (limit {:.0}%) — wrong file or unsupported format?",
                 max_fraction * 100.0
             ),
+            IngestError::StoreFull => write!(f, "ingest: {StoreFull}"),
         }
     }
 }
@@ -165,7 +169,7 @@ impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IngestError::Io(e) => Some(e),
-            IngestError::ErrorBudgetExceeded { .. } => None,
+            IngestError::ErrorBudgetExceeded { .. } | IngestError::StoreFull => None,
         }
     }
 }
@@ -173,6 +177,12 @@ impl std::error::Error for IngestError {
 impl From<io::Error> for IngestError {
     fn from(e: io::Error) -> Self {
         IngestError::Io(e)
+    }
+}
+
+impl From<StoreFull> for IngestError {
+    fn from(_: StoreFull) -> Self {
+        IngestError::StoreFull
     }
 }
 
@@ -189,7 +199,14 @@ impl From<io::Error> for IngestError {
 /// At `policy.par` width 1 this is one loop on the calling thread.
 /// Wider, the stream is parsed in blocks on the worker pool and merged
 /// in stream order; the store, the report and any error are the same
-/// byte for byte at every width.
+/// byte for byte at every width. (One exception: a stream whose text
+/// passes the store's 4 GiB arena fails with [`IngestError::StoreFull`],
+/// but where a budget trip falls in the same block as that overflow the
+/// block pass may report either.)
+///
+/// Each record's text is unescaped straight into the store's text
+/// arena (into a block-local one, appended in order, when wider), so
+/// no record costs an allocation of its own.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
@@ -210,11 +227,13 @@ fn read_serial<R: BufRead>(
     let mut lines = Lines::new(r);
     while let Some((lineno, line)) = lines.next_line()? {
         pass.report.total_lines += 1;
-        match line.and_then(|line| parse_record(line, &mut pass.store.registry)) {
-            Ok(rec) => {
+        match line.and_then(|line| parse_fields(line, &mut pass.store.registry)) {
+            Ok((fields, text)) => {
                 pass.report.parsed += 1;
-                pass.arrivals.observe(&rec);
-                pass.store.push(rec);
+                pass.arrivals
+                    .observe(fields.client_ts, fields.server_ts, fields.source);
+                pass.store
+                    .push_with_text(&fields, |arena| unescape_into(text, arena))?;
             }
             Err(e) => pass.errors.record(lineno, e),
         }
@@ -253,7 +272,7 @@ impl Pass {
     fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
         self.check_block_budget(block, policy)?;
         self.report.total_lines += block.lines;
-        self.report.parsed += block.records.len();
+        self.report.parsed += block.rows.len();
         self.errors
             .append(std::mem::take(&mut block.errors), self.lines_read);
         self.lines_read += block.line_count;
@@ -262,17 +281,17 @@ impl Pass {
         let sources = reintern(&block.registry.sources, &mut registry.sources);
         let users = reintern(&block.registry.users, &mut registry.users);
         let hosts = reintern(&block.registry.hosts, &mut registry.hosts);
-        for rec in &mut block.records {
-            rec.source.0 = translate(&sources, rec.source.0);
-            if let Some(user) = rec.user.as_mut() {
-                user.0 = translate(&users, user.0);
-            }
-            if let Some(host) = rec.host.as_mut() {
-                host.0 = translate(&hosts, host.0);
-            }
-            self.arrivals.observe(rec);
+        for row in &mut block.rows {
+            *row = row.with_ids(
+                SourceId(translate(&sources, row.source.0)),
+                row.user().map(|u| UserId(translate(&users, u.0))),
+                row.host().map(|h| HostId(translate(&hosts, h.0))),
+            );
+            self.arrivals
+                .observe(row.client_ts, row.server_ts, row.source);
         }
-        self.store.extend(block.records.drain(..));
+        self.store.append_rows(block.rows.drain(..), &block.arena)?;
+        block.arena.clear();
         Ok(())
     }
 
@@ -344,19 +363,19 @@ struct Arrivals {
 
 impl Arrivals {
     /// Observes the next parsed record, in stream order.
-    fn observe(&mut self, rec: &LogRecord) {
-        let ts = rec.client_ts.as_millis();
+    fn observe(&mut self, client_ts: Millis, server_ts: Millis, source: SourceId) {
+        let ts = client_ts.as_millis();
         if self.last_seen_ts.is_some_and(|prev| ts < prev) {
             self.out_of_order += 1;
         }
         self.last_seen_ts = Some(self.last_seen_ts.map_or(ts, |prev| prev.max(ts)));
-        let idx = rec.source.index();
+        let idx = source.index();
         if self.skew_samples.len() <= idx {
             self.skew_samples.resize_with(idx + 1, Vec::new);
         }
         if let Some(samples) = self.skew_samples.get_mut(idx) {
             if samples.len() < SKEW_SAMPLE_CAP {
-                samples.push(rec.client_ts - rec.server_ts);
+                samples.push(client_ts - server_ts);
             }
         }
     }
@@ -379,7 +398,9 @@ fn translate(map: &[u32], id: u32) -> u32 {
 struct Parsed {
     registry: NameRegistry,
     /// The block's records in line order, with block-local ids.
-    records: Vec<LogRecord>,
+    rows: Vec<StoredRecord>,
+    /// The rows' texts; their spans address this block-local arena.
+    arena: String,
     /// Failures, numbered by line within the block.
     errors: ParseErrors,
     /// Where each failure fell among the block's non-empty lines (1-based).
@@ -390,9 +411,14 @@ struct Parsed {
     line_count: usize,
 }
 
-/// Runs the serial kernel — [`Lines`] and [`parse_record`] — over one
-/// block, appending to the recycled `records`.
-fn parse_block(block: &[u8], mut records: Vec<LogRecord>, sample_cap: usize) -> io::Result<Parsed> {
+/// Runs the serial kernel — [`Lines`] and [`parse_fields`] — over one
+/// block, appending to the recycled `rows` and `arena`.
+fn parse_block(
+    block: &[u8],
+    mut rows: Vec<StoredRecord>,
+    mut arena: String,
+    sample_cap: usize,
+) -> Result<Parsed, IngestError> {
     let mut registry = NameRegistry::new();
     let mut errors = ParseErrors::with_cap(sample_cap);
     let mut failed_at = Vec::new();
@@ -400,8 +426,11 @@ fn parse_block(block: &[u8], mut records: Vec<LogRecord>, sample_cap: usize) -> 
     let mut reader = Lines::new(block);
     while let Some((lineno, line)) = reader.next_line()? {
         lines += 1;
-        match line.and_then(|line| parse_record(line, &mut registry)) {
-            Ok(rec) => records.push(rec),
+        match line.and_then(|line| parse_fields(line, &mut registry)) {
+            Ok((fields, text)) => {
+                let span = TextSpan::append(&mut arena, |a| unescape_into(text, a))?;
+                rows.push(StoredRecord::new(&fields, span));
+            }
             Err(e) => {
                 errors.record(lineno, e);
                 failed_at.push(lines);
@@ -410,7 +439,8 @@ fn parse_block(block: &[u8], mut records: Vec<LogRecord>, sample_cap: usize) -> 
     }
     Ok(Parsed {
         registry,
-        records,
+        rows,
+        arena,
         errors,
         failed_at,
         lines,
@@ -442,17 +472,18 @@ fn fill_block<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, block_bytes: usize) -> i
     Ok(())
 }
 
-/// A block on its way to a worker: the bytes, and an empty record
-/// buffer to parse into. Both come back with the result for reuse.
+/// A block on its way to a worker: the bytes, and empty row and text
+/// buffers to parse into. All come back with the result for reuse.
 struct Job {
     bytes: Vec<u8>,
-    records: Vec<LogRecord>,
+    rows: Vec<StoredRecord>,
+    arena: String,
 }
 
 /// A worker's answer for one block.
 struct Done {
     bytes: Vec<u8>,
-    parsed: io::Result<Parsed>,
+    parsed: Result<Parsed, IngestError>,
 }
 
 /// One persistent worker's two channels.
@@ -468,8 +499,8 @@ struct Worker {
 /// Block `k` goes to worker `k % threads` and each worker answers in
 /// the order it was given work, so the merge reads block `k`'s result
 /// from that worker's channel with no reorder buffer. At most
-/// [`BLOCKS_PER_WORKER`] blocks per worker are in flight; their byte
-/// and record buffers are recycled, so memory beyond the store is
+/// [`BLOCKS_PER_WORKER`] blocks per worker are in flight; their byte,
+/// row and text buffers are recycled, so memory beyond the store is
 /// bounded by the block size, not the stream.
 fn read_blocks<R: BufRead>(
     mut r: R,
@@ -486,8 +517,8 @@ fn read_blocks<R: BufRead>(
             let (jobs, job_rx) = mpsc::channel::<Job>();
             let (done_tx, done) = mpsc::channel::<Done>();
             handles.push(s.spawn(move || {
-                for Job { bytes, records } in job_rx {
-                    let parsed = parse_block(&bytes, records, sample_cap);
+                for Job { bytes, rows, arena } in job_rx {
+                    let parsed = parse_block(&bytes, rows, arena, sample_cap);
                     if done_tx.send(Done { bytes, parsed }).is_err() {
                         return;
                     }
@@ -523,13 +554,13 @@ fn pump<R: BufRead>(
 ) -> Result<(), IngestError> {
     let stopped = || IngestError::Io(io::Error::other("an ingest worker stopped"));
     let in_flight_cap = workers.len() * BLOCKS_PER_WORKER;
-    let mut free: Vec<(Vec<u8>, Vec<LogRecord>)> = Vec::with_capacity(in_flight_cap);
+    let mut free: Vec<(Vec<u8>, Vec<StoredRecord>, String)> = Vec::with_capacity(in_flight_cap);
     let (mut sent, mut merged) = (0usize, 0usize);
     let mut read_error = None;
     let mut eof = false;
     loop {
         while !eof && sent - merged < in_flight_cap {
-            let (mut bytes, records) = free.pop().unwrap_or_default();
+            let (mut bytes, rows, arena) = free.pop().unwrap_or_default();
             if let Err(e) = fill_block(r, &mut bytes, block_bytes) {
                 let complete = bytes
                     .iter()
@@ -546,7 +577,7 @@ fn pump<R: BufRead>(
             let worker = workers.get(sent % workers.len()).ok_or_else(stopped)?;
             worker
                 .jobs
-                .send(Job { bytes, records })
+                .send(Job { bytes, rows, arena })
                 .map_err(|_| stopped())?;
             sent += 1;
         }
@@ -558,7 +589,7 @@ fn pump<R: BufRead>(
         merged += 1;
         let mut parsed = parsed?;
         pass.absorb(&mut parsed, policy)?;
-        free.push((bytes, parsed.records));
+        free.push((bytes, parsed.rows, parsed.arena));
     }
     match read_error {
         Some(e) => Err(IngestError::Io(e)),
@@ -638,7 +669,10 @@ pub fn load_logs(
         reports.push((path.to_owned(), report));
         match merged.as_mut() {
             None => merged = Some(store),
-            Some(m) => m.merge(store),
+            Some(m) => m.merge(store).map_err(|full| LoadError::Ingest {
+                path: path.to_owned(),
+                error: full.into(),
+            })?,
         }
     }
     let mut store = merged.ok_or(LoadError::NoFiles)?;
@@ -878,12 +912,14 @@ mod tests {
     }
 
     /// A pass in comparable form: the records, every id space's names
-    /// in id order and the report, or the failure.
+    /// in id order, the report and the bytes of text the store holds, or
+    /// the failure.
     #[derive(Debug, PartialEq)]
     enum Outcome {
-        Read(Vec<LogRecord>, [Vec<String>; 3], IngestReport),
+        Read(Vec<LogRecord>, [Vec<String>; 3], IngestReport, usize),
         Budget { lines: usize, quarantined: usize },
         Io(io::ErrorKind, String),
+        Full,
     }
 
     fn outcome(result: Result<(LogStore, IngestReport), IngestError>) -> Outcome {
@@ -896,12 +932,14 @@ mod tests {
                     names(&registry.users),
                     names(&registry.hosts),
                 ];
-                Outcome::Read(store.records().to_vec(), interned, report)
+                let records = store.records().iter().map(|r| r.to_record(&store));
+                Outcome::Read(records.collect(), interned, report, store.arena_bytes())
             }
             Err(IngestError::ErrorBudgetExceeded {
                 lines, quarantined, ..
             }) => Outcome::Budget { lines, quarantined },
             Err(IngestError::Io(e)) => Outcome::Io(e.kind(), e.to_string()),
+            Err(IngestError::StoreFull) => Outcome::Full,
         }
     }
 
@@ -947,7 +985,7 @@ mod tests {
         for policy in [IngestPolicy::default(), IngestPolicy::lenient()] {
             assert_blocks_match_serial(|| data.as_slice(), &policy, &[]);
         }
-        let Outcome::Read(_, names, report) =
+        let Outcome::Read(_, names, report, _) =
             assert_blocks_match_serial(|| data.as_slice(), &IngestPolicy::lenient(), &[])
         else {
             panic!("a lenient pass reads the stream");
@@ -965,7 +1003,7 @@ mod tests {
         // A block this long ends on the first line's `\r`; the reader
         // must run on to its `\n`, or the text would keep the `\r`.
         let first_cr = data.iter().position(|&b| b == b'\r').expect("a CR") + 1;
-        let Outcome::Read(records, _, report) =
+        let Outcome::Read(records, _, report, _) =
             assert_blocks_match_serial(|| data.as_slice(), &IngestPolicy::default(), &[first_cr])
         else {
             panic!("a clean stream reads");
@@ -1022,7 +1060,7 @@ mod tests {
             error_sample_cap: 4,
             ..IngestPolicy::lenient()
         };
-        let Outcome::Read(_, _, report) =
+        let Outcome::Read(_, _, report, _) =
             assert_blocks_match_serial(|| data.as_bytes(), &policy, &[])
         else {
             panic!("a lenient pass reads the stream");
@@ -1040,7 +1078,7 @@ mod tests {
         rows.extend(vec![(2_100, 2_000, "A", "late"); SKEW_SAMPLE_CAP + 500]);
         rows.push((3_000, 3_000, "B", "honest"));
         let data = tsv(&rows);
-        let Outcome::Read(_, _, report) =
+        let Outcome::Read(_, _, report, _) =
             assert_blocks_match_serial(|| data.as_bytes(), &IngestPolicy::default(), &[])
         else {
             panic!("a clean stream reads");
@@ -1107,7 +1145,7 @@ mod tests {
                 let kind = match assert_blocks_match_serial(input, policy, &[]) {
                     Outcome::Read(..) => 0,
                     Outcome::Budget { .. } => 1,
-                    Outcome::Io(..) => 2,
+                    Outcome::Io(..) | Outcome::Full => 2,
                 };
                 seen[kind] = true;
             }

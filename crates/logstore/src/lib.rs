@@ -12,9 +12,10 @@
 //!   reconstruction);
 //! * everything else is **free text** (consumed only by technique L3).
 //!
-//! The [`store::LogStore`] keeps records sorted by client timestamp and
-//! maintains per-source timestamp indexes so the L1 primitive — distance
-//! to the nearest log of another source — is a binary search.
+//! The [`store::LogStore`] keeps records sorted by client timestamp, as
+//! fixed-width [`StoredRecord`] rows over one text arena, and maintains
+//! per-source timestamp indexes so the L1 primitive — distance to the
+//! nearest log of another source — is a binary search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ pub mod timeline;
 pub use ingest::{
     load_logs, read_store_resilient, IngestError, IngestPolicy, IngestReport, LoadError,
 };
-pub use record::{LogRecord, Severity};
+pub use record::{LogRecord, Severity, StoreFull, StoredRecord};
 pub use registry::{HostId, NameRegistry, SourceId, UserId};
 pub use store::LogStore;
 pub use time::Millis;

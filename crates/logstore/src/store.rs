@@ -5,9 +5,14 @@
 //! miners use, §4.2) with per-source timestamp indexes built lazily on
 //! finalize. All range queries are binary searches returning slices —
 //! no copying on the hot mining paths.
+//!
+//! A record is stored as a fixed-width [`StoredRecord`] row, and every
+//! record's text lives in one `String` arena the row addresses by a
+//! `u32` span ([`LogStore::text`]), so the store costs two allocations
+//! whatever its record count.
 
-use crate::record::LogRecord;
-use crate::registry::{NameRegistry, SourceId};
+use crate::record::{LogRecord, StoreFull, StoredRecord, TextSpan};
+use crate::registry::{HostId, NameRegistry, SourceId, UserId};
 use crate::time::{Millis, TimeRange};
 use crate::timeline::Timeline;
 
@@ -15,7 +20,9 @@ use crate::timeline::Timeline;
 /// registry they were interned against.
 #[derive(Debug, Clone, Default)]
 pub struct LogStore {
-    records: Vec<LogRecord>,
+    records: Vec<StoredRecord>,
+    /// Every record's text, back to back; rows hold spans of it.
+    arena: String,
     /// Per-source sorted client timestamps; built by [`LogStore::finalize`].
     per_source: Vec<Timeline>,
     /// Name registry shared with producers.
@@ -40,16 +47,62 @@ impl LogStore {
         }
     }
 
-    /// Appends one record. Invalidates any previous finalization.
+    /// Appends one record, its text moved into the arena. Invalidates
+    /// any previous finalization.
+    ///
+    /// # Panics
+    /// When the store's text would pass 4 GiB ([`StoreFull`]). Ingest
+    /// and [`LogStore::merge`] return that error instead.
     pub fn push(&mut self, record: LogRecord) {
-        self.finalized = false;
-        self.records.push(record);
+        let pushed = self.push_with_text(&record, |arena| arena.push_str(&record.text));
+        assert!(pushed.is_ok(), "LogStore::push: {StoreFull}");
     }
 
-    /// Appends many records.
+    /// Appends many records (see [`LogStore::push`]).
     pub fn extend(&mut self, records: impl IntoIterator<Item = LogRecord>) {
+        for record in records {
+            self.push(record);
+        }
+    }
+
+    /// Appends a row with `fields`' fields (its `text` is ignored) and
+    /// the text `write` writes straight into the arena.
+    pub(crate) fn push_with_text(
+        &mut self,
+        fields: &LogRecord,
+        write: impl FnOnce(&mut String),
+    ) -> Result<(), StoreFull> {
         self.finalized = false;
-        self.records.extend(records);
+        let span = TextSpan::append(&mut self.arena, write)?;
+        self.records.push(StoredRecord::new(fields, span));
+        Ok(())
+    }
+
+    /// Appends rows whose spans address `arena`, which is appended to
+    /// this store's arena, the spans moved along with it.
+    pub(crate) fn append_rows(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = StoredRecord>,
+        arena: &str,
+    ) -> Result<(), StoreFull> {
+        self.finalized = false;
+        let base = TextSpan::append(&mut self.arena, |a| a.push_str(arena))?.start;
+        self.records.reserve(rows.len());
+        for row in rows {
+            self.records.push(row.rebased(base).ok_or(StoreFull)?);
+        }
+        Ok(())
+    }
+
+    /// The text of `record`, a row of this store.
+    pub fn text(&self, record: &StoredRecord) -> &str {
+        self.arena.get(record.span().range()).unwrap_or_default()
+    }
+
+    /// Bytes of text held, duplicates dropped by dedup included.
+    #[cfg(test)]
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.arena.len()
     }
 
     /// Sorts by client timestamp and (re)builds the per-source indexes.
@@ -61,24 +114,12 @@ impl LogStore {
         if self.finalized {
             return;
         }
-        self.records
-            .sort_by_key(|r| (r.client_ts, r.source, r.server_ts));
+        sort_rows(&mut self.records);
         if self.pending_dedup {
             self.dedup_sorted();
             self.pending_dedup = false;
         }
-        let n_sources = self.registry.source_count().max(
-            self.records
-                .iter()
-                .map(|r| r.source.index() + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        let mut buckets: Vec<Vec<Millis>> = vec![Vec::new(); n_sources];
-        for r in &self.records {
-            buckets[r.source.index()].push(r.client_ts);
-        }
-        self.per_source = buckets.into_iter().map(Timeline::from_sorted).collect();
+        self.per_source = timelines(&self.records, self.registry.source_count());
         self.finalized = true;
     }
 
@@ -100,17 +141,19 @@ impl LogStore {
     /// `(client_ts, source)` key form a contiguous run, and runs are
     /// small, so the scan within a run stays cheap.
     ///
-    /// Compacts in place: `records[..kept]` is the deduplicated prefix,
-    /// each survivor is swapped down to `kept`, and the duplicates left
-    /// behind the read position are dropped by the final truncate.
+    /// Compacts in place: `records[..kept]` is the deduplicated prefix
+    /// and each survivor is copied down to `kept`. Texts compare through
+    /// the arena; a dropped duplicate's text stays there unaddressed.
     fn dedup_sorted(&mut self) {
+        let Self { records, arena, .. } = self;
+        let text = |r: &StoredRecord| arena.get(r.span().range()).unwrap_or_default();
         let mut kept = 0usize;
         let mut run_start = 0usize;
-        for read in 0..self.records.len() {
-            let (done, rest) = self.records.split_at(read);
-            let (Some(out), Some(rec)) = (done.get(..kept), rest.first()) else {
+        for read in 0..records.len() {
+            let Some(&rec) = records.get(read) else {
                 break;
             };
+            let out = records.get(..kept).unwrap_or_default();
             let same_run = out
                 .last()
                 .is_some_and(|l| (l.client_ts, l.source) == (rec.client_ts, rec.source));
@@ -118,15 +161,17 @@ impl LogStore {
                 run_start = kept;
             } else if out
                 .get(run_start..)
-                .is_some_and(|run| run.iter().any(|r| r.text == rec.text))
+                .is_some_and(|run| run.iter().any(|r| text(r) == text(&rec)))
             {
                 // Exact duplicate within the run: drop it.
                 continue;
             }
-            self.records.swap(kept, read);
+            if let Some(slot) = records.get_mut(kept) {
+                *slot = rec;
+            }
             kept += 1;
         }
-        self.records.truncate(kept);
+        records.truncate(kept);
     }
 
     /// Total number of records.
@@ -140,13 +185,13 @@ impl LogStore {
     }
 
     /// All records, sorted by client timestamp. Panics if not finalized.
-    pub fn records(&self) -> &[LogRecord] {
+    pub fn records(&self) -> &[StoredRecord] {
         self.assert_finalized();
         &self.records
     }
 
     /// Records whose client timestamp lies in `range`.
-    pub fn range(&self, range: TimeRange) -> &[LogRecord] {
+    pub fn range(&self, range: TimeRange) -> &[StoredRecord] {
         self.assert_finalized();
         let lo = self.records.partition_point(|r| r.client_ts < range.start);
         let hi = self.records.partition_point(|r| r.client_ts < range.end);
@@ -192,48 +237,106 @@ impl LogStore {
     /// Merges another store into this one, translating the other
     /// store's interned ids into this registry — the *consolidation*
     /// step of §5 ("collection of logging data from decentralized
-    /// storage locations"). The other store's records move over, text
-    /// and all, without a copy. Invalidates finalization; the next
+    /// storage locations"). The other store's rows move over and its
+    /// arena is appended to this one. An id the other registry never
+    /// interned maps to `<unknown-source>`, `<unknown-user>` or
+    /// `<unknown-host>`. Invalidates finalization; the next
     /// [`LogStore::finalize`] removes exact duplicates so merging the
     /// same stream twice is idempotent.
-    pub fn merge(&mut self, other: LogStore) {
+    ///
+    /// Fails, leaving this store as it was, when the merged text would
+    /// pass 4 GiB.
+    pub fn merge(&mut self, other: LogStore) -> Result<(), StoreFull> {
+        let LogStore {
+            records,
+            arena,
+            registry,
+            ..
+        } = other;
+        let base = TextSpan::append(&mut self.arena, |a| a.push_str(&arena))?.start;
+        drop(arena);
         self.finalized = false;
         self.pending_dedup = true;
-        let LogStore {
-            records, registry, ..
-        } = other;
         // Dense translation tables, filled lazily.
         let mut src_map: Vec<Option<SourceId>> = vec![None; registry.sources.len()];
-        let mut user_map: Vec<Option<crate::registry::UserId>> = vec![None; registry.users.len()];
-        let mut host_map: Vec<Option<crate::registry::HostId>> = vec![None; registry.hosts.len()];
+        let mut user_map: Vec<Option<UserId>> = vec![None; registry.users.len()];
+        let mut host_map: Vec<Option<HostId>> = vec![None; registry.hosts.len()];
         self.records.reserve(records.len());
-        for r in records {
-            let source = *src_map[r.source.index()]
-                .get_or_insert_with(|| self.registry.source(registry.source_name(r.source)));
-            let user = r.user.map(|u| {
-                *user_map[u.index()].get_or_insert_with(|| {
-                    self.registry
-                        .user(registry.users.name(u.0).unwrap_or("<unknown-user>"))
+        for row in records {
+            let source = cached(&mut src_map, row.source.0, || {
+                self.registry.source(registry.source_name(row.source))
+            });
+            let user = row.user().map(|u| {
+                cached(&mut user_map, u.0, || {
+                    let name = registry.users.name(u.0);
+                    self.registry.user(name.unwrap_or("<unknown-user>"))
                 })
             });
-            let host = r.host.map(|h| {
-                *host_map[h.index()].get_or_insert_with(|| {
-                    self.registry
-                        .host(registry.hosts.name(h.0).unwrap_or("<unknown-host>"))
+            let host = row.host().map(|h| {
+                cached(&mut host_map, h.0, || {
+                    let name = registry.hosts.name(h.0);
+                    self.registry.host(name.unwrap_or("<unknown-host>"))
                 })
             });
-            self.records.push(LogRecord {
-                source,
-                user,
-                host,
-                ..r
-            });
+            // The whole arena fit above, so each of its spans rebases.
+            let row = row.rebased(base).ok_or(StoreFull)?;
+            self.records.push(row.with_ids(source, user, host));
         }
+        Ok(())
     }
 
     fn assert_finalized(&self) {
         assert!(self.finalized, "LogStore: call finalize() before querying");
     }
+}
+
+/// The translation of `id` through the lazily filled table `map`; an id
+/// past the table is resolved on every call.
+fn cached<T: Copy>(map: &mut [Option<T>], id: u32, resolve: impl FnOnce() -> T) -> T {
+    match map.get_mut(id as usize) {
+        Some(slot) => *slot.get_or_insert_with(resolve),
+        None => resolve(),
+    }
+}
+
+/// Sorts rows stably by `(client_ts, source, server_ts)`.
+///
+/// Shippers deliver in client-timestamp order, and then the stable sort
+/// only reorders each run of equal `client_ts` (every other pair is
+/// already in key order): sorting those runs in place gives the same
+/// permutation without the full sort's scratch buffer of half the rows.
+/// Any out-of-order arrival falls back to the full stable sort.
+fn sort_rows(rows: &mut [StoredRecord]) {
+    let key = |r: &StoredRecord| (r.client_ts, r.source, r.server_ts);
+    if rows.is_sorted_by_key(|r| r.client_ts) {
+        for run in rows.chunk_by_mut(|a, b| a.client_ts == b.client_ts) {
+            run.sort_by_key(key);
+        }
+    } else {
+        rows.sort_by_key(key);
+    }
+}
+
+/// One timeline per source id up to the larger of `registered` and the
+/// highest id in `rows`, each allocated at its exact length.
+fn timelines(rows: &[StoredRecord], registered: usize) -> Vec<Timeline> {
+    let mut counts = vec![0usize; registered];
+    for r in rows {
+        let idx = r.source.index();
+        if counts.len() <= idx {
+            counts.resize(idx + 1, 0);
+        }
+        if let Some(count) = counts.get_mut(idx) {
+            *count += 1;
+        }
+    }
+    let mut points: Vec<Vec<Millis>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for r in rows {
+        if let Some(source) = points.get_mut(r.source.index()) {
+            source.push(r.client_ts);
+        }
+    }
+    points.into_iter().map(Timeline::from_sorted).collect()
 }
 
 #[cfg(test)]
@@ -324,7 +427,7 @@ mod tests {
         b.push(LogRecord::minimal(app_x2, Millis(20)));
         b.finalize();
 
-        a.merge(b);
+        a.merge(b).expect("fits");
         a.finalize();
         assert_eq!(a.len(), 3);
         // X must unify: both X records share one source id in `a`.
@@ -335,7 +438,7 @@ mod tests {
         // User/host names survive the translation.
         let first = &a.records()[0];
         assert_eq!(first.client_ts, Millis(5));
-        let uname = a.registry.users.name(first.user.expect("user").0);
+        let uname = a.registry.users.name(first.user().expect("user").0);
         assert_eq!(uname, Some("alice"));
     }
 
@@ -351,19 +454,19 @@ mod tests {
         src.finalize();
 
         let mut once = LogStore::new();
-        once.merge(src.clone());
+        once.merge(src.clone()).expect("fits");
         once.finalize();
 
         let mut twice = LogStore::new();
-        twice.merge(src.clone());
-        twice.merge(src); // same file consolidated twice
+        twice.merge(src.clone()).expect("fits");
+        twice.merge(src).expect("fits"); // same file consolidated twice
         twice.finalize();
 
         assert_eq!(once.len(), twice.len(), "double ingest must not inflate");
         for (a, b) in once.records().iter().zip(twice.records()) {
             assert_eq!(
-                (a.client_ts, a.source, &a.text),
-                (b.client_ts, b.source, &b.text)
+                (a.client_ts, a.source, once.text(a)),
+                (b.client_ts, b.source, twice.text(b))
             );
         }
         // Distinct same-timestamp texts survive; msg@20 repeated in the
@@ -372,7 +475,7 @@ mod tests {
             .records()
             .iter()
             .filter(|r| r.client_ts == Millis(20))
-            .map(|r| r.text.as_str())
+            .map(|r| once.text(r))
             .collect();
         assert_eq!(texts, vec!["msg@20", "other@20"]);
     }
@@ -429,7 +532,7 @@ mod tests {
         let kept: Vec<(u32, i64, i64, &str)> = s
             .records()
             .iter()
-            .map(|r| (r.source.0, r.client_ts.0, r.server_ts.0, r.text.as_str()))
+            .map(|r| (r.source.0, r.client_ts.0, r.server_ts.0, s.text(r)))
             .collect();
         // Sorted by (client_ts, source, server_ts) first; within each
         // (client_ts, source) run the first copy of every text survives.
@@ -447,11 +550,114 @@ mod tests {
     }
 
     #[test]
+    fn merge_resolves_ids_its_registry_never_interned() {
+        let mut a = LogStore::new();
+        let app = a.registry.source("App");
+        a.push(LogRecord::minimal(app, Millis(0)).with_text("known"));
+        let mut b = LogStore::new();
+        b.push(
+            LogRecord::minimal(SourceId(3), Millis(1))
+                .with_user(UserId(5))
+                .with_host(HostId(9))
+                .with_text("foreign"),
+        );
+        b.push(LogRecord::minimal(SourceId(3), Millis(2)).with_user(UserId(5)));
+        a.merge(b).expect("fits");
+        a.finalize();
+        let unknown = a
+            .registry
+            .find_source("<unknown-source>")
+            .expect("fallback");
+        assert_eq!(a.timeline(unknown).len(), 2);
+        let rows = a.records();
+        assert_eq!(a.text(&rows[1]), "foreign");
+        let user = rows[1].user().expect("user kept");
+        let host = rows[1].host().expect("host kept");
+        assert_eq!(a.registry.users.name(user.0), Some("<unknown-user>"));
+        assert_eq!(a.registry.hosts.name(host.0), Some("<unknown-host>"));
+        assert_eq!(rows[2].user(), Some(user), "one fallback id per space");
+        assert_eq!(rows[2].host(), None);
+    }
+
+    #[test]
+    fn texts_survive_sorting_and_merging() {
+        let mut a = LogStore::new();
+        let app = a.registry.source("App");
+        a.push(LogRecord::minimal(app, Millis(30)).with_text("thirty"));
+        a.push(LogRecord::minimal(app, Millis(10)).with_text(""));
+        let mut b = LogStore::new();
+        let other = b.registry.source("Other");
+        b.push(LogRecord::minimal(other, Millis(20)).with_text("twenty\tescaped"));
+        a.merge(b).expect("fits");
+        a.finalize();
+        let owned: Vec<(i64, String)> = a
+            .records()
+            .iter()
+            .map(|r| r.to_record(&a))
+            .map(|r| (r.client_ts.0, r.text))
+            .collect();
+        assert_eq!(
+            owned,
+            vec![
+                (10, String::new()),
+                (20, "twenty\tescaped".to_owned()),
+                (30, "thirty".to_owned())
+            ]
+        );
+    }
+
+    #[test]
+    fn in_order_arrival_sorts_each_equal_timestamp_run() {
+        // Arrival order by client_ts, ties in reverse key order: the run
+        // sort must give the full stable sort's order.
+        let rows = [
+            (2, 1, 9),
+            (1, 1, 3),
+            (1, 1, 1),
+            (0, 1, 5),
+            (0, 2, 0),
+            (1, 3, 2),
+        ];
+        let mut s = LogStore::new();
+        for (src, client, server) in rows {
+            s.push(
+                LogRecord::minimal(SourceId(src), Millis(client)).with_server_ts(Millis(server)),
+            );
+        }
+        s.finalize();
+        let keys: Vec<(i64, u32, i64)> = s
+            .records()
+            .iter()
+            .map(|r| (r.client_ts.0, r.source.0, r.server_ts.0))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![
+                (1, 0, 5),
+                (1, 1, 1),
+                (1, 1, 3),
+                (1, 2, 9),
+                (2, 0, 0),
+                (3, 1, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn timelines_are_allocated_at_their_exact_length() {
+        let s = store_with(&[(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)]);
+        for (source, len) in [(0, 3), (1, 1), (2, 1)] {
+            let timeline = s.timeline(SourceId(source));
+            assert_eq!((timeline.len(), timeline.capacity()), (len, len));
+        }
+    }
+
+    #[test]
     fn merge_empty_stores() {
         let mut a = LogStore::new();
         let mut b = LogStore::new();
         b.finalize();
-        a.merge(b);
+        a.merge(b).expect("fits");
         a.finalize();
         assert!(a.is_empty());
     }

@@ -38,6 +38,12 @@ impl Timeline {
         Timeline { points }
     }
 
+    /// Allocated points, to check timelines are built at exact length.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.points.capacity()
+    }
+
     /// Number of timestamps.
     pub fn len(&self) -> usize {
         self.points.len()

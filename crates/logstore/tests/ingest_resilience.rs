@@ -63,7 +63,7 @@ proptest! {
                         r.client_ts.as_millis(),
                         s.registry.source_name(r.source).to_owned(),
                         r.server_ts.as_millis(),
-                        r.text.clone(),
+                        s.text(r).to_owned(),
                     )
                 })
                 .collect();

@@ -144,7 +144,7 @@ pub fn reconstruct_range(store: &LogStore, range: TimeRange, cfg: &SessionConfig
 }
 
 fn reconstruct_records<'a>(
-    records: impl Iterator<Item = &'a logdep_logstore::LogRecord>,
+    records: impl Iterator<Item = &'a logdep_logstore::StoredRecord>,
     cfg: &SessionConfig,
 ) -> SessionSet {
     let mut open: BTreeMap<(UserId, HostId), Session> = BTreeMap::new();
@@ -153,7 +153,7 @@ fn reconstruct_records<'a>(
 
     for rec in records {
         stats.total_logs += 1;
-        let (user, host) = match (rec.user, rec.host) {
+        let (user, host) = match (rec.user(), rec.host()) {
             (Some(u), Some(h)) => (u, h),
             _ => continue,
         };

@@ -734,7 +734,7 @@ mod tests {
         assert_eq!(a.store.len(), b.store.len());
         assert_eq!(a.stats, b.stats);
         for (x, y) in a.store.records().iter().zip(b.store.records()) {
-            assert_eq!(x, y);
+            assert_eq!(x.to_record(&a.store), y.to_record(&b.store));
         }
     }
 
@@ -824,7 +824,7 @@ mod tests {
             .records()
             .iter()
             .filter(|r| {
-                let lower = r.text.to_ascii_lowercase();
+                let lower = out.store.text(r).to_ascii_lowercase();
                 ids.iter()
                     .any(|id| lower.contains(&id.to_ascii_lowercase()))
             })

@@ -276,5 +276,8 @@ fn simulation_is_deterministic_across_processes() {
     let f = week();
     assert_eq!(f.out.store.len(), again.store.len());
     assert_eq!(f.out.truth, again.truth);
-    assert_eq!(f.out.store.records()[1000], again.store.records()[1000]);
+    assert_eq!(
+        f.out.store.records()[1000].to_record(&f.out.store),
+        again.store.records()[1000].to_record(&again.store)
+    );
 }

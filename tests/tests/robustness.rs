@@ -130,7 +130,7 @@ fn server_timestamps_are_worse_for_l2_than_client_timestamps() {
 
     let mut swapped = logdep_logstore::LogStore::with_registry(out.store.registry.clone());
     for r in out.store.records() {
-        let mut r2 = r.clone();
+        let mut r2 = r.to_record(&out.store);
         r2.client_ts = r.server_ts;
         swapped.push(r2);
     }
