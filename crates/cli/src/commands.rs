@@ -387,6 +387,15 @@ pub fn daily(args: &Args, out: &mut dyn Write) -> CmdResult {
 }
 
 fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
+    // Check where the store goes before the long ingest, not after it.
+    if let Some(cache_path) = args.optional("cache") {
+        let dir = std::path::Path::new(cache_path)
+            .parent()
+            .filter(|dir| !dir.as_os_str().is_empty());
+        if let Some(dir) = dir.filter(|dir| !dir.is_dir()) {
+            return Err(format!("flag --cache: directory {dir:?} does not exist").into());
+        }
+    }
     let store = load_logs(args, "logs")?;
     let plan = daily_plan(args)?;
     let resume: bool = args.parsed_or("resume", false)?;

@@ -873,6 +873,25 @@ fn wall_clock_flag_stamps_the_trace() {
 }
 
 #[test]
+fn daily_checks_the_cache_directory_before_reading_logs() {
+    let dir = TempDir::new("cache-dir");
+    let missing = dir.path("no-such-dir");
+    let cache = format!("{missing}/cache.ck");
+    // The logs are missing too: naming the directory proves the check
+    // ran before the ingest.
+    let logs = dir.path("no-such-logs.tsv");
+    let (code, out) = run(&["daily", "--logs", &logs, "--cache", &cache]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains(&format!(
+            "error: flag --cache: directory {missing:?} does not exist"
+        )),
+        "{out}"
+    );
+    assert!(!std::path::Path::new(&missing).exists());
+}
+
+#[test]
 fn day_flags_past_the_clock_are_flag_errors() {
     let dir = TempDir::new("day-range");
     let (logs, _) = simulated(&dir);

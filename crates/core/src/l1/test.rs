@@ -58,95 +58,21 @@ fn distances(a: &Timeline, mut points: Vec<Millis>, kind: DistanceKind) -> Vec<f
     raw.into_iter().map(|d| d as f64).collect()
 }
 
-/// Sorts a distance sample produced by the merge sweep. Distances of
-/// ascending query points form few monotone runs (a descending-then-
-/// ascending "V" between consecutive logs of `a`), so a natural
-/// bottom-up merge — reverse each descending run, then pairwise-merge
-/// adjacent runs — finishes in O(m log r) for r runs instead of the
-/// general O(m log m) comparison sort. Every value is a non-negative
-/// integer distance cast to f64 (finite, never NaN, never −0.0), so
-/// `<=` is a total order here and the output is bit-identical to
-/// `sort_by(total_cmp)`.
-fn sort_distance_runs(mut v: Vec<f64>) -> Vec<f64> {
-    let n = v.len();
-    if n < 2 {
-        return v;
-    }
-    // Pass 1: split into maximal monotone runs (run starts + final n),
-    // reversing strictly-descending runs in place so every run ascends.
-    let mut bounds = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let start = i;
-        i += 1;
-        if i < n && v[i] < v[i - 1] {
-            while i < n && v[i] < v[i - 1] {
-                i += 1;
-            }
-            v[start..i].reverse();
-        } else {
-            while i < n && v[i] >= v[i - 1] {
-                i += 1;
-            }
-        }
-        bounds.push(start);
-    }
-    bounds.push(n);
-
-    // Pass 2+: merge adjacent run pairs until a single run remains.
-    let mut src = v;
-    let mut dst: Vec<f64> = Vec::with_capacity(n);
-    while bounds.len() > 2 {
-        let mut next_bounds = Vec::with_capacity(bounds.len() / 2 + 2);
-        dst.clear();
-        let mut b = 0;
-        while b + 2 < bounds.len() {
-            next_bounds.push(dst.len());
-            merge_sorted_runs(
-                &src[bounds[b]..bounds[b + 1]],
-                &src[bounds[b + 1]..bounds[b + 2]],
-                &mut dst,
-            );
-            b += 2;
-        }
-        if b + 1 < bounds.len() {
-            // Odd run out: carry it to the next round unchanged.
-            next_bounds.push(dst.len());
-            dst.extend_from_slice(&src[bounds[b]..bounds[b + 1]]);
-        }
-        next_bounds.push(dst.len());
-        std::mem::swap(&mut src, &mut dst);
-        bounds = next_bounds;
-    }
-    src
-}
-
-/// Merges two ascending runs into `out` (finite values only).
-fn merge_sorted_runs(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 /// Builds the CI for a distance sample under the configured statistic.
 /// With `cfg.retain_dists` off the raw distances are dropped after the
 /// CI is computed, leaving a verdict-sized sample (the cached hot path;
 /// [`L1Config::validate`] rejects the combination with the rank-sum
 /// rule, which needs the raw values).
-fn summarize(dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
+fn summarize(mut dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
     if dists.len() < 10 {
         return None;
     }
-    let mut dists = sort_distance_runs(dists);
+    // The sweep's distances form a few monotone runs (a descending-then-
+    // ascending "V" between consecutive logs of `a`), which the stable
+    // sort detects and merges. Every value is a finite, non-negative
+    // integer distance, so the order is the unique ascending one.
+    // lint:allow(hot-sort) — std's run-adaptive stable sort beat the hand-written run merge it replaced on sweep output (2000 samples of 350 distances: 42.6 → 23.4 ms)
+    dists.sort_by(f64::total_cmp);
     let (center, lower, upper) = match cfg.stat {
         CenterStat::Median => {
             let ci = order_stats::median_ci_sorted(&dists, cfg.ci_level).ok()?;
@@ -386,24 +312,6 @@ mod tests {
         let mut s = Sampler::from_seed(9);
         let out = direction_test(&a, &b, hour(), &c, &mut s).expect("data");
         assert!(!out.positive, "rank-sum rule flagged an unrelated pair");
-    }
-
-    #[test]
-    fn run_sort_matches_general_sort() {
-        let cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![3.0],
-            vec![5.0, 1.0],
-            vec![9.0, 7.0, 3.0, 1.0, 0.0, 2.0, 4.0, 8.0], // one V
-            vec![1.0, 2.0, 3.0, 2.0, 1.0, 2.0, 3.0, 2.0], // zig-zag
-            vec![4.0, 4.0, 4.0, 1.0, 1.0, 9.0],           // ties
-            (0..100).map(|i| ((i * 37) % 41) as f64).collect(),
-        ];
-        for case in cases {
-            let mut expect = case.clone();
-            expect.sort_by(|a, b| a.total_cmp(b));
-            assert_eq!(sort_distance_runs(case.clone()), expect, "case {case:?}");
-        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Resilient consolidation: quarantine, repair, dedup and skew estimation.
 //!
-//! [`crate::codec::read_store`] tolerates malformed lines but applies no
-//! policy. This module is the hardened path a production consolidation
-//! job would use against hostile streams (see the `logdep-faults`
-//! injector): it enforces a bounded **error budget** so a mis-pointed
+//! This module holds the one TSV reader. [`crate::codec::read_store`]
+//! runs it with no policy: malformed lines are tolerated, nothing else.
+//! [`read_store_resilient`] is the hardened path a production
+//! consolidation job would use against hostile streams (see the
+//! `logdep-faults` injector): it enforces a bounded **error budget** so a mis-pointed
 //! ingest fails fast instead of silently quarantining half the data,
 //! repairs out-of-order delivery, absorbs at-least-once duplication, and
 //! estimates per-source clock skew from the client/server timestamp gap
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
 //! machine-readable [`IngestReport`].
 
-use crate::codec::{parse_fields, unescape_into, Lines, ParseErrors};
+use crate::codec::{lines, parse_fields, unescape_into, ParseError, ParseErrors};
 use crate::record::{StoreFull, StoredRecord, TextSpan};
 use crate::registry::{HostId, Interner, NameRegistry, SourceId, UserId};
 use crate::store::LogStore;
@@ -48,7 +49,7 @@ pub struct IngestPolicy {
     /// Remove exact duplicates — same `(client_ts, source, text)` — on
     /// finalize (at-least-once shippers retransmit whole batches).
     pub dedup: bool,
-    /// Parsing pool width; 1 reads on the calling thread. The result
+    /// Parsing pool width; 1 parses on the calling thread. The result
     /// does not depend on it.
     pub par: ParConfig,
 }
@@ -196,56 +197,41 @@ impl From<StoreFull> for IngestError {
 /// malformed line ([`crate::codec::ParseError::InvalidUtf8`]), so one
 /// bad shipper line cannot fail the whole pass.
 ///
-/// At `policy.par` width 1 this is one loop on the calling thread.
-/// Wider, the stream is parsed in blocks on the worker pool and merged
-/// in stream order; the store, the report and any error are the same
-/// byte for byte at every width. (One exception: a stream whose text
-/// passes the store's 4 GiB arena fails with [`IngestError::StoreFull`],
-/// but where a budget trip falls in the same block as that overflow the
-/// block pass may report either.)
+/// The stream is parsed in blocks and merged in stream order. At
+/// `policy.par` width 1 each block is parsed on the calling thread, and
+/// no thread is started; wider, on the worker pool. The store, the
+/// report and any error are the same byte for byte at every width and
+/// block size, and the same as a line-by-line loop's. (One exception: a
+/// stream whose text passes the store's 4 GiB arena fails with
+/// [`IngestError::StoreFull`], but where a budget trip falls in the same
+/// block as that overflow the pass may report either.)
 ///
-/// Each record's text is unescaped straight into the store's text
-/// arena (into a block-local one, appended in order, when wider), so
-/// no record costs an allocation of its own.
+/// Each record's text is unescaped straight into a block-local text
+/// arena, which the merge appends to the store's, so no record costs an
+/// allocation of its own.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
 ) -> Result<(LogStore, IngestReport), IngestError> {
-    if policy.par.is_serial() {
-        read_serial(r, policy)
-    } else {
-        read_blocks(r, policy, BLOCK_BYTES)
-    }
+    read_blocks(r, policy, BLOCK_BYTES)?.finish(policy)
 }
 
-/// The single-threaded pass: parse, observe and check each line in turn.
-fn read_serial<R: BufRead>(
-    r: R,
-    policy: &IngestPolicy,
-) -> Result<(LogStore, IngestReport), IngestError> {
-    let mut pass = Pass::new(policy);
-    let mut lines = Lines::new(r);
-    while let Some((lineno, line)) = lines.next_line()? {
-        pass.report.total_lines += 1;
-        match line.and_then(|line| parse_fields(line, &mut pass.store.registry)) {
-            Ok((fields, text)) => {
-                pass.report.parsed += 1;
-                pass.arrivals
-                    .observe(fields.client_ts, fields.server_ts, fields.source);
-                pass.store
-                    .push_with_text(&fields, |arena| unescape_into(text, arena))?;
-            }
-            Err(e) => pass.errors.record(lineno, e),
-        }
-        if pass.report.total_lines >= policy.min_lines_before_check {
-            check_budget(pass.report.total_lines, pass.errors.len(), policy)?;
-        }
-    }
-    pass.finish(policy)
+/// [`crate::codec::read_store`]'s pass: the same reader on the calling
+/// thread, with an error budget that cannot trip and no dedup.
+pub(crate) fn read_unchecked<R: BufRead>(r: R) -> Result<(LogStore, ParseErrors), IngestError> {
+    let policy = IngestPolicy {
+        max_error_fraction: 1.0,
+        dedup: false,
+        ..IngestPolicy::with_par(ParConfig::serial())
+    };
+    let Pass {
+        mut store, errors, ..
+    } = read_blocks(r, &policy, BLOCK_BYTES)?;
+    store.finalize();
+    Ok((store, errors))
 }
 
-/// The state of one resilient pass, in stream order: what the serial
-/// loop builds line by line, and the block merge chunk by chunk.
+/// The state of one pass, in stream order, built block by block.
 struct Pass {
     store: LogStore,
     report: IngestReport,
@@ -266,7 +252,7 @@ impl Pass {
         }
     }
 
-    /// Appends the next block, exactly as the serial loop would have
+    /// Appends the next block, exactly as a line-by-line loop would have
     /// taken its lines: names interned in first-seen order, the error
     /// budget checked wherever it could trip, arrivals observed in order.
     fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
@@ -295,9 +281,9 @@ impl Pass {
         Ok(())
     }
 
-    /// Replays the serial loop's per-line budget checks over one block.
+    /// Replays a line-by-line loop's per-line budget checks over one block.
     ///
-    /// That loop checks after every line from `min_lines_before_check`
+    /// Such a loop checks after every line from `min_lines_before_check`
     /// on. Past that line the error fraction only falls until the next
     /// failure, so the check can first trip there or at a failed line:
     /// checking just those gives the same trip, at the same line.
@@ -382,8 +368,8 @@ impl Arrivals {
 }
 
 /// Interns a block's names into the pass's interner in id order, which
-/// replays their first sightings, so every name gets the id the serial
-/// pass gives it. Returns the pass id of each block id.
+/// replays their first sightings, so every name gets the id a
+/// line-by-line pass gives it. Returns the pass id of each block id.
 fn reintern(block: &Interner, pass: &mut Interner) -> Vec<u32> {
     block.iter().map(|(_, name)| pass.intern(name)).collect()
 }
@@ -394,7 +380,7 @@ fn translate(map: &[u32], id: u32) -> u32 {
     map.get(id as usize).copied().unwrap_or(id)
 }
 
-/// One block, parsed on a worker against its own registry.
+/// One block, parsed against its own registry.
 struct Parsed {
     registry: NameRegistry,
     /// The block's records in line order, with block-local ids.
@@ -411,21 +397,25 @@ struct Parsed {
     line_count: usize,
 }
 
-/// Runs the serial kernel — [`Lines`] and [`parse_fields`] — over one
-/// block, appending to the recycled `rows` and `arena`.
+/// The kernel: splits one block into [`lines`] and parses each with
+/// [`parse_fields`], appending to the recycled `rows` and `arena`.
 fn parse_block(
     block: &[u8],
     mut rows: Vec<StoredRecord>,
     mut arena: String,
     sample_cap: usize,
-) -> Result<Parsed, IngestError> {
+) -> Result<Parsed, StoreFull> {
     let mut registry = NameRegistry::new();
     let mut errors = ParseErrors::with_cap(sample_cap);
     let mut failed_at = Vec::new();
-    let mut lines = 0;
-    let mut reader = Lines::new(block);
-    while let Some((lineno, line)) = reader.next_line()? {
-        lines += 1;
+    let (mut nonempty, mut line_count) = (0, 0);
+    for (lineno, line) in lines(block) {
+        line_count = lineno;
+        if line.is_empty() {
+            continue;
+        }
+        nonempty += 1;
+        let line = std::str::from_utf8(line).map_err(|_| ParseError::InvalidUtf8);
         match line.and_then(|line| parse_fields(line, &mut registry)) {
             Ok((fields, text)) => {
                 let span = TextSpan::append(&mut arena, |a| unescape_into(text, a))?;
@@ -433,7 +423,7 @@ fn parse_block(
             }
             Err(e) => {
                 errors.record(lineno, e);
-                failed_at.push(lines);
+                failed_at.push(nonempty);
             }
         }
     }
@@ -443,8 +433,8 @@ fn parse_block(
         arena,
         errors,
         failed_at,
-        lines,
-        line_count: reader.line_count(),
+        lines: nonempty,
+        line_count,
     })
 }
 
@@ -480,36 +470,95 @@ struct Job {
     arena: String,
 }
 
+impl Job {
+    /// Parses the block.
+    fn run(self, sample_cap: usize) -> Done {
+        let Job { bytes, rows, arena } = self;
+        let parsed = parse_block(&bytes, rows, arena, sample_cap);
+        Done { bytes, parsed }
+    }
+}
+
 /// A worker's answer for one block.
 struct Done {
     bytes: Vec<u8>,
-    parsed: Result<Parsed, IngestError>,
+    parsed: Result<Parsed, StoreFull>,
 }
 
-/// One persistent worker's two channels.
-struct Worker {
-    jobs: mpsc::Sender<Job>,
-    done: mpsc::Receiver<Done>,
+/// Where blocks are parsed.
+enum Worker {
+    /// On the calling thread: holds the one block sent and parses it
+    /// when its answer is received.
+    Inline { sample_cap: usize, job: Option<Job> },
+    /// On a persistent worker thread, reached through two channels.
+    Thread {
+        jobs: mpsc::Sender<Job>,
+        done: mpsc::Receiver<Done>,
+    },
 }
 
-/// The block-parallel pass: [`BLOCK_BYTES`] blocks, each cut at a line
-/// end, parsed on `policy.par.threads()` persistent workers and merged
-/// strictly in block order by this thread.
+impl Worker {
+    /// Blocks this worker may hold at once, queued or being parsed.
+    fn depth(&self) -> usize {
+        match self {
+            Worker::Inline { .. } => 1,
+            Worker::Thread { .. } => BLOCKS_PER_WORKER,
+        }
+    }
+
+    fn send(&mut self, next: Job) -> Result<(), IngestError> {
+        match self {
+            Worker::Inline { job, .. } => {
+                *job = Some(next);
+                Ok(())
+            }
+            Worker::Thread { jobs, .. } => jobs.send(next).map_err(|_| stopped()),
+        }
+    }
+
+    fn recv(&mut self) -> Result<Done, IngestError> {
+        match self {
+            Worker::Inline { sample_cap, job } => {
+                let job = job.take().ok_or_else(stopped)?;
+                Ok(job.run(*sample_cap))
+            }
+            Worker::Thread { done, .. } => done.recv().map_err(|_| stopped()),
+        }
+    }
+}
+
+fn stopped() -> IngestError {
+    IngestError::Io(io::Error::other("an ingest worker stopped"))
+}
+
+/// The pass: `block_bytes` blocks, each cut at a line end, parsed where
+/// `policy.par` says and merged strictly in block order by this thread.
 ///
-/// Block `k` goes to worker `k % threads` and each worker answers in
-/// the order it was given work, so the merge reads block `k`'s result
-/// from that worker's channel with no reorder buffer. At most
-/// [`BLOCKS_PER_WORKER`] blocks per worker are in flight; their byte,
-/// row and text buffers are recycled, so memory beyond the store is
-/// bounded by the block size, not the stream.
+/// At width 1 one [`Worker::Inline`] parses each block on this thread
+/// when the merge asks for it, and no thread is started. Wider, the blocks go to
+/// `policy.par.threads()` persistent workers: block `k` to worker
+/// `k % threads`, and each worker answers in the order it was given
+/// work, so the merge reads block `k`'s result from that worker's
+/// channel with no reorder buffer. At most [`Worker::depth`] blocks per
+/// worker are in flight; their byte, row and text buffers are recycled,
+/// so memory beyond the store is bounded by the block size, not the
+/// stream.
 fn read_blocks<R: BufRead>(
     mut r: R,
     policy: &IngestPolicy,
     block_bytes: usize,
-) -> Result<(LogStore, IngestReport), IngestError> {
-    let threads = policy.par.threads();
+) -> Result<Pass, IngestError> {
     let sample_cap = policy.error_sample_cap;
     let mut pass = Pass::new(policy);
+    if policy.par.is_serial() {
+        let mut inline = [Worker::Inline {
+            sample_cap,
+            job: None,
+        }];
+        pump(&mut r, &mut inline, block_bytes, &mut pass, policy)?;
+        return Ok(pass);
+    }
+    let threads = policy.par.threads();
     logdep_par::scope(|s| {
         let mut workers = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -517,16 +566,15 @@ fn read_blocks<R: BufRead>(
             let (jobs, job_rx) = mpsc::channel::<Job>();
             let (done_tx, done) = mpsc::channel::<Done>();
             handles.push(s.spawn(move || {
-                for Job { bytes, rows, arena } in job_rx {
-                    let parsed = parse_block(&bytes, rows, arena, sample_cap);
-                    if done_tx.send(Done { bytes, parsed }).is_err() {
+                for job in job_rx {
+                    if done_tx.send(job.run(sample_cap)).is_err() {
                         return;
                     }
                 }
             }));
-            workers.push(Worker { jobs, done });
+            workers.push(Worker::Thread { jobs, done });
         }
-        let result = pump(&mut r, &workers, block_bytes, &mut pass, policy);
+        let result = pump(&mut r, &mut workers, block_bytes, &mut pass, policy);
         // Closing the channels stops the workers; one that panicked
         // re-raises its panic here, with its own payload.
         drop(workers);
@@ -537,23 +585,22 @@ fn read_blocks<R: BufRead>(
         }
         result
     })?;
-    pass.finish(policy)
+    Ok(pass)
 }
 
-/// The orchestration loop of [`read_blocks`]: keeps the workers fed,
-/// merges their results in block order, and stops at the first budget
-/// trip. After a failed read, the complete lines before the failure are
-/// merged and checked before the read error is returned, as the serial
-/// loop does.
+/// The orchestration loop of [`read_blocks`]: reads blocks and keeps the
+/// workers fed, merges their results in block order, and stops at the
+/// first budget trip. After a failed read, the complete lines before the
+/// failure are merged and checked before the read error is returned, as
+/// a line-by-line loop does.
 fn pump<R: BufRead>(
     r: &mut R,
-    workers: &[Worker],
+    workers: &mut [Worker],
     block_bytes: usize,
     pass: &mut Pass,
     policy: &IngestPolicy,
 ) -> Result<(), IngestError> {
-    let stopped = || IngestError::Io(io::Error::other("an ingest worker stopped"));
-    let in_flight_cap = workers.len() * BLOCKS_PER_WORKER;
+    let in_flight_cap: usize = workers.iter().map(Worker::depth).sum();
     let mut free: Vec<(Vec<u8>, Vec<StoredRecord>, String)> = Vec::with_capacity(in_flight_cap);
     let (mut sent, mut merged) = (0usize, 0usize);
     let mut read_error = None;
@@ -574,18 +621,17 @@ fn pump<R: BufRead>(
                 eof = true;
                 break;
             }
-            let worker = workers.get(sent % workers.len()).ok_or_else(stopped)?;
-            worker
-                .jobs
-                .send(Job { bytes, rows, arena })
-                .map_err(|_| stopped())?;
+            let worker = workers.get_mut(sent % workers.len()).ok_or_else(stopped)?;
+            worker.send(Job { bytes, rows, arena })?;
             sent += 1;
         }
         if merged == sent {
             break;
         }
-        let worker = workers.get(merged % workers.len()).ok_or_else(stopped)?;
-        let Done { bytes, parsed } = worker.done.recv().map_err(|_| stopped())?;
+        let worker = workers
+            .get_mut(merged % workers.len())
+            .ok_or_else(stopped)?;
+        let Done { bytes, parsed } = worker.recv()?;
         merged += 1;
         let mut parsed = parsed?;
         pass.absorb(&mut parsed, policy)?;
@@ -950,9 +996,51 @@ mod tests {
         ParConfig::with_threads(threads).expect("nonzero width")
     }
 
+    /// The reference: a line-by-line loop on the calling thread, the
+    /// reader before blocks. It reads each line with `read_until`, strips
+    /// `\n` and one `\r` before it, and checks the budget after every
+    /// line from `min_lines_before_check` on; a failed read ends it at
+    /// once, the part of a line read before the failure dropped.
+    fn read_serial<R: BufRead>(
+        mut r: R,
+        policy: &IngestPolicy,
+    ) -> Result<(LogStore, IngestReport), IngestError> {
+        let mut pass = Pass::new(policy);
+        let mut buf = Vec::new();
+        for lineno in 1.. {
+            buf.clear();
+            if r.read_until(b'\n', &mut buf)? == 0 {
+                break;
+            }
+            let line = match buf.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => &buf,
+            };
+            if line.is_empty() {
+                continue;
+            }
+            pass.report.total_lines += 1;
+            let line = std::str::from_utf8(line).map_err(|_| ParseError::InvalidUtf8);
+            match line.and_then(|line| crate::codec::parse_record(line, &mut pass.store.registry)) {
+                Ok(record) => {
+                    pass.report.parsed += 1;
+                    pass.arrivals
+                        .observe(record.client_ts, record.server_ts, record.source);
+                    pass.store.push(record);
+                }
+                Err(e) => pass.errors.record(lineno, e),
+            }
+            if pass.report.total_lines >= policy.min_lines_before_check {
+                check_budget(pass.report.total_lines, pass.errors.len(), policy)?;
+            }
+        }
+        pass.finish(policy)
+    }
+
     /// Runs the block reader at every block size in `BLOCK_SIZES` and
-    /// `extra`, on 1 to 3 workers, over the stream `input()` makes, and
-    /// asserts each outcome is the serial pass's. Returns that outcome.
+    /// `extra`, at widths 1 to 3, over the stream `input()` makes, and
+    /// asserts each outcome is the line-by-line reference's. Returns that
+    /// outcome.
     fn assert_blocks_match_serial<R: BufRead>(
         input: impl Fn() -> R,
         policy: &IngestPolicy,
@@ -965,10 +1053,11 @@ mod tests {
                     par: width(threads),
                     ..policy.clone()
                 };
+                let pass = read_blocks(input(), &policy, block);
                 assert_eq!(
-                    outcome(read_blocks(input(), &policy, block)),
+                    outcome(pass.and_then(|pass| pass.finish(&policy))),
                     serial,
-                    "{block}-byte blocks on {threads} workers"
+                    "{block}-byte blocks at width {threads}"
                 );
             }
         }
@@ -1099,7 +1188,7 @@ mod tests {
     impl std::io::Read for FailingReader<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.reads += 1;
-            if self.reads.is_multiple_of(3) {
+            if self.reads % 3 == 0 {
                 return Err(io::ErrorKind::Interrupted.into());
             }
             if self.pos >= self.fail_at {

@@ -54,8 +54,12 @@ impl LogStore {
     /// When the store's text would pass 4 GiB ([`StoreFull`]). Ingest
     /// and [`LogStore::merge`] return that error instead.
     pub fn push(&mut self, record: LogRecord) {
-        let pushed = self.push_with_text(&record, |arena| arena.push_str(&record.text));
-        assert!(pushed.is_ok(), "LogStore::push: {StoreFull}");
+        self.finalized = false;
+        let span = TextSpan::append(&mut self.arena, |arena| arena.push_str(&record.text));
+        assert!(span.is_ok(), "LogStore::push: {StoreFull}");
+        if let Ok(span) = span {
+            self.records.push(StoredRecord::new(&record, span));
+        }
     }
 
     /// Appends many records (see [`LogStore::push`]).
@@ -63,19 +67,6 @@ impl LogStore {
         for record in records {
             self.push(record);
         }
-    }
-
-    /// Appends a row with `fields`' fields (its `text` is ignored) and
-    /// the text `write` writes straight into the arena.
-    pub(crate) fn push_with_text(
-        &mut self,
-        fields: &LogRecord,
-        write: impl FnOnce(&mut String),
-    ) -> Result<(), StoreFull> {
-        self.finalized = false;
-        let span = TextSpan::append(&mut self.arena, write)?;
-        self.records.push(StoredRecord::new(fields, span));
-        Ok(())
     }
 
     /// Appends rows whose spans address `arena`, which is appended to
