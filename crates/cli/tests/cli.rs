@@ -266,9 +266,29 @@ fn churn_between_two_exports() {
         &directory,
         "--stop-patterns",
         "standard",
+        "--layers",
+        "l1,l2,l3",
     ]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("stability"), "{out}");
+    // The two exports differ in scale, so their registries intern
+    // sources differently: this pins the re-resolved churn lines.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/churn_layers.txt"
+    );
+    if std::env::var_os("LOGDEP_BLESS").is_some() {
+        std::fs::write(golden, &out).expect("bless golden churn output");
+        return;
+    }
+    let expected = std::fs::read_to_string(golden).unwrap_or_else(|e| {
+        panic!("read {golden}: {e}; run with LOGDEP_BLESS=1 to create the snapshot")
+    });
+    assert!(
+        out == expected,
+        "churn output drifted from {golden}; if the change is intended, regenerate \
+         with LOGDEP_BLESS=1 and commit the diff\n--- actual ---\n{out}"
+    );
 }
 
 #[test]

@@ -3,6 +3,14 @@
 //! `--workers 4`, including across a mid-sequence snapshot hot-swap,
 //! and concurrent readers racing repeated swaps always observe a
 //! complete body from exactly one generation — never a torn mix.
+//! The transcript is also pinned to `tests/golden/serve_transcript.txt`,
+//! so a changed `/v1/pair`, `/v1/diff` or `/v1/churn` body fails here
+//! even when both widths agree. To regenerate it after an intended
+//! change:
+//!
+//! ```text
+//! LOGDEP_BLESS=1 cargo test -p logdep-integration --test serve_conformance
+//! ```
 
 use logdep::{DailyPlan, EvidenceCache, PipelineConfig};
 use logdep_logstore::SourceId;
@@ -138,6 +146,25 @@ fn transcripts_are_byte_identical_across_worker_widths() {
     assert!(serial.contains("-> 404"), "{serial}");
     assert!(serial.contains("-> 400"), "{serial}");
     assert!(serial.contains("\"serve.swaps\":1"), "{serial}");
+    golden_check(&serial);
+}
+
+/// Compares the transcript against the committed snapshot, or rewrites
+/// the snapshot under `LOGDEP_BLESS=1`.
+fn golden_check(actual: &str) {
+    let path = format!("{}/golden/serve_transcript.txt", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("LOGDEP_BLESS").is_some() {
+        std::fs::write(&path, actual).expect("bless golden transcript");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("read {path}: {e}; run with LOGDEP_BLESS=1 to create the snapshot")
+    });
+    assert!(
+        actual == expected,
+        "transcript drifted from {path}; if the change is intended, regenerate \
+         with LOGDEP_BLESS=1 and commit the diff\n--- actual ---\n{actual}"
+    );
 }
 
 #[test]
