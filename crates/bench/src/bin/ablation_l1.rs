@@ -7,7 +7,7 @@
 //! plus a `minlogs`/slot-length sensitivity sweep.
 
 use logdep::l1::{run_l1_pool, CenterStat, DecisionRule, DistanceKind, L1Config};
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -40,7 +40,7 @@ fn main() {
 
     let run = |cfg: &L1Config| -> (usize, usize, f64) {
         let res = run_l1_pool(&wb.out.store, range, &sources, cfg, &par).expect("L1 run");
-        let d = diff_pairs(&res.detected, &wb.pair_ref);
+        let d = diff(&res.detected, &wb.pair_ref);
         (d.tp(), d.fp(), d.true_positive_ratio())
     };
 

@@ -8,7 +8,7 @@
 //! reports how the significance level α shifts the operating point.
 
 use logdep::l2::{run_l2_pool, L2Config};
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -51,7 +51,7 @@ fn main() {
                 ..wb.l2_config()
             };
             let res = run_l2_pool(&wb.out.store, range, &cfg, &par).expect("L2 run");
-            let d = diff_pairs(&res.detected, &wb.pair_ref);
+            let d = diff(&res.detected, &wb.pair_ref);
             let name = match stat {
                 AssociationStatistic::Dunning => "dunning",
                 AssociationStatistic::Pearson => "pearson",

@@ -11,7 +11,7 @@
 
 use logdep::baselines::{pair_features, run_agrawal, AgrawalConfig, EnselClassifier, EnselConfig};
 use logdep::l1::run_l1_pool;
-use logdep::model::{diff_pairs, PairModel};
+use logdep::model::{diff, PairModel};
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -38,12 +38,12 @@ fn main() {
 
     // --- Technique L1 (the paper's unsupervised method).
     let l1 = run_l1_pool(&wb.out.store, day, &sources, &wb.l1_config(), &par).expect("L1");
-    let d = diff_pairs(&l1.detected, &wb.pair_ref);
+    let d = diff(&l1.detected, &wb.pair_ref);
     report.l1 = (d.tp(), d.fp());
 
     // --- Agrawal et al. delay histograms.
     let ag = run_agrawal(&wb.out.store, day, &sources, &AgrawalConfig::default()).expect("agrawal");
-    let d = diff_pairs(&ag.detected, &wb.pair_ref);
+    let d = diff(&ag.detected, &wb.pair_ref);
     report.agrawal = (d.tp(), d.fp());
 
     // --- Ensel: supervised NN with a train/test split over pairs.
@@ -86,7 +86,7 @@ fn main() {
             detected.insert(a, b);
         }
     }
-    let d = diff_pairs(&detected, &reference);
+    let d = diff(&detected, &reference);
     report.ensel_test_tp = d.tp();
     report.ensel_test_fp = d.fp();
     report.ensel_test_fn = d.fn_();

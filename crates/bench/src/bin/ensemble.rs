@@ -9,7 +9,7 @@ use logdep::ensemble::{app_service_to_pairs, Ensemble};
 use logdep::l1::run_l1_pool;
 use logdep::l2::run_l2_pool;
 use logdep::l3::run_l3_pool;
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -58,7 +58,7 @@ fn main() {
     );
     for v in 1..=3u8 {
         let m = ensemble.at_least(v);
-        let d = diff_pairs(&m, &wb.pair_ref);
+        let d = diff(&m, &wb.pair_ref);
         println!(
             "{:>9} {:>7} {:>5} {:>5} {:>10.2}",
             v,
@@ -78,7 +78,7 @@ fn main() {
 
     // Disagreement diagnosis: how suspect are L1-only pairs?
     let l1_only = ensemble.exactly(true, false, false);
-    let d = diff_pairs(&l1_only, &wb.pair_ref);
+    let d = diff(&l1_only, &wb.pair_ref);
     let fp_share = if l1_only.is_empty() {
         0.0
     } else {

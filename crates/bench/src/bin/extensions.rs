@@ -14,7 +14,7 @@ use logdep::l1::{
     adaptive_slots, run_l1_pool, run_l1_slots_pool, AdaptiveConfig, L1Config, ReferenceProcess,
 };
 use logdep::l2::{delay_profiles, detect_directions, run_l2_pool, DelayConfig, DirectionConfig};
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -93,9 +93,9 @@ fn main() {
     );
 
     // --- Delay profiles: do causal delays separate TP from FP?
-    let diff = diff_pairs(&l2.detected, &wb.pair_ref);
+    let dl2 = diff(&l2.detected, &wb.pair_ref);
     let mut types: Vec<_> = Vec::new();
-    for &(a, b) in diff.true_pos.iter().chain(diff.false_pos.iter()) {
+    for &(a, b) in dl2.true_pos.iter().chain(dl2.false_pos.iter()) {
         types.push((a, b));
         types.push((b, a));
     }
@@ -109,10 +109,10 @@ fn main() {
             })
             .any(|p| p.causal)
     };
-    let tp_causal = diff.true_pos.iter().filter(|p| causal_of(p)).count();
-    let fp_causal = diff.false_pos.iter().filter(|p| causal_of(p)).count();
-    report.delay_causal_tp_rate = tp_causal as f64 / diff.tp().max(1) as f64;
-    report.delay_causal_fp_rate = fp_causal as f64 / diff.fp().max(1) as f64;
+    let tp_causal = dl2.true_pos.iter().filter(|p| causal_of(p)).count();
+    let fp_causal = dl2.false_pos.iter().filter(|p| causal_of(p)).count();
+    report.delay_causal_tp_rate = tp_causal as f64 / dl2.tp().max(1) as f64;
+    report.delay_causal_fp_rate = fp_causal as f64 / dl2.fp().max(1) as f64;
     println!("\n§5 extension 2 — typical-delay analysis (χ² vs uniform):");
     println!(
         "  causal verdicts: {:.0}% of true pairs vs {:.0}% of false positives",
@@ -124,7 +124,7 @@ fn main() {
     let sources = wb.out.store.active_sources();
     let base = wb.l1_config();
     let fixed = run_l1_pool(&wb.out.store, day, &sources, &base, &par).expect("L1");
-    let dfix = diff_pairs(&fixed.detected, &wb.pair_ref);
+    let dfix = diff(&fixed.detected, &wb.pair_ref);
     report.l1_fixed = (dfix.tp(), dfix.fp());
 
     // Slots no shorter than the paper's hour, so `minlogs` keeps its
@@ -137,7 +137,7 @@ fn main() {
     report.adaptive_slot_count = slots.len();
     let adaptive =
         run_l1_slots_pool(&wb.out.store, &slots, &sources, &base, &par).expect("L1 adaptive");
-    let dada = diff_pairs(&adaptive.detected, &wb.pair_ref);
+    let dada = diff(&adaptive.detected, &wb.pair_ref);
     report.l1_adaptive = (dada.tp(), dada.fp());
 
     let lp = L1Config {
@@ -145,7 +145,7 @@ fn main() {
         ..base
     };
     let loadp = run_l1_pool(&wb.out.store, day, &sources, &lp, &par).expect("L1 load-proportional");
-    let dlp = diff_pairs(&loadp.detected, &wb.pair_ref);
+    let dlp = diff(&loadp.detected, &wb.pair_ref);
     report.l1_load_proportional = (dlp.tp(), dlp.fp());
 
     println!("\n§5 extensions 3/4 — L1 slotting and reference process (day 0):");

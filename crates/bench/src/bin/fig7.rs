@@ -6,7 +6,7 @@
 //! slightly lowering the absolute number of true positives.
 
 use logdep::l2::{run_l2_pool, L2Config};
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::ascii::stacked_days;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
@@ -59,7 +59,7 @@ fn main() {
             ..wb.l2_config()
         };
         let res = run_l2_pool(&wb.out.store, TimeRange::day(day), &cfg, &par).expect("L2 run");
-        let d = diff_pairs(&res.detected, &wb.pair_ref);
+        let d = diff(&res.detected, &wb.pair_ref);
         labels.push(match to {
             Some(ms) => format!("{:.1}s", ms as f64 / 1000.0),
             None => "inf".to_owned(),

@@ -10,7 +10,7 @@
 //! dependencies rise from 2 to 24.
 
 use logdep::l3::{run_l3_pool, L3Config};
-use logdep::model::diff_app_service;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::workbench::{cli_seed_scale, Workbench};
 use logdep_logstore::time::TimeRange;
@@ -53,7 +53,7 @@ fn main() {
         &par,
     )
     .expect("L3 union run");
-    let diff = diff_app_service(&res.detected, &wb.svc_ref);
+    let diff = diff(&res.detected, &wb.svc_ref);
 
     // Name-based taxonomy sets from the generated topology.
     let topo = &wb.out.topology;

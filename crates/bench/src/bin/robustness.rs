@@ -18,7 +18,7 @@
 //! (nonzero quarantine, complete model) for CI.
 
 use logdep::health::{run_pipeline, PipelineOutcome};
-use logdep::model::{diff_app_service, diff_pairs, AppServiceModel, PairModel};
+use logdep::model::{diff, AppServiceModel, PairModel};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
 use logdep_faults::{inject, FaultConfig};
 use logdep_logstore::codec::write_store;
@@ -38,7 +38,7 @@ struct Score {
 
 impl Score {
     fn from_pairs(detected: &PairModel, reference: &PairModel) -> Self {
-        let d = diff_pairs(detected, reference);
+        let d = diff(detected, reference);
         Self {
             tp: d.tp(),
             fp: d.fp(),
@@ -49,7 +49,7 @@ impl Score {
     }
 
     fn from_app_service(detected: &AppServiceModel, reference: &AppServiceModel) -> Self {
-        let d = diff_app_service(detected, reference);
+        let d = diff(detected, reference);
         Self {
             tp: d.tp(),
             fp: d.fp(),

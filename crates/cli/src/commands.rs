@@ -6,19 +6,18 @@ use logdep::durable::{
     persist_atomic, repair_store, run_daily_durable, verify_store, DailyPlan, NoopPolicy,
     RecoveryEvent,
 };
-use logdep::evolution::{app_service_churn, pair_churn};
 use logdep::graph::DependencyGraph;
 use logdep::health::PipelineConfig;
 use logdep::l1::{run_l1_pool, L1Config};
 use logdep::l2::{run_l2_pool, L2Config};
 use logdep::l3::{run_l3_pool, L3Config};
 use logdep::window::{run_window_cached, WindowOutcome};
-use logdep::{AppServiceModel, MineError};
+use logdep::{evolution, EdgeTarget, MineError, Model};
 use logdep_faults::{inject as inject_faults, FaultConfig};
 use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
-use logdep_logstore::{LogStore, Millis};
+use logdep_logstore::{LogStore, Millis, SourceId};
 use logdep_par::ParConfig;
 use logdep_serve::{run_server, ServeConfig, Server, SnapshotSource};
 use logdep_sessions::{reconstruct, SessionConfig};
@@ -740,6 +739,12 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
     let store_a = load_logs(args, "before")?;
     let store_b = load_logs(args, "after")?;
     let par = par_config(args)?;
+    let (reg_a, reg_b) = (&store_a.registry, &store_b.registry);
+    let in_b = |s: SourceId| reg_b.find_source(reg_a.source_name(s));
+    let pair_in_b = |(a, b): (SourceId, SourceId)| Some((in_b(a)?, in_b(b)?));
+    let pair_label = |(a, b): (SourceId, SourceId)| {
+        format!("{} <-> {}", reg_b.source_name(a), reg_b.source_name(b))
+    };
 
     for layer in &layers {
         let tag = if tagged {
@@ -754,7 +759,7 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
                     run_l1_pool(&store_a, range, &store_a.active_sources(), &cfg, &par)?.detected;
                 let after =
                     run_l1_pool(&store_b, range, &store_b.active_sources(), &cfg, &par)?.detected;
-                pair_churn_lines(out, &tag, &store_a, &store_b, &before, &after)?;
+                churn_lines(out, &tag, &before, &after, pair_in_b, pair_label)?;
             }
             "l2" => {
                 let timeout: i64 = args.parsed_or("timeout", 1_000)?;
@@ -764,53 +769,43 @@ pub fn churn(args: &Args, out: &mut dyn Write) -> CmdResult {
                 };
                 let before = run_l2_pool(&store_a, range, &cfg, &par)?.detected;
                 let after = run_l2_pool(&store_b, range, &cfg, &par)?.detected;
-                pair_churn_lines(out, &tag, &store_a, &store_b, &before, &after)?;
+                churn_lines(out, &tag, &before, &after, pair_in_b, pair_label)?;
             }
             _ => {
                 let ids = load_directory(args.required("directory")?)?;
                 let cfg = l3_config(args)?;
                 let before = run_l3_pool(&store_a, range, &ids, &cfg, &par)?.detected;
                 let after = run_l3_pool(&store_b, range, &ids, &cfg, &par)?.detected;
-                l3_churn_lines(out, &tag, &store_a, &store_b, &ids, &before, &after)?;
+                churn_lines(
+                    out,
+                    &tag,
+                    &before,
+                    &after,
+                    |(app, svc)| Some((in_b(app)?, svc)),
+                    |(app, svc)| format!("{} -> {}", reg_b.source_name(app), ids[svc]),
+                )?;
             }
         }
     }
     Ok(())
 }
 
-/// Diffs two pair models mined from different exports. Models are
-/// diffed by name, re-resolved into the AFTER registry (mirroring the
-/// L3 path's `app_service_churn` re-resolution), so the two exports
-/// may intern sources in different orders; pairs naming a source the
-/// AFTER export never saw are dropped from the comparison.
-fn pair_churn_lines(
+/// Prints the churn between two models mined from different exports.
+/// Models are compared by name: `resolve` re-resolves a BEFORE edge
+/// into the AFTER export's registry, so the two exports may intern
+/// sources in different orders, and returns `None` for an edge naming
+/// a source the AFTER export never saw (dropped from the comparison).
+/// `label` names an AFTER edge.
+fn churn_lines<T: EdgeTarget>(
     out: &mut dyn Write,
     tag: &str,
-    store_a: &LogStore,
-    store_b: &LogStore,
-    before: &logdep::PairModel,
-    after: &logdep::PairModel,
+    before: &Model<T>,
+    after: &Model<T>,
+    resolve: impl Fn((SourceId, T)) -> Option<(SourceId, T)>,
+    label: impl Fn((SourceId, T)) -> String,
 ) -> CmdResult {
-    let before_named: Vec<(String, String)> = before
-        .iter()
-        .map(|(a, b)| {
-            (
-                store_a.registry.source_name(a).to_owned(),
-                store_a.registry.source_name(b).to_owned(),
-            )
-        })
-        .collect();
-    let before_in_b = logdep::PairModel::from_names(
-        &store_b.registry,
-        before_named
-            .iter()
-            .filter(|(a, b)| {
-                store_b.registry.find_source(a).is_some()
-                    && store_b.registry.find_source(b).is_some()
-            })
-            .map(|(a, b)| (a.as_str(), b.as_str())),
-    )?;
-    let c = pair_churn(&before_in_b, after);
+    let before_in_b: Model<T> = before.iter().filter_map(resolve).collect();
+    let c = evolution::churn(&before_in_b, after);
     writeln!(
         out,
         "{tag}: {} appeared, {} disappeared, {} stable (stability {:.2})",
@@ -819,77 +814,11 @@ fn pair_churn_lines(
         c.stable.len(),
         c.stability()
     )?;
-    for &(a, b) in c.appeared.iter().take(20) {
-        writeln!(
-            out,
-            "  + {} <-> {}",
-            store_b.registry.source_name(a),
-            store_b.registry.source_name(b)
-        )?;
+    for &e in c.appeared.iter().take(20) {
+        writeln!(out, "  + {}", label(e))?;
     }
-    for &(a, b) in c.disappeared.iter().take(20) {
-        writeln!(
-            out,
-            "  - {} <-> {}",
-            store_b.registry.source_name(a),
-            store_b.registry.source_name(b)
-        )?;
-    }
-    Ok(())
-}
-
-fn l3_churn_lines(
-    out: &mut dyn Write,
-    tag: &str,
-    store_a: &LogStore,
-    store_b: &LogStore,
-    ids: &[String],
-    before: &AppServiceModel,
-    after: &AppServiceModel,
-) -> CmdResult {
-    // Models are diffed by name, re-resolved into the AFTER registry,
-    // so the two exports may intern sources in different orders.
-    let before_named: Vec<(String, String)> = before
-        .iter()
-        .map(|(app, svc)| {
-            (
-                store_a.registry.source_name(app).to_owned(),
-                ids[svc].clone(),
-            )
-        })
-        .collect();
-    let before_in_b = AppServiceModel::from_names(
-        &store_b.registry,
-        ids,
-        before_named
-            .iter()
-            .filter(|(app, _)| store_b.registry.find_source(app).is_some())
-            .map(|(a, s)| (a.as_str(), s.as_str())),
-    )?;
-    let c = app_service_churn(&before_in_b, after);
-    writeln!(
-        out,
-        "{tag}: {} appeared, {} disappeared, {} stable (stability {:.2})",
-        c.appeared.len(),
-        c.disappeared.len(),
-        c.stable.len(),
-        c.stability()
-    )?;
-    for &(app, svc) in c.appeared.iter().take(20) {
-        writeln!(
-            out,
-            "  + {} -> {}",
-            store_b.registry.source_name(app),
-            ids[svc]
-        )?;
-    }
-    for &(app, svc) in c.disappeared.iter().take(20) {
-        writeln!(
-            out,
-            "  - {} -> {}",
-            store_b.registry.source_name(app),
-            ids[svc]
-        )?;
+    for &e in c.disappeared.iter().take(20) {
+        writeln!(out, "  - {}", label(e))?;
     }
     Ok(())
 }

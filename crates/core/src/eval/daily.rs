@@ -10,7 +10,7 @@
 use crate::cache::EvidenceCache;
 use crate::durable::DailyPlan;
 use crate::health::PipelineConfig;
-use crate::model::{diff_app_service, diff_pairs, AppServiceModel, Diff, PairModel};
+use crate::model::{diff, AppServiceModel, Diff, PairModel};
 use crate::window::run_window_cached;
 use crate::MineError;
 use logdep_logstore::LogStore;
@@ -125,15 +125,15 @@ pub fn daily_series(
         }
         let day = plan.day(step);
         if let (Some(series), Some(r)) = (run.l1.as_mut(), &outcome.l1) {
-            let d = diff_pairs(&r.detected, pair_ref);
+            let d = diff(&r.detected, pair_ref);
             series.days.push(DailyOutcome::from_diff(day, &d));
         }
         if let (Some(series), Some(r)) = (run.l2.as_mut(), &outcome.l2) {
-            let d = diff_pairs(&r.detected, pair_ref);
+            let d = diff(&r.detected, pair_ref);
             series.days.push(DailyOutcome::from_diff(day, &d));
         }
         if let (Some(series), Some(r)) = (run.l3.as_mut(), &outcome.l3) {
-            let d = diff_app_service(&r.detected, svc_ref);
+            let d = diff(&r.detected, svc_ref);
             series.days.push(DailyOutcome::from_diff(day, &d));
         }
     }

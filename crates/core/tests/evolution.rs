@@ -5,9 +5,9 @@
 //! union, churn mirrors the detected-vs-reference diff, and name-based
 //! re-resolution dedupes rename collisions before comparing.
 
-use logdep::evolution::{app_service_churn, pair_churn};
+use logdep::evolution::churn;
 use logdep::logstore::{NameRegistry, SourceId};
-use logdep::{diff_pairs, AppServiceModel, PairModel};
+use logdep::{diff, AppServiceModel, PairModel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -34,7 +34,7 @@ proptest! {
     fn stability_is_the_jaccard_index(before_raw in arb_pairs(), after_raw in arb_pairs()) {
         let before = pair_model(&before_raw);
         let after = pair_model(&after_raw);
-        let c = pair_churn(&before, &after);
+        let c = churn(&before, &after);
         let stability = c.stability();
         prop_assert!((0.0..=1.0).contains(&stability), "out of range: {stability}");
         let union: BTreeSet<_> = pair_set(&before).union(&pair_set(&after)).copied().collect();
@@ -52,7 +52,7 @@ proptest! {
     fn churn_partitions_the_union(before_raw in arb_pairs(), after_raw in arb_pairs()) {
         let before = pair_model(&before_raw);
         let after = pair_model(&after_raw);
-        let c = pair_churn(&before, &after);
+        let c = churn(&before, &after);
         // appeared ∪ stable reassembles `after`, disappeared ∪ stable
         // reassembles `before`, and the three parts never overlap.
         let appeared: BTreeSet<_> = c.appeared.iter().copied().collect();
@@ -74,8 +74,8 @@ proptest! {
     fn churn_reverses_cleanly(before_raw in arb_pairs(), after_raw in arb_pairs()) {
         let before = pair_model(&before_raw);
         let after = pair_model(&after_raw);
-        let fwd = pair_churn(&before, &after);
-        let rev = pair_churn(&after, &before);
+        let fwd = churn(&before, &after);
+        let rev = churn(&after, &before);
         // Swapping the endpoints swaps appeared/disappeared and leaves
         // the stable core (and so the stability score) untouched.
         let f_app: BTreeSet<_> = fwd.appeared.iter().copied().collect();
@@ -91,12 +91,12 @@ proptest! {
     fn churn_mirrors_the_reference_diff(before_raw in arb_pairs(), after_raw in arb_pairs()) {
         // `/v1/diff` reports churn; the accuracy harness reports a
         // detected-vs-reference diff. Treating the old model as the
-        // reference makes them the same partition, and the endpoint can
-        // lean on either implementation interchangeably.
+        // reference makes them the same partition: churn is that diff
+        // with its fields renamed.
         let before = pair_model(&before_raw);
         let after = pair_model(&after_raw);
-        let c = pair_churn(&before, &after);
-        let d = diff_pairs(&after, &before);
+        let c = churn(&before, &after);
+        let d = diff(&after, &before);
         prop_assert_eq!(c.stable, d.true_pos);
         prop_assert_eq!(c.appeared, d.false_pos);
         prop_assert_eq!(c.disappeared, d.false_neg);
@@ -111,7 +111,7 @@ proptest! {
         let before = pair_model(&before_raw);
         let after = pair_model(&after_raw);
         prop_assume!(!before.is_empty() || !after.is_empty());
-        let c = pair_churn(&before, &after);
+        let c = churn(&before, &after);
         prop_assert_eq!(c.stable.len(), 0);
         prop_assert_eq!(c.stability(), 0.0);
         prop_assert_eq!(c.n_changes(), before.len() + after.len());
@@ -124,7 +124,7 @@ proptest! {
     ) {
         let before: AppServiceModel = before_raw.iter().map(|&(a, i)| (s(a), i)).collect();
         let after: AppServiceModel = after_raw.iter().map(|&(a, i)| (s(a), i)).collect();
-        let c = app_service_churn(&before, &after);
+        let c = churn(&before, &after);
         let appeared: BTreeSet<_> = c.appeared.iter().copied().collect();
         let disappeared: BTreeSet<_> = c.disappeared.iter().copied().collect();
         let stable: BTreeSet<_> = c.stable.iter().copied().collect();
@@ -161,7 +161,7 @@ proptest! {
         let model_once = PairModel::from_names(&reg, once).unwrap();
         let model_twice = PairModel::from_names(&reg, twice).unwrap();
         prop_assert_eq!(&model_once, &model_twice);
-        let c = pair_churn(&model_once, &model_twice);
+        let c = churn(&model_once, &model_twice);
         prop_assert_eq!(c.n_changes(), 0);
         prop_assert_eq!(c.stability(), 1.0);
         prop_assert_eq!(c.stable.len(), model_once.len());
@@ -170,10 +170,10 @@ proptest! {
 
 #[test]
 fn both_empty_is_perfectly_stable() {
-    let c = pair_churn(&PairModel::new(), &PairModel::new());
+    let c = churn(&PairModel::new(), &PairModel::new());
     assert_eq!(c.stability(), 1.0);
     assert_eq!(c.n_changes(), 0);
-    let c = app_service_churn(&AppServiceModel::new(), &AppServiceModel::new());
+    let c = churn(&AppServiceModel::new(), &AppServiceModel::new());
     assert_eq!(c.stability(), 1.0);
 }
 

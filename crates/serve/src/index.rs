@@ -14,7 +14,7 @@
 //! index is deterministic.
 
 use crate::ServeError;
-use logdep::evolution::{app_service_churn, pair_churn, Churn};
+use logdep::evolution::{churn, Churn};
 use logdep::obs;
 use logdep::{AppServiceModel, DailyPlan, EvidenceCache, PairModel, PipelineConfig};
 use logdep_logstore::{LogStore, SourceId};
@@ -308,9 +308,9 @@ impl ModelIndex {
         let a = self.days.get(&from)?;
         let b = self.days.get(&to)?;
         Some(LayerChurn {
-            l1: pair_churn(&a.l1, &b.l1),
-            l2: pair_churn(&a.l2, &b.l2),
-            l3: app_service_churn(&a.l3, &b.l3),
+            l1: churn(&a.l1, &b.l1),
+            l2: churn(&a.l2, &b.l2),
+            l3: churn(&a.l3, &b.l3),
         })
     }
 

@@ -11,7 +11,7 @@
 //! cargo run --release -p logdep-examples --example moving_landscape
 //! ```
 
-use logdep::evolution::app_service_churn;
+use logdep::evolution::churn;
 use logdep::l3::{run_l3_pool, L3Config};
 use logdep::par::ParConfig;
 use logdep::AppServiceModel;
@@ -62,7 +62,7 @@ fn main() {
 
     let model1 = mine(&week1, &ids);
     let model2 = mine(&week2, &ids);
-    let churn = app_service_churn(&model1, &model2);
+    let churn = churn(&model1, &model2);
 
     println!(
         "week 1 model: {} dependencies; week 2 model: {} dependencies",

@@ -3,7 +3,7 @@
 //! reappears when its knob alone is turned back on.
 
 use logdep::l3::{run_l3_pool, L3Config};
-use logdep::model::{diff_app_service, AppServiceModel};
+use logdep::model::{diff, AppServiceModel};
 use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -42,7 +42,7 @@ fn l3_diff(
         &ParConfig::default(),
     )
     .expect("L3");
-    diff_app_service(&res.detected, svc_ref)
+    diff(&res.detected, svc_ref)
 }
 
 #[test]

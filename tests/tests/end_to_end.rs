@@ -6,7 +6,7 @@ use logdep::eval::{daily_series, DailySeries};
 use logdep::l1::{run_l1_pool, L1Config};
 use logdep::l2::{run_l2_pool, L2Config};
 use logdep::l3::{run_l3_pool, L3Config};
-use logdep::model::{diff_app_service, diff_pairs, AppServiceModel, PairModel};
+use logdep::model::{diff, AppServiceModel, PairModel};
 use logdep::par::ParConfig;
 use logdep::PipelineConfig;
 use logdep_logstore::time::TimeRange;
@@ -120,7 +120,7 @@ fn l1_detects_strong_pairs_with_high_precision() {
         &ParConfig::default(),
     )
     .expect("L1");
-    let d = diff_pairs(&res.detected, &f.pair_ref);
+    let d = diff(&res.detected, &f.pair_ref);
     assert!(d.tp() >= 8, "only {} true pairs found", d.tp());
     assert!(
         d.true_positive_ratio() > 0.6,
@@ -229,8 +229,8 @@ fn full_week_union_beats_single_days_for_l3() {
         &ParConfig::default(),
     )
     .expect("L3");
-    let du = diff_app_service(&union.detected, &f.svc_ref);
-    let d0 = diff_app_service(&day0.detected, &f.svc_ref);
+    let du = diff(&union.detected, &f.svc_ref);
+    let d0 = diff(&day0.detected, &f.svc_ref);
     assert!(du.tp() >= d0.tp(), "union {} < day0 {}", du.tp(), d0.tp());
 }
 
@@ -252,8 +252,8 @@ fn l2_timeout_tradeoff_holds_on_simulated_data() {
         &ParConfig::default(),
     )
     .expect("L2");
-    let ds = diff_pairs(&strict.detected, &f.pair_ref);
-    let dl = diff_pairs(&lax.detected, &f.pair_ref);
+    let ds = diff(&strict.detected, &f.pair_ref);
+    let dl = diff(&lax.detected, &f.pair_ref);
     assert!(
         ds.true_positive_ratio() > dl.true_positive_ratio(),
         "strict {:.2} should beat lax {:.2} in precision",

@@ -3,12 +3,12 @@
 //! load-proportional reference, the dependency graph, and landscape
 //! evolution.
 
-use logdep::evolution::app_service_churn;
+use logdep::evolution::churn;
 use logdep::graph::DependencyGraph;
 use logdep::l1::{adaptive_slots, run_l1_slots_pool, AdaptiveConfig, L1Config};
 use logdep::l2::{delay_profiles, detect_directions, run_l2_pool, DelayConfig, DirectionConfig};
 use logdep::l3::{run_l3_pool, L3Config};
-use logdep::model::diff_pairs;
+use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep::PairModel;
 use logdep_logstore::time::TimeRange;
@@ -84,7 +84,7 @@ fn delay_analysis_separates_causal_from_concurrent() {
             .map(|(a, b)| (a.as_str(), b.as_str())),
     )
     .expect("names resolve");
-    let diff = diff_pairs(&l2.detected, &pair_ref);
+    let diff = diff(&l2.detected, &pair_ref);
 
     let mut types = Vec::new();
     for &(a, b) in diff.true_pos.iter().chain(diff.false_pos.iter()) {
@@ -143,7 +143,7 @@ fn adaptive_slots_cover_the_range_and_find_pairs() {
     let sources = out.store.active_sources();
     let res =
         run_l1_slots_pool(&out.store, &slots, &sources, &l1cfg, &ParConfig::default()).expect("L1");
-    let d = diff_pairs(&res.detected, &pair_ref);
+    let d = diff(&res.detected, &pair_ref);
     assert!(d.tp() >= 5, "adaptive L1 found only {} pairs", d.tp());
 }
 
@@ -214,7 +214,7 @@ fn landscape_evolution_is_detected_by_remining() {
         .expect("L3")
         .detected;
 
-    let churn = app_service_churn(&m1, &m2);
+    let churn = churn(&m1, &m2);
     assert!(
         churn.stability() > 0.75,
         "stability {:.2}",
@@ -292,7 +292,7 @@ fn ensemble_agreement_is_a_precision_signal() {
     let l3_pairs = app_service_to_pairs(&l3.detected, &owners);
 
     let ensemble = Ensemble::combine(&l1.detected, &l2.detected, &l3_pairs);
-    let precision = |m: &PairModel| diff_pairs(m, &pair_ref).true_positive_ratio();
+    let precision = |m: &PairModel| diff(m, &pair_ref).true_positive_ratio();
     let p1 = precision(&ensemble.at_least(1));
     let p2 = precision(&ensemble.at_least(2));
     assert!(

@@ -2,7 +2,7 @@
 //! the server-timestamp trap (§4.2/§5 of the paper).
 
 use logdep::l3::{run_l3_pool, L3Config};
-use logdep::model::{diff_app_service, AppServiceModel};
+use logdep::model::{diff, AppServiceModel};
 use logdep::par::ParConfig;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
@@ -58,8 +58,8 @@ fn l3_survives_collection_interruptions() {
     // recall barely moves.
     let (d_base, ref_base) = mine_l3(&base);
     let (d_gappy, ref_gappy) = mine_l3(&gappy);
-    let recall_base = diff_app_service(&d_base, &ref_base).recall();
-    let recall_gappy = diff_app_service(&d_gappy, &ref_gappy).recall();
+    let recall_base = diff(&d_base, &ref_base).recall();
+    let recall_gappy = diff(&d_gappy, &ref_gappy).recall();
     assert!(
         recall_gappy > recall_base - 0.05,
         "collection gaps destroyed recall: {recall_gappy:.2} vs {recall_base:.2}"
@@ -111,8 +111,8 @@ fn extreme_clock_skew_degrades_l2_but_not_l3() {
     // L3 ignores timestamps entirely (within-day granularity).
     let (d_norm, ref_norm) = mine_l3(&normal);
     let (d_skew, ref_skew) = mine_l3(&skewed);
-    let r_norm = diff_app_service(&d_norm, &ref_norm).recall();
-    let r_skew = diff_app_service(&d_skew, &ref_skew).recall();
+    let r_norm = diff(&d_norm, &ref_norm).recall();
+    let r_skew = diff(&d_skew, &ref_skew).recall();
     assert!((r_norm - r_skew).abs() < 0.05, "{r_norm:.2} vs {r_skew:.2}");
 }
 
@@ -148,7 +148,7 @@ fn server_timestamps_are_worse_for_l2_than_client_timestamps() {
     let day = TimeRange::day(0);
     let tp = |store: &logdep_logstore::LogStore| {
         let res = logdep::l2::run_l2_pool(store, day, &l2cfg, &ParConfig::default()).expect("L2");
-        logdep::diff_pairs(&res.detected, &pair_ref).tp()
+        logdep::diff(&res.detected, &pair_ref).tp()
     };
     let tp_client = tp(&out.store);
     let tp_server = tp(&swapped);
