@@ -261,7 +261,8 @@ pub fn l1_fingerprint(cfg: &L1Config, sources: &[SourceId]) -> u64 {
     f.push_bool(cfg.two_sided);
     f.push_str(&format!("{:?}", cfg.reference));
     f.push_str(&format!("{:?}", cfg.decision));
-    f.push_bool(cfg.retain_dists);
+    // The retired `retain_dists` flag (always on): keeps stored keys valid.
+    f.push_bool(true);
     for s in sources {
         f.push_u64(u64::from(s.0));
     }
@@ -298,9 +299,9 @@ pub(crate) fn l1_slot_digest(
     f.finish()
 }
 
-/// [`run_l1_slots_cached`] over the slot grid of `range` — the cached
-/// twin of [`crate::l1::run_l1_pool`], byte-identical to it at every
-/// thread count and cache state.
+/// Technique L1 over the slot grid of `range` with slot-evidence
+/// memoization — the cached twin of [`crate::l1::run_l1_pool`],
+/// byte-identical to it at every thread count and cache state.
 pub fn run_l1_cached(
     store: &LogStore,
     range: TimeRange,
@@ -327,13 +328,13 @@ pub fn run_l1_cached(
     result
 }
 
-/// Technique L1 over an explicit slot list with slot-evidence
-/// memoization: every slot is first probed in the cache by its content
+/// [`run_l1_cached`] over an explicit slot list (`cfg` already
+/// validated): every slot is first probed in the cache by its content
 /// address; only the misses fan out on the pool (through the very same
 /// [`slot_evidence`] the batch runner uses), and their evidence is
 /// inserted for the next run. The combined result is byte-identical to
 /// [`crate::l1::run_l1_slots_pool`] regardless of which entries hit.
-pub fn run_l1_slots_cached(
+fn run_l1_slots_cached(
     store: &LogStore,
     slots: &[TimeRange],
     sources: &[SourceId],
@@ -341,7 +342,6 @@ pub fn run_l1_slots_cached(
     par: &ParConfig,
     cache: &mut EvidenceCache,
 ) -> crate::Result<L1Result> {
-    cfg.validate()?;
     record(|r| {
         r.span_begin("l1.slots", &[("slots", Field::from(slots.len()))]);
     });
@@ -455,6 +455,23 @@ mod tests {
     use super::*;
     use logdep_logstore::time::MS_PER_HOUR;
     use logdep_logstore::{LogRecord, Millis};
+
+    /// Every `EvidenceKey` and durable checkpoint carries these, so a
+    /// change here silently turns existing stores cold.
+    #[test]
+    fn default_fingerprints_are_stable() {
+        let sources = [SourceId(0), SourceId(1), SourceId(2)];
+        let ids = ["SVC0".to_owned(), "SVC1".to_owned()];
+        assert_eq!(
+            l1_fingerprint(&L1Config::default(), &sources),
+            0xb15a_d33b_3e56_9e5e
+        );
+        assert_eq!(l2_fingerprint(&L2Config::default()), 0x3ed6_5ac3_e6c4_d347);
+        assert_eq!(
+            l3_fingerprint(&L3Config::default(), &ids),
+            0xb234_e7a5_8a0a_3f55
+        );
+    }
 
     fn coupled_store(hours: i64) -> (LogStore, Vec<SourceId>) {
         let mut store = LogStore::new();

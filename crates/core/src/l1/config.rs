@@ -79,13 +79,6 @@ pub struct L1Config {
     pub reference: ReferenceProcess,
     /// Decision rule applied to the two samples.
     pub decision: DecisionRule,
-    /// Keep the raw sorted distances inside each
-    /// [`DistanceSamples`](super::DistanceSamples) (`true`, the
-    /// default, for snapshots and diagnostics). Off, each sample keeps
-    /// only its center and CI bounds — verdict-sized entries for the
-    /// slot-evidence cache. Incompatible with [`DecisionRule::RankSum`],
-    /// which needs the raw values.
-    pub retain_dists: bool,
 }
 
 impl Default for L1Config {
@@ -103,7 +96,6 @@ impl Default for L1Config {
             two_sided: false,
             reference: ReferenceProcess::Homogeneous,
             decision: DecisionRule::CiSeparation,
-            retain_dists: true,
         }
     }
 }
@@ -170,12 +162,6 @@ impl L1Config {
                 reason: "need at least 10 points for a usable CI".into(),
             });
         }
-        if !self.retain_dists && matches!(self.decision, DecisionRule::RankSum { .. }) {
-            return Err(crate::MineError::InvalidConfig {
-                name: "retain_dists",
-                reason: "rank-sum decisions need the raw distance samples".into(),
-            });
-        }
         Ok(())
     }
 }
@@ -240,16 +226,5 @@ mod tests {
             ..L1Config::default()
         };
         assert!(bad.validate().is_err());
-        let bad = L1Config {
-            retain_dists: false,
-            decision: DecisionRule::RankSum { alpha: 0.01 },
-            ..L1Config::default()
-        };
-        assert!(bad.validate().is_err(), "rank-sum needs raw distances");
-        let ok = L1Config {
-            retain_dists: false,
-            ..L1Config::default()
-        };
-        assert!(ok.validate().is_ok(), "CI separation works without them");
     }
 }

@@ -14,8 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Distance samples of one side of the comparison, with its CI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DistanceSamples {
-    /// Sorted distances in milliseconds (empty when
-    /// [`L1Config::retain_dists`] is off).
+    /// Sorted distances in milliseconds.
     pub dists: Vec<f64>,
     /// Location estimate (median or mean per config).
     pub center: f64,
@@ -59,10 +58,6 @@ fn distances(a: &Timeline, mut points: Vec<Millis>, kind: DistanceKind) -> Vec<f
 }
 
 /// Builds the CI for a distance sample under the configured statistic.
-/// With `cfg.retain_dists` off the raw distances are dropped after the
-/// CI is computed, leaving a verdict-sized sample (the cached hot path;
-/// [`L1Config::validate`] rejects the combination with the rank-sum
-/// rule, which needs the raw values).
 fn summarize(mut dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
     if dists.len() < 10 {
         return None;
@@ -87,9 +82,6 @@ fn summarize(mut dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
             (mean, mean - half, mean + half)
         }
     };
-    if !cfg.retain_dists {
-        dists = Vec::new();
-    }
     Some(DistanceSamples {
         center,
         lower,
@@ -312,27 +304,6 @@ mod tests {
         let mut s = Sampler::from_seed(9);
         let out = direction_test(&a, &b, hour(), &c, &mut s).expect("data");
         assert!(!out.positive, "rank-sum rule flagged an unrelated pair");
-    }
-
-    #[test]
-    fn retain_dists_off_keeps_the_verdict_drops_the_sample() {
-        let (a, b) = coupled_pair();
-        let on = cfg();
-        let off = L1Config {
-            retain_dists: false,
-            ..cfg()
-        };
-        let mut s1 = Sampler::from_seed(11);
-        let mut s2 = Sampler::from_seed(11);
-        let kept = direction_test(&a, &b, hour(), &on, &mut s1).expect("data");
-        let slim = direction_test(&a, &b, hour(), &off, &mut s2).expect("data");
-        assert_eq!(kept.positive, slim.positive);
-        assert_eq!(kept.sample_b.center, slim.sample_b.center);
-        assert_eq!(kept.sample_b.lower, slim.sample_b.lower);
-        assert_eq!(kept.sample_b.upper, slim.sample_b.upper);
-        assert_eq!(kept.sample_r.center, slim.sample_r.center);
-        assert!(!kept.sample_b.dists.is_empty());
-        assert!(slim.sample_b.dists.is_empty() && slim.sample_r.dists.is_empty());
     }
 
     #[test]

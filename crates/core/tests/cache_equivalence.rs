@@ -312,13 +312,6 @@ fn l1_fingerprint_reflects_every_config_field() {
                 ..base.clone()
             },
         ),
-        (
-            "retain_dists",
-            L1Config {
-                retain_dists: !base.retain_dists,
-                ..base.clone()
-            },
-        ),
     ];
     let labels: Vec<&str> = variants.iter().map(|(l, _)| *l).collect();
     let prints: Vec<u64> = variants

@@ -119,12 +119,6 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Schedules a reload through the server's [`SnapshotSource`]
-    /// (same effect as `GET /admin/reload`).
-    pub fn request_reload(&self) {
-        self.shared.reload.store(true, Ordering::SeqCst);
-    }
-
     /// Atomically swaps in an already-built index. In-flight requests
     /// finish against the generation they started with; new requests
     /// see the new one. Never blocks readers.

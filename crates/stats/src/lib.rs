@@ -12,9 +12,8 @@
 //!   association;
 //! * [`wilcoxon`] — the exact signed-rank test used for the timeout study
 //!   (Table 2 of the paper);
-//! * [`ranksum`] / [`fisher`] — the Mann–Whitney rank-sum test and
-//!   Fisher's exact test, used by the ablation studies as alternative
-//!   decision rules;
+//! * [`ranksum`] — the Mann–Whitney rank-sum test, the alternative L1
+//!   decision rule (`DecisionRule::RankSum`);
 //! * [`regression`] — ordinary least squares with confidence intervals for
 //!   the slope, used by the load-influence study (Figure 9);
 //! * [`boxplot`], [`descriptive`], [`sampling`] — supporting summaries.
@@ -49,7 +48,6 @@ pub mod chi2;
 pub mod contingency;
 pub mod descriptive;
 pub mod error;
-pub mod fisher;
 pub mod normal;
 pub mod order_stats;
 pub mod ranksum;

@@ -68,15 +68,6 @@ impl Fit {
         })
     }
 
-    /// Two-sided confidence interval for the intercept at `level`.
-    pub fn intercept_ci(&self, level: f64) -> Result<Interval> {
-        let t = tdist::two_sided_t(level, (self.n - 2) as f64)?;
-        Ok(Interval {
-            lower: self.intercept - t * self.intercept_se,
-            upper: self.intercept + t * self.intercept_se,
-        })
-    }
-
     /// Predicted value at `x`.
     pub fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x
