@@ -15,7 +15,7 @@ use logdep::window::{run_window_cached, WindowOutcome};
 use logdep::{evolution, EdgeTarget, MineError, Model};
 use logdep_faults::{inject as inject_faults, FaultConfig};
 use logdep_logstore::codec::write_store;
-use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
+use logdep_logstore::ingest::{read_store_resilient, IngestPolicy, WHOLE_CLOCK};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis, SourceId};
 use logdep_par::ParConfig;
@@ -27,6 +27,7 @@ use logdep_textmatch::{cluster, ClusterConfig};
 use std::error::Error;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::ops::RangeInclusive;
 
 /// Help text shown by `logdep help`.
 pub const HELP: &str = "\
@@ -92,7 +93,21 @@ type CmdResult = Result<(), Box<dyn Error>>;
 /// and out-of-order delivery repaired, with a warning summarizing any
 /// damage found.
 fn load_logs(args: &Args, key: &'static str) -> Result<LogStore, Box<dyn Error>> {
-    let (store, reports) = logdep_logstore::load_logs(args.required(key)?, &par_config(args)?)?;
+    load_logs_in(args, key, WHOLE_CLOCK)
+}
+
+/// [`load_logs`], storing only the rows whose client timestamp lies in
+/// `scope` (see [`IngestPolicy::scope`]).
+fn load_logs_in(
+    args: &Args,
+    key: &'static str,
+    scope: RangeInclusive<Millis>,
+) -> Result<LogStore, Box<dyn Error>> {
+    let policy = IngestPolicy {
+        scope,
+        ..IngestPolicy::with_par(par_config(args)?)
+    };
+    let (store, reports) = logdep_logstore::load_logs(args.required(key)?, &policy)?;
     for (path, report) in &reports {
         if report.quarantined > 0 || report.deduped > 0 {
             eprintln!("warning: {path}: {}", report.summary());
@@ -395,8 +410,9 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
             return Err(format!("flag --cache: directory {dir:?} does not exist").into());
         }
     }
-    let store = load_logs(args, "logs")?;
+    // Only the rows the plan's windows read are stored.
     let plan = daily_plan(args)?;
+    let store = load_logs_in(args, "logs", plan.read_span())?;
     let resume: bool = args.parsed_or("resume", false)?;
 
     let ids = match args.optional("directory") {

@@ -936,3 +936,115 @@ fn day_flags_past_the_clock_are_flag_errors() {
         }
     }
 }
+
+#[test]
+fn daily_reuses_a_store_primed_from_the_whole_export() {
+    use logdep::durable::{run_daily_durable, DailyPlan, NoopPolicy};
+    use logdep::health::PipelineConfig;
+    use logdep::l1::L1Config;
+    use logdep::l2::L2Config;
+    use logdep::l3::L3Config;
+    use logdep::window::run_window_cached;
+    use logdep::EvidenceCache;
+    use logdep_logstore::{load_logs, IngestPolicy};
+
+    let dir = TempDir::new("primed-whole");
+    let logs = dir.path("logs.tsv");
+    let directory = dir.path("dir.xml");
+    let (code, out) = run(&[
+        "simulate",
+        "--out",
+        &logs,
+        "--directory",
+        &directory,
+        "--days",
+        "3",
+        "--seed",
+        "5",
+        "--scale",
+        "0.15",
+    ]);
+    assert_eq!(code, 0, "simulate failed: {out}");
+
+    // The whole export, and the detectors `daily` builds from its
+    // defaults with a directory.
+    let (store, _) = load_logs(&logs, &IngestPolicy::default()).expect("load");
+    let xml = std::fs::read_to_string(&directory).expect("directory");
+    let ids: Vec<String> = logdep_sim::ServiceDirectory::from_xml(&xml)
+        .expect("parse directory")
+        .ids()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let cfg = PipelineConfig {
+        l1: Some(L1Config {
+            minlogs: 25,
+            seed: 7,
+            ..L1Config::default()
+        }),
+        l2: Some(L2Config::default()),
+        l3: Some(L3Config::default()),
+        par: logdep_par::ParConfig::default(),
+    };
+
+    // Prime the store in-process from the whole export: window [0, 2).
+    let cache = dir.path("cache.ck");
+    let plan = DailyPlan {
+        start_day: 0,
+        window_days: 2,
+        advance_days: 1,
+        steps: 1,
+    };
+    run_daily_durable(
+        &store,
+        &ids,
+        &cfg,
+        &plan,
+        std::path::Path::new(&cache),
+        false,
+        &mut NoopPolicy,
+        &mut |_, _| {},
+    )
+    .expect("prime");
+
+    // The reference: a rolling pass over the whole export.
+    let mut rolling = EvidenceCache::new();
+    let mut expected = String::new();
+    for start_day in [0, 1] {
+        let window = DailyPlan { start_day, ..plan }.window(0);
+        let o = run_window_cached(&store, window, &ids, &cfg, &mut rolling).expect("window");
+        expected = format!(
+            "window days {start_day}..{}: L1 {} pairs, L2 {} pairs, L3 {} deps \
+             (cache: {} hits, {} misses)",
+            start_day + 2,
+            o.l1.as_ref().map_or(0, |r| r.detected.len()),
+            o.l2.as_ref().map_or(0, |r| r.detected.len()),
+            o.l3.as_ref().map_or(0, |r| r.detected.len()),
+            o.stats.hits(),
+            o.stats.misses()
+        );
+    }
+
+    // The next night reads only its window's rows, and still finds
+    // every entry the whole export's window left behind.
+    let (code, out) = run(&[
+        "daily",
+        "--logs",
+        &logs,
+        "--directory",
+        &directory,
+        "--window-days",
+        "2",
+        "--start-day",
+        "1",
+        "--cache",
+        &cache,
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("window days"))
+        .expect("summary line");
+    assert_eq!(line, expected, "{out}");
+    assert!(!line.contains("(cache: 0 hits"), "{out}");
+}

@@ -38,6 +38,7 @@ use crate::cache::{
 };
 use crate::error::MineError;
 use crate::health::{record_detector_health, DetectorHealth, DetectorKind, PipelineConfig};
+use crate::l1::LOAD_JITTER_MS;
 use crate::l2::BigramCounts;
 use crate::window::{run_window_cached, WindowOutcome};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
@@ -1193,6 +1194,24 @@ impl DailyPlan {
             Millis(start.saturating_mul(MS_PER_DAY)),
             Millis(end.saturating_mul(MS_PER_DAY)),
         )
+    }
+
+    /// The client timestamps this plan's mining reads: from the first
+    /// window's start to the last window's end, widened on each side by
+    /// the farthest any miner reads outside a window. L2's session
+    /// rebuild and L3's day scan read only rows inside a window. L1's
+    /// load-proportional reference jitters its picks by up to
+    /// `LOAD_JITTER_MS` (2 s), which is also the margin its cache
+    /// digests, and its distance queries consult one timeline point
+    /// beyond on each side, which a store read under this scope keeps
+    /// ([`IngestPolicy::scope`](logdep_logstore::IngestPolicy::scope)).
+    /// So every window mines the same from such a store as from the
+    /// whole export, and probes the same cache keys.
+    pub fn read_span(&self) -> RangeInclusive<Millis> {
+        let first = self.window(0);
+        let last = self.window(self.steps.saturating_sub(1));
+        Millis(first.start.0.saturating_sub(LOAD_JITTER_MS))
+            ..=Millis(last.end.0.saturating_add(LOAD_JITTER_MS - 1))
     }
 
     /// Rejects degenerate schedules, and schedules whose windows do

@@ -61,15 +61,14 @@ pub fn run_l1_pool(
 }
 
 /// Runs technique L1 over an explicit slot list — the entry point for
-/// the adaptive-slot variant (§5 of the paper; see [`super::adaptive`]).
+/// the adaptive-slot variant (§5 of the paper; see [`super::adaptive_slots`]).
 ///
 /// Slots are independent by construction (every RNG stream is seeded
 /// from `(seed, slot token, source)` alone, where the token depends on
-/// the slot's *absolute position*, not its enumeration index — see
-/// [`slot_token`]), so the (pair × slot) distance tests fan out per
-/// slot on the pool and the per-slot evidence is merged by counting in
-/// canonical slot-then-pair order — the exact accumulation the serial
-/// loop performs.
+/// the slot's *absolute position*, not its enumeration index), so the
+/// (pair × slot) distance tests fan out per slot on the pool and the
+/// per-slot evidence is merged by counting in canonical slot-then-pair
+/// order — the exact accumulation the serial loop performs.
 pub fn run_l1_slots_pool(
     store: &LogStore,
     slots: &[TimeRange],

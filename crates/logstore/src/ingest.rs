@@ -10,6 +10,11 @@
 //! estimates per-source clock skew from the client/server timestamp gap
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
 //! machine-readable [`IngestReport`].
+//!
+//! A pass may be *scoped* to the client timestamps a job will read
+//! ([`IngestPolicy::scope`]): every line is still parsed and counted, but
+//! only the rows inside the scope are stored, plus, per source, the
+//! nearest timestamp on each side of it (see [`LogStore`]).
 
 use crate::codec::{lines, parse_fields, unescape_into, ParseError, ParseErrors};
 use crate::record::{StoreFull, StoredRecord, TextSpan};
@@ -20,6 +25,7 @@ use logdep_par::ParConfig;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
+use std::ops::RangeInclusive;
 use std::sync::mpsc;
 
 /// Per-source cap on skew samples: enough for a stable median without
@@ -32,6 +38,9 @@ const BLOCK_BYTES: usize = 256 * 1024;
 
 /// Blocks each worker may hold at once, queued or being parsed.
 const BLOCKS_PER_WORKER: usize = 2;
+
+/// Every client timestamp: the default [`IngestPolicy::scope`].
+pub const WHOLE_CLOCK: RangeInclusive<Millis> = Millis(i64::MIN)..=Millis(i64::MAX);
 
 /// Quarantine and repair policy for one resilient ingest pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +61,16 @@ pub struct IngestPolicy {
     /// Parsing pool width; 1 parses on the calling thread. The result
     /// does not depend on it.
     pub par: ParConfig,
+    /// The client timestamps whose rows are stored ([`WHOLE_CLOCK`] by
+    /// default). A row outside is still parsed, its names interned and
+    /// its arrival observed, so the error budget, the registry ids, the
+    /// out-of-order count and the skew estimates do not depend on the
+    /// scope. Its text is not unescaped and the row is not stored; its
+    /// source keeps only its nearest timestamp on each side of the scope,
+    /// in its timeline. So every source with a row keeps a point, and a
+    /// distance query, [`crate::Timeline::digest_neighborhood`] or a
+    /// range read inside the scope answers as on the whole stream.
+    pub scope: RangeInclusive<Millis>,
 }
 
 impl Default for IngestPolicy {
@@ -70,6 +89,7 @@ impl IngestPolicy {
             error_sample_cap: ParseErrors::SAMPLE_CAP,
             dedup: true,
             par,
+            scope: WHOLE_CLOCK,
         }
     }
 
@@ -93,7 +113,8 @@ pub struct IngestReport {
     pub quarantined: usize,
     /// First few quarantined lines as `(1-based line number, error)`.
     pub quarantine_samples: Vec<(usize, String)>,
-    /// Exact duplicate records removed on finalize.
+    /// Exact duplicate records removed on finalize. Only stored rows are
+    /// deduplicated, so under a scope this counts the duplicates inside it.
     pub deduped: usize,
     /// Records that arrived with a client timestamp earlier than a
     /// previously-seen record (repaired by the finalize sort).
@@ -102,6 +123,9 @@ pub struct IngestReport {
     /// `client_ts - server_ts` over the source's records, ms. Only
     /// sources with a nonzero estimate appear.
     pub per_source_skew_ms: BTreeMap<String, i64>,
+    /// Parsed rows left outside the policy's scope: observed, not stored.
+    #[serde(default)]
+    pub outside_scope: usize,
 }
 
 impl IngestReport {
@@ -114,9 +138,10 @@ impl IngestReport {
         }
     }
 
-    /// One-line human summary for CLI output.
+    /// One-line human summary for CLI output; the rows left outside the
+    /// scope are named only when there are any.
     pub fn summary(&self) -> String {
-        format!(
+        let mut line = format!(
             "{} lines: {} parsed, {} quarantined, {} deduped, {} out-of-order repaired, \
              {} sources with clock skew",
             self.total_lines,
@@ -125,7 +150,11 @@ impl IngestReport {
             self.deduped,
             self.repaired_out_of_order,
             self.per_source_skew_ms.len(),
-        )
+        );
+        if self.outside_scope > 0 {
+            line.push_str(&format!(", {} outside the scope", self.outside_scope));
+        }
+        line
     }
 }
 
@@ -206,9 +235,9 @@ impl From<StoreFull> for IngestError {
 /// [`IngestError::StoreFull`], but where a budget trip falls in the same
 /// block as that overflow the pass may report either.)
 ///
-/// Each record's text is unescaped straight into a block-local text
-/// arena, which the merge appends to the store's, so no record costs an
-/// allocation of its own.
+/// Each stored record's text is unescaped straight into a block-local
+/// text arena, which the merge appends to the store's, so no record
+/// costs an allocation of its own.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
@@ -255,6 +284,8 @@ impl Pass {
     /// Appends the next block, exactly as a line-by-line loop would have
     /// taken its lines: names interned in first-seen order, the error
     /// budget checked wherever it could trip, arrivals observed in order.
+    /// Rows outside `policy.scope` are observed, then left out, each
+    /// offered to its source's nearest outside timestamps.
     fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
         self.check_block_budget(block, policy)?;
         self.report.total_lines += block.lines;
@@ -263,20 +294,30 @@ impl Pass {
             .append(std::mem::take(&mut block.errors), self.lines_read);
         self.lines_read += block.line_count;
 
-        let registry = &mut self.store.registry;
-        let sources = reintern(&block.registry.sources, &mut registry.sources);
-        let users = reintern(&block.registry.users, &mut registry.users);
-        let hosts = reintern(&block.registry.hosts, &mut registry.hosts);
-        for row in &mut block.rows {
+        let Self {
+            store, arrivals, ..
+        } = self;
+        let sources = reintern(&block.registry.sources, &mut store.registry.sources);
+        let users = reintern(&block.registry.users, &mut store.registry.users);
+        let hosts = reintern(&block.registry.hosts, &mut store.registry.hosts);
+        let (parsed, mut arrival) = (block.rows.len(), self.report.parsed - block.rows.len());
+        block.rows.retain_mut(|row| {
             *row = row.with_ids(
                 SourceId(translate(&sources, row.source.0)),
                 row.user().map(|u| UserId(translate(&users, u.0))),
                 row.host().map(|h| HostId(translate(&hosts, h.0))),
             );
-            self.arrivals
-                .observe(row.client_ts, row.server_ts, row.source);
-        }
-        self.store.append_rows(block.rows.drain(..), &block.arena)?;
+            arrivals.observe(row.client_ts, row.server_ts, row.source);
+            let inside = policy.scope.contains(&row.client_ts);
+            if !inside {
+                let below = row.client_ts < *policy.scope.start();
+                store.keep_outside(row, arrival, below);
+            }
+            arrival += 1;
+            inside
+        });
+        self.report.outside_scope += parsed - block.rows.len();
+        store.append_rows(block.rows.drain(..), &block.arena)?;
         block.arena.clear();
         Ok(())
     }
@@ -398,15 +439,17 @@ struct Parsed {
 }
 
 /// The kernel: splits one block into [`lines`] and parses each with
-/// [`parse_fields`], appending to the recycled `rows` and `arena`.
+/// [`parse_fields`], appending to the recycled `rows` and `arena`. Only
+/// the texts of rows inside `policy.scope` are unescaped; a row outside
+/// it gets an empty span, and the merge drops it.
 fn parse_block(
     block: &[u8],
     mut rows: Vec<StoredRecord>,
     mut arena: String,
-    sample_cap: usize,
+    policy: &IngestPolicy,
 ) -> Result<Parsed, StoreFull> {
     let mut registry = NameRegistry::new();
-    let mut errors = ParseErrors::with_cap(sample_cap);
+    let mut errors = ParseErrors::with_cap(policy.error_sample_cap);
     let mut failed_at = Vec::new();
     let (mut nonempty, mut line_count) = (0, 0);
     for (lineno, line) in lines(block) {
@@ -418,7 +461,11 @@ fn parse_block(
         let line = std::str::from_utf8(line).map_err(|_| ParseError::InvalidUtf8);
         match line.and_then(|line| parse_fields(line, &mut registry)) {
             Ok((fields, text)) => {
-                let span = TextSpan::append(&mut arena, |a| unescape_into(text, a))?;
+                let span = if policy.scope.contains(&fields.client_ts) {
+                    TextSpan::append(&mut arena, |a| unescape_into(text, a))?
+                } else {
+                    TextSpan::default()
+                };
                 rows.push(StoredRecord::new(&fields, span));
             }
             Err(e) => {
@@ -472,9 +519,9 @@ struct Job {
 
 impl Job {
     /// Parses the block.
-    fn run(self, sample_cap: usize) -> Done {
+    fn run(self, policy: &IngestPolicy) -> Done {
         let Job { bytes, rows, arena } = self;
-        let parsed = parse_block(&bytes, rows, arena, sample_cap);
+        let parsed = parse_block(&bytes, rows, arena, policy);
         Done { bytes, parsed }
     }
 }
@@ -486,10 +533,13 @@ struct Done {
 }
 
 /// Where blocks are parsed.
-enum Worker {
+enum Worker<'p> {
     /// On the calling thread: holds the one block sent and parses it
     /// when its answer is received.
-    Inline { sample_cap: usize, job: Option<Job> },
+    Inline {
+        policy: &'p IngestPolicy,
+        job: Option<Job>,
+    },
     /// On a persistent worker thread, reached through two channels.
     Thread {
         jobs: mpsc::Sender<Job>,
@@ -497,7 +547,7 @@ enum Worker {
     },
 }
 
-impl Worker {
+impl Worker<'_> {
     /// Blocks this worker may hold at once, queued or being parsed.
     fn depth(&self) -> usize {
         match self {
@@ -518,9 +568,9 @@ impl Worker {
 
     fn recv(&mut self) -> Result<Done, IngestError> {
         match self {
-            Worker::Inline { sample_cap, job } => {
+            Worker::Inline { policy, job } => {
                 let job = job.take().ok_or_else(stopped)?;
-                Ok(job.run(*sample_cap))
+                Ok(job.run(policy))
             }
             Worker::Thread { done, .. } => done.recv().map_err(|_| stopped()),
         }
@@ -548,13 +598,9 @@ fn read_blocks<R: BufRead>(
     policy: &IngestPolicy,
     block_bytes: usize,
 ) -> Result<Pass, IngestError> {
-    let sample_cap = policy.error_sample_cap;
     let mut pass = Pass::new(policy);
     if policy.par.is_serial() {
-        let mut inline = [Worker::Inline {
-            sample_cap,
-            job: None,
-        }];
+        let mut inline = [Worker::Inline { policy, job: None }];
         pump(&mut r, &mut inline, block_bytes, &mut pass, policy)?;
         return Ok(pass);
     }
@@ -567,7 +613,7 @@ fn read_blocks<R: BufRead>(
             let (done_tx, done) = mpsc::channel::<Done>();
             handles.push(s.spawn(move || {
                 for job in job_rx {
-                    if done_tx.send(job.run(sample_cap)).is_err() {
+                    if done_tx.send(job.run(policy)).is_err() {
                         return;
                     }
                 }
@@ -688,16 +734,15 @@ impl std::error::Error for LoadError {
 /// one finalized store — the consolidation step of §5, for logs collected
 /// from decentralized storage locations.
 ///
-/// Each file goes through [`read_store_resilient`] under the default
-/// [`IngestPolicy`] at pool width `par`. Later files are merged into the
-/// first, and the merge removes exact duplicates, so a file listed twice
-/// counts once. Returns the store and each file's report, in the order
-/// given.
+/// Each file goes through [`read_store_resilient`] under `policy`, so
+/// every file is read under the same scope. Later files are merged into
+/// the first, and the merge removes exact duplicates, so a file listed
+/// twice counts once. Returns the store and each file's report, in the
+/// order given.
 pub fn load_logs(
     paths: &str,
-    par: &ParConfig,
+    policy: &IngestPolicy,
 ) -> Result<(LogStore, Vec<(String, IngestReport)>), LoadError> {
-    let policy = IngestPolicy::with_par(*par);
     let mut merged: Option<LogStore> = None;
     let mut reports = Vec::new();
     for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -706,7 +751,7 @@ pub fn load_logs(
             error,
         })?;
         let (store, report) =
-            read_store_resilient(BufReader::new(file), &policy).map_err(|error| {
+            read_store_resilient(BufReader::new(file), policy).map_err(|error| {
                 LoadError::Ingest {
                     path: path.to_owned(),
                     error,
@@ -918,7 +963,7 @@ mod tests {
         let a = temp_file("a.tsv", &tsv(&[(10, 10, "A", "x"), (20, 20, "B", "y")]));
         let b = temp_file("b.tsv", &tsv(&[(15, 15, "B", "z"), (10, 10, "A", "x")]));
         let (store, reports) =
-            load_logs(&format!("{a}, {b},{a}"), &ParConfig::default()).expect("ok");
+            load_logs(&format!("{a}, {b},{a}"), &IngestPolicy::default()).expect("ok");
         // A listed twice and the record shared by both files count once.
         assert_eq!(store.len(), 3);
         let ts: Vec<i64> = store
@@ -938,7 +983,7 @@ mod tests {
     #[test]
     fn load_logs_errors_name_the_file() {
         let missing =
-            load_logs("/no/such/logs.tsv", &ParConfig::default()).expect_err("missing file");
+            load_logs("/no/such/logs.tsv", &IngestPolicy::default()).expect_err("missing file");
         assert!(
             missing
                 .to_string()
@@ -946,14 +991,14 @@ mod tests {
             "{missing}"
         );
         let garbage = temp_file("garbage.tsv", "bad\nbad\n");
-        let bad = load_logs(&garbage, &ParConfig::default()).expect_err("all garbage");
+        let bad = load_logs(&garbage, &IngestPolicy::default()).expect_err("all garbage");
         assert!(
             bad.to_string()
                 .starts_with(&format!("ingest {garbage}: error budget exceeded")),
             "{bad}"
         );
         std::fs::remove_file(garbage).expect("remove temp file");
-        let none = load_logs(" , ", &ParConfig::default()).expect_err("no paths");
+        let none = load_logs(" , ", &IngestPolicy::default()).expect_err("no paths");
         assert_eq!(none.to_string(), "no log files given");
     }
 

@@ -30,6 +30,7 @@ pub mod timeline;
 
 pub use ingest::{
     load_logs, read_store_resilient, IngestError, IngestPolicy, IngestReport, LoadError,
+    WHOLE_CLOCK,
 };
 pub use record::{LogRecord, Severity, StoreFull, StoredRecord};
 pub use registry::{HostId, NameRegistry, SourceId, UserId};

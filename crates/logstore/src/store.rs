@@ -10,6 +10,15 @@
 //! record's text lives in one `String` arena the row addresses by a
 //! `u32` span ([`LogStore::text`]), so the store costs two allocations
 //! whatever its record count.
+//!
+//! A store read under a scope ([`crate::IngestPolicy::scope`]) holds the
+//! rows inside it and, per source, the nearest timestamp before and
+//! after it. Those two points are not rows: they sit only in the
+//! source's [`Timeline`], so the source stays active and a distance
+//! query from inside the scope finds the same nearest neighbor as on the
+//! whole stream. It also keeps, per name, where the name first appears
+//! among the rows left out, so [`LogStore::merge`] interns the names in
+//! the order the whole stream's rows would.
 
 use crate::record::{LogRecord, StoreFull, StoredRecord, TextSpan};
 use crate::registry::{HostId, NameRegistry, SourceId, UserId};
@@ -31,6 +40,57 @@ pub struct LogStore {
     /// Set by [`LogStore::merge`]: the next finalize also deduplicates,
     /// making double-ingestion of the same file idempotent.
     pending_dedup: bool,
+    /// What a scoped ingest kept of the rows below its scope (`[0]`)
+    /// and above it (`[1]`).
+    outside: [Outside; 2],
+}
+
+/// A row's place in the order [`LogStore::finalize`] sorts rows into:
+/// client timestamp, source, server timestamp, then arrival.
+type SortKey = (Millis, SourceId, Millis, usize);
+
+/// What a scoped store keeps of the rows on one side of its scope.
+#[derive(Debug, Clone, Default)]
+struct Outside {
+    /// Per source id, its timestamp nearest the scope, which joins its
+    /// timeline.
+    nearest: Vec<Option<Millis>>,
+    /// Per source, user and host id, the first row the name appears in,
+    /// in sort order.
+    first: [Vec<Option<SortKey>>; 3],
+}
+
+impl Outside {
+    /// Offers `ts` as `source`'s point nearest the scope: the largest
+    /// below it when `below`, else the smallest above it.
+    fn keep_nearest(&mut self, source: SourceId, ts: Millis, below: bool) {
+        if let Some(nearest) = grown(&mut self.nearest, source.index()) {
+            let nearer = |kept: Millis| if below { kept.max(ts) } else { kept.min(ts) };
+            *nearest = Some(nearest.map_or(ts, nearer));
+        }
+    }
+
+    /// The names of this side in the order sorted rows show them first:
+    /// `(id space, id)`, the spaces ordered source, user, host within a
+    /// row as [`LogStore::merge`] reads them.
+    fn first_seen(&self) -> Vec<(usize, u32)> {
+        let mut seen: Vec<(SortKey, usize, u32)> = Vec::new();
+        for (space, firsts) in self.first.iter().enumerate() {
+            for (id, key) in (0u32..).zip(firsts) {
+                seen.extend(key.map(|key| (key, space, id)));
+            }
+        }
+        seen.sort_unstable();
+        seen.into_iter().map(|(_, space, id)| (space, id)).collect()
+    }
+}
+
+/// The slot at `idx` of `v`, grown with `T::default()` to reach it.
+fn grown<T: Clone + Default>(v: &mut Vec<T>, idx: usize) -> Option<&mut T> {
+    if v.len() <= idx {
+        v.resize(idx + 1, T::default());
+    }
+    v.get_mut(idx)
 }
 
 impl LogStore {
@@ -85,6 +145,37 @@ impl LogStore {
         Ok(())
     }
 
+    /// Notes `row`, the `arrival`-th parsed row, which a scoped ingest
+    /// leaves out, below its scope when `below`, else above it: its
+    /// timestamp may be its source's nearest to the scope, and it may be
+    /// where one of its names first appears in sort order.
+    pub(crate) fn keep_outside(&mut self, row: &StoredRecord, arrival: usize, below: bool) {
+        self.finalized = false;
+        let side = self.side(below);
+        side.keep_nearest(row.source, row.client_ts, below);
+        let key = (row.client_ts, row.source, row.server_ts, arrival);
+        let ids = [
+            Some(row.source.0),
+            row.user().map(|u| u.0),
+            row.host().map(|h| h.0),
+        ];
+        for (firsts, id) in side.first.iter_mut().zip(ids) {
+            if let Some(first) = id.and_then(|id| grown(firsts, id as usize)) {
+                *first = Some(first.map_or(key, |kept| kept.min(key)));
+            }
+        }
+    }
+
+    /// What this store keeps of the rows below its scope, or above it.
+    fn side(&mut self, below: bool) -> &mut Outside {
+        let [under, over] = &mut self.outside;
+        if below {
+            under
+        } else {
+            over
+        }
+    }
+
     /// The text of `record`, a row of this store.
     pub fn text(&self, record: &StoredRecord) -> &str {
         self.arena.get(record.span().range()).unwrap_or_default()
@@ -96,8 +187,9 @@ impl LogStore {
         self.arena.len()
     }
 
-    /// Sorts by client timestamp and (re)builds the per-source indexes.
-    /// Idempotent; must be called before any query. If records arrived
+    /// Sorts by client timestamp and (re)builds the per-source indexes,
+    /// each with the source's points outside the scope it was read
+    /// under. Idempotent; must be called before any query. If records arrived
     /// via [`LogStore::merge`], exact duplicates (same client timestamp,
     /// source and message) are removed so that re-consolidating the same
     /// file twice yields the same store as ingesting it once.
@@ -110,7 +202,8 @@ impl LogStore {
             self.dedup_sorted();
             self.pending_dedup = false;
         }
-        self.per_source = timelines(&self.records, self.registry.source_count());
+        let [below, above] = &self.outside;
+        self.per_source = timelines(&self.records, below, above, self.registry.source_count());
         self.finalized = true;
     }
 
@@ -229,11 +322,23 @@ impl LogStore {
     /// store's interned ids into this registry — the *consolidation*
     /// step of §5 ("collection of logging data from decentralized
     /// storage locations"). The other store's rows move over and its
-    /// arena is appended to this one. An id the other registry never
-    /// interned maps to `<unknown-source>`, `<unknown-user>` or
+    /// arena is appended to this one. Names are interned in the order the
+    /// other store's sorted rows show them; an id the other registry
+    /// never interned maps to `<unknown-source>`, `<unknown-user>` or
     /// `<unknown-host>`. Invalidates finalization; the next
     /// [`LogStore::finalize`] removes exact duplicates so merging the
     /// same stream twice is idempotent.
+    ///
+    /// When the other store was read under a scope, the names of the
+    /// rows it left out are interned where those rows would have been,
+    /// and its points outside the scope merge with this store's, the
+    /// nearest on each side kept. So a scoped ingest merged into one of
+    /// the same scope gives the store the two whole streams would give,
+    /// restricted to the scope. Two limits: a name seen only in a left-out
+    /// row that finalize would have dropped as a duplicate of a row with
+    /// a different user or host is interned where that row would have
+    /// been; and this store keeps only its own first-appearance order,
+    /// so merging a merged scoped store is not exact.
     ///
     /// Fails, leaving this store as it was, when the merged text would
     /// pass 4 GiB.
@@ -242,36 +347,40 @@ impl LogStore {
             records,
             arena,
             registry,
+            outside: [below, above],
             ..
         } = other;
         let base = TextSpan::append(&mut self.arena, |a| a.push_str(&arena))?.start;
         drop(arena);
         self.finalized = false;
         self.pending_dedup = true;
-        // Dense translation tables, filled lazily.
-        let mut src_map: Vec<Option<SourceId>> = vec![None; registry.sources.len()];
-        let mut user_map: Vec<Option<UserId>> = vec![None; registry.users.len()];
-        let mut host_map: Vec<Option<HostId>> = vec![None; registry.hosts.len()];
+        let mut ids = IdMap::new(&registry);
+        for (space, id) in below.first_seen() {
+            ids.translate(&mut self.registry, space, id);
+        }
         self.records.reserve(records.len());
         for row in records {
-            let source = cached(&mut src_map, row.source.0, || {
-                self.registry.source(registry.source_name(row.source))
-            });
-            let user = row.user().map(|u| {
-                cached(&mut user_map, u.0, || {
-                    let name = registry.users.name(u.0);
-                    self.registry.user(name.unwrap_or("<unknown-user>"))
-                })
-            });
-            let host = row.host().map(|h| {
-                cached(&mut host_map, h.0, || {
-                    let name = registry.hosts.name(h.0);
-                    self.registry.host(name.unwrap_or("<unknown-host>"))
-                })
-            });
+            let source = SourceId(ids.translate(&mut self.registry, 0, row.source.0));
+            let user = row
+                .user()
+                .map(|u| UserId(ids.translate(&mut self.registry, 1, u.0)));
+            let host = row
+                .host()
+                .map(|h| HostId(ids.translate(&mut self.registry, 2, h.0)));
             // The whole arena fit above, so each of its spans rebases.
             let row = row.rebased(base).ok_or(StoreFull)?;
             self.records.push(row.with_ids(source, user, host));
+        }
+        for (space, id) in above.first_seen() {
+            ids.translate(&mut self.registry, space, id);
+        }
+        for (is_below, side) in [(true, below), (false, above)] {
+            for (id, ts) in (0u32..).zip(side.nearest) {
+                if let Some(ts) = ts {
+                    let source = SourceId(ids.translate(&mut self.registry, 0, id));
+                    self.side(is_below).keep_nearest(source, ts, is_below);
+                }
+            }
         }
         Ok(())
     }
@@ -281,12 +390,48 @@ impl LogStore {
     }
 }
 
-/// The translation of `id` through the lazily filled table `map`; an id
-/// past the table is resolved on every call.
-fn cached<T: Copy>(map: &mut [Option<T>], id: u32, resolve: impl FnOnce() -> T) -> T {
-    match map.get_mut(id as usize) {
-        Some(slot) => *slot.get_or_insert_with(resolve),
-        None => resolve(),
+/// Translates another registry's ids into a store's, interning each
+/// name on its first translation; one lazily filled table per id space
+/// (source, user, host).
+struct IdMap<'a> {
+    from: &'a NameRegistry,
+    tables: [Vec<Option<u32>>; 3],
+}
+
+impl<'a> IdMap<'a> {
+    fn new(from: &'a NameRegistry) -> Self {
+        Self {
+            from,
+            tables: [
+                vec![None; from.sources.len()],
+                vec![None; from.users.len()],
+                vec![None; from.hosts.len()],
+            ],
+        }
+    }
+
+    /// The id in `into` of `id` of id space `space`; an id the other
+    /// registry never interned maps to its space's `<unknown-…>` name,
+    /// and one past the table is resolved on every call.
+    fn translate(&mut self, into: &mut NameRegistry, space: usize, id: u32) -> u32 {
+        let from = self.from;
+        let mut resolve = || match space {
+            0 => into.sources.intern(from.source_name(SourceId(id))),
+            1 => into
+                .users
+                .intern(from.users.name(id).unwrap_or("<unknown-user>")),
+            _ => into
+                .hosts
+                .intern(from.hosts.name(id).unwrap_or("<unknown-host>")),
+        };
+        match self
+            .tables
+            .get_mut(space)
+            .and_then(|t| t.get_mut(id as usize))
+        {
+            Some(slot) => *slot.get_or_insert_with(resolve),
+            None => resolve(),
+        }
     }
 }
 
@@ -308,10 +453,18 @@ fn sort_rows(rows: &mut [StoredRecord]) {
     }
 }
 
-/// One timeline per source id up to the larger of `registered` and the
-/// highest id in `rows`, each allocated at its exact length.
-fn timelines(rows: &[StoredRecord], registered: usize) -> Vec<Timeline> {
-    let mut counts = vec![0usize; registered];
+/// One timeline per source id up to the largest of `registered` and the
+/// highest id in `rows`, `below` and `above`, each allocated at its
+/// exact length: the source's point nearest below the scope, its rows'
+/// timestamps, and its point nearest above it.
+fn timelines(
+    rows: &[StoredRecord],
+    below: &Outside,
+    above: &Outside,
+    registered: usize,
+) -> Vec<Timeline> {
+    let sources = registered.max(below.nearest.len()).max(above.nearest.len());
+    let mut counts = vec![0usize; sources];
     for r in rows {
         let idx = r.source.index();
         if counts.len() <= idx {
@@ -321,13 +474,35 @@ fn timelines(rows: &[StoredRecord], registered: usize) -> Vec<Timeline> {
             *count += 1;
         }
     }
+    for side in [below, above] {
+        for (count, nearest) in counts.iter_mut().zip(&side.nearest) {
+            *count += usize::from(nearest.is_some());
+        }
+    }
     let mut points: Vec<Vec<Millis>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (source, &nearest) in points.iter_mut().zip(&below.nearest) {
+        source.extend(nearest);
+    }
     for r in rows {
         if let Some(source) = points.get_mut(r.source.index()) {
             source.push(r.client_ts);
         }
     }
-    points.into_iter().map(Timeline::from_sorted).collect()
+    for (source, &nearest) in points.iter_mut().zip(&above.nearest) {
+        source.extend(nearest);
+    }
+    points
+        .into_iter()
+        .map(|source| {
+            // Below the scope, the rows, above it: sorted, unless the
+            // rows came from stores read under different scopes.
+            if source.is_sorted() {
+                Timeline::from_sorted(source)
+            } else {
+                Timeline::from_unsorted(source)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@
 #![allow(clippy::indexing_slicing)]
 
 use logdep_logstore::codec::{read_store, ParseErrors};
-use logdep_logstore::ingest::{read_store_resilient, IngestError, IngestPolicy, IngestReport};
+use logdep_logstore::ingest::{
+    read_store_resilient, IngestError, IngestPolicy, IngestReport, WHOLE_CLOCK,
+};
 use logdep_logstore::registry::{Interner, NameRegistry};
 use logdep_logstore::{LogRecord, LogStore};
 use logdep_par::ParConfig;
@@ -402,6 +404,7 @@ fn policy() -> impl Strategy<Value = IngestPolicy> {
                     error_sample_cap,
                     dedup,
                     par: width(threads),
+                    scope: WHOLE_CLOCK,
                 }
             },
         )
@@ -449,6 +452,7 @@ bare\rcarriage return\n\
                 error_sample_cap: 1,
                 dedup: false,
                 par: width(threads),
+                scope: WHOLE_CLOCK,
             },
         ] {
             assert_kernel_matches_reference(input, &policy);

@@ -14,7 +14,7 @@
 use crate::index::ModelIndex;
 use crate::ServeError;
 use logdep::{open_read_only, DailyPlan, EvidenceCache, PipelineConfig};
-use logdep_logstore::load_logs;
+use logdep_logstore::{load_logs, IngestPolicy};
 use logdep_obs::{record, Field};
 use logdep_par::ParConfig;
 use logdep_sim::ServiceDirectory;
@@ -68,7 +68,7 @@ fn reload_inner(
 ) -> Result<ModelIndex, ServeError> {
     // Parse on the calling thread: at serve time the cores belong to the
     // request workers, and a wider reload ingest slowed their reads.
-    let (store, _reports) = load_logs(&source.logs, &ParConfig::serial())
+    let (store, _reports) = load_logs(&source.logs, &IngestPolicy::with_par(ParConfig::serial()))
         .map_err(|e| ServeError::Build(e.to_string()))?;
     let ids = match &source.directory {
         Some(path) => directory_ids(path)?,
@@ -244,7 +244,8 @@ mod tests {
     /// records of a plan-B run killed before its checkpoint.
     fn stale_plan_store(dir: &Path, src: &SnapshotSource) -> PathBuf {
         let path = dir.join("cache.ck");
-        let (logs, _) = load_logs(&src.logs, &ParConfig::serial()).expect("load logs");
+        let (logs, _) =
+            load_logs(&src.logs, &IngestPolicy::with_par(ParConfig::serial())).expect("load logs");
         let cfg = PipelineConfig {
             l2: Some(L2Config::default()),
             ..src.cfg.clone()

@@ -53,7 +53,7 @@ pub fn pmf(n: u64, p: f64, k: u64) -> Result<f64> {
 ///
 /// Exact via the regularized incomplete beta identity
 /// `P(X ≤ k) = I_{1−p}(n−k, k+1)`; normal approximation with continuity
-/// correction beyond [`EXACT_LIMIT`].
+/// correction beyond `n` = 10⁸.
 pub fn cdf(n: u64, p: f64, k: u64) -> Result<f64> {
     check_p(p)?;
     if k >= n {

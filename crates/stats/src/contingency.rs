@@ -157,7 +157,7 @@ impl Table2x2 {
     }
 }
 
-/// Which association statistic an [`AssociationTest`] computes.
+/// Which association statistic [`association_test`] computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AssociationStatistic {
     /// Dunning's log-likelihood ratio G² (the paper's choice).
