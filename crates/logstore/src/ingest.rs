@@ -284,8 +284,9 @@ impl Pass {
     /// Appends the next block, exactly as a line-by-line loop would have
     /// taken its lines: names interned in first-seen order, the error
     /// budget checked wherever it could trip, arrivals observed in order.
-    /// Rows outside `policy.scope` are observed, then left out, each
-    /// offered to its source's nearest outside timestamps.
+    /// Rows outside `policy.scope` are observed, then left out; the store
+    /// notes each as a candidate for its source's nearest timestamp and
+    /// for the first appearance of its names.
     fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
         self.check_block_budget(block, policy)?;
         self.report.total_lines += block.lines;

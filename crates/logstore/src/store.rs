@@ -189,10 +189,11 @@ impl LogStore {
 
     /// Sorts by client timestamp and (re)builds the per-source indexes,
     /// each with the source's points outside the scope it was read
-    /// under. Idempotent; must be called before any query. If records arrived
-    /// via [`LogStore::merge`], exact duplicates (same client timestamp,
-    /// source and message) are removed so that re-consolidating the same
-    /// file twice yields the same store as ingesting it once.
+    /// under. Idempotent; must be called before any query. If records
+    /// arrived via [`LogStore::merge`], exact duplicates (same client
+    /// timestamp, source and message) are removed so that
+    /// re-consolidating the same file twice yields the same store as
+    /// ingesting it once.
     pub fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -323,8 +324,8 @@ impl LogStore {
     /// step of §5 ("collection of logging data from decentralized
     /// storage locations"). The other store's rows move over and its
     /// arena is appended to this one. Names are interned in the order the
-    /// other store's sorted rows show them; an id the other registry
-    /// never interned maps to `<unknown-source>`, `<unknown-user>` or
+    /// other store's rows show them; an id the other registry never
+    /// interned maps to `<unknown-source>`, `<unknown-user>` or
     /// `<unknown-host>`. Invalidates finalization; the next
     /// [`LogStore::finalize`] removes exact duplicates so merging the
     /// same stream twice is idempotent.
