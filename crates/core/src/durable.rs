@@ -1261,9 +1261,12 @@ impl DailyPlan {
 
 /// Signature binding a resumable run to its exact inputs: the plan,
 /// every enabled layer's config fingerprint, and the identity of the
-/// log store. Any change ⇒ different signature ⇒ progress restarts
-/// from step zero (the warm cache is kept — content addressing makes
-/// stale entries plain misses). Deliberately *not* named
+/// log store (its active sources, length and first and last
+/// timestamps; for `logdep daily`, of the store read under the plan's
+/// [`read_span`](DailyPlan::read_span)). Any change ⇒ different
+/// signature ⇒ progress restarts from step zero (the warm cache is
+/// kept — content addressing makes stale entries plain misses).
+/// Deliberately *not* named
 /// `*_fingerprint`: it folds no config struct of its own, and `par`
 /// must stay out of it (thread count cannot change results).
 pub fn plan_signature(

@@ -39,30 +39,36 @@ const HOSTS: &[&str] = &["-", "ws1", "ws2"];
 const TEXTS: &[&str] = &["call svc-a", "svc-b reply", "idle", "", "svc-a and svc-c"];
 const SERVICES: &[&str] = &["svc-a", "svc-b", "svc-c"];
 
-/// One record line: a client timestamp within 90 s of a midnight, on a
-/// 250 ms grid so ties are common, a small clock skew, and names and
-/// texts from small pools.
+/// One record line: a client timestamp within 90 s of a midnight, half
+/// of them within 3 s, on a 250 ms grid nudged by up to 1 ms either way,
+/// so ties are common and both ends of a read span (2 s before a window,
+/// 1999 ms after it) are hit; a small clock skew; names and texts from
+/// small pools.
 fn record_line() -> impl Strategy<Value = String> {
     (
         0..=DAYS,
-        -360..360i64,
+        (any::<bool>(), -360..360i64),
+        -1..=1i64,
         -2..3i64,
         0..SOURCES.len(),
         0..USERS.len(),
         0..HOSTS.len(),
         0..TEXTS.len(),
     )
-        .prop_map(|(day, tick, skew, source, user, host, text)| {
-            let client = day * MS_PER_DAY + tick * 250;
-            format!(
-                "{client}\t{}\t{}\t{}\t{}\tINF\t{}",
-                client - skew,
-                SOURCES[source],
-                USERS[user],
-                HOSTS[host],
-                TEXTS[text]
-            )
-        })
+        .prop_map(
+            |(day, (near, tick), nudge, skew, source, user, host, text)| {
+                let tick = if near { tick % 13 } else { tick };
+                let client = day * MS_PER_DAY + tick * 250 + nudge;
+                format!(
+                    "{client}\t{}\t{}\t{}\t{}\tINF\t{}",
+                    client - skew,
+                    SOURCES[source],
+                    USERS[user],
+                    HOSTS[host],
+                    TEXTS[text]
+                )
+            },
+        )
 }
 
 /// A stream drawn from a pool of record lines, so repeats (duplicate
@@ -81,7 +87,7 @@ fn stream() -> impl Strategy<Value = String> {
 }
 
 /// A plan and the scope it is read under: its read span, widened on each
-/// side by a slack of 0, a few ms, or up to a day.
+/// side by a slack of 0, 1 ms, just over the 2 s jitter, or half a day.
 fn plan_and_scope() -> impl Strategy<Value = (DailyPlan, RangeInclusive<Millis>)> {
     (0..DAYS, 1..3i64, 1..4u64, 0..4usize, 0..4usize).prop_map(
         |(start_day, window_days, steps, lo_slack, hi_slack)| {
@@ -201,7 +207,7 @@ fn comparable(mut outcome: WindowOutcome) -> String {
 /// Asserts that every window of `plan` mines the same outcome, cache
 /// hits and misses included, from `scoped` as from `full`, with L1
 /// under both reference processes and each store on its own rolling
-/// cache.
+/// cache, and that the two caches end with the same keys and evidence.
 fn assert_windows_match(full: &LogStore, scoped: &LogStore, plan: &DailyPlan) {
     let ids: Vec<String> = SERVICES.iter().map(|s| s.to_string()).collect();
     for reference in [
@@ -217,6 +223,11 @@ fn assert_windows_match(full: &LogStore, scoped: &LogStore, plan: &DailyPlan) {
                 run_window_cached(scoped, window, &ids, &cfg, &mut scoped_cache).expect("scoped");
             assert_eq!(comparable(a), comparable(b), "{reference:?} window {i}");
         }
+        assert_eq!(
+            format!("{full_cache:?}"),
+            format!("{scoped_cache:?}"),
+            "{reference:?} cache keys"
+        );
     }
 }
 
