@@ -8,8 +8,9 @@
 //! fall silent inside the scope. Scopes are a [`DailyPlan`]'s read span,
 //! exactly or widened by a random slack on each side.
 
-// Test code: indexes into small generated pools.
-#![allow(clippy::indexing_slicing)]
+// Test code: indexes into small generated pools, and a helper whose
+// read or window fails has failed the test.
+#![allow(clippy::indexing_slicing, clippy::expect_used)]
 
 use logdep::durable::DailyPlan;
 use logdep::health::PipelineConfig;
