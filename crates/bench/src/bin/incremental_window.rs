@@ -6,32 +6,48 @@
 //! For every advance the cold path re-mines the whole window with an
 //! empty cache; the warm path replays the cached evidence of the 6
 //! shared days and recomputes only the day that entered the window.
-//! The reported speedup is total cold wall time over total warm wall
-//! time across all advances — the week-of-operation cost ratio. Emits
-//! `BENCH_incremental.json` both under `target/experiments/` and at the
-//! repository root (the committed evidence artifact).
+//! Emits `BENCH_incremental.json` both under `target/experiments/` and
+//! at the repository root (the committed evidence artifact).
 //!
 //! Invariants checked on every run:
 //! * every warm (cached) model is **byte-identical** to a fresh-cache
 //!   run of the same window, and the first advance's detected sets
 //!   equal the uncached reference runners' (`run_l1_pool`,
 //!   `run_l2_pool`, `run_l3_pool`) on that window;
-//! * every warm advance actually hits (L1 and L3 hit counts > 0);
-//! * in full mode the warm week must be at least 5× faster than the
-//!   cold week (skipped in `--smoke`, where the window is tiny and
-//!   fixed costs dominate).
+//! * every warm advance recomputes the entering day and nothing more:
+//!   its hits and misses equal, per layer, the counts derived from the
+//!   window's shape (L1: the entering day's slots; L3: its one day
+//!   chunk; L2: its session bucket plus each shared day whose sessions
+//!   the moved window edges clip differently);
+//! * in full mode the median warm advance takes at most
+//!   [`WARM_MEDIAN_BOUND_MS`] (skipped in `--smoke`, whose toy window
+//!   times nothing an operator feels).
+//!
+//! The cold-over-warm ratio is reported, not gated: a ratio cannot tell
+//! a slower warm advance from a faster cold re-mine.
 
 use logdep::cache::{CacheStats, EvidenceCache};
 use logdep::l1::run_l1_pool;
 use logdep::l2::run_l2_pool;
+use logdep::l2::L2Config;
 use logdep::l3::run_l3_pool;
 use logdep::window::{run_window_cached, WindowOutcome};
 use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
-use logdep_logstore::time::TimeRange;
-use logdep_logstore::Millis;
+use logdep_logstore::time::{TimeRange, MS_PER_DAY};
+use logdep_logstore::{LogStore, Millis};
+use logdep_sessions::{reconstruct_range, Session};
 use logdep_sim::SimConfig;
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Upper bound on the median warm advance of a full run (seed 42, scale
+/// 0.5), in ms. Set from measured runs on a 2-vCPU host (`host_cpus`
+/// 2), where the median read 72.9, 77.5 and 93.8 ms, and 106.6–114.9 ms
+/// while other work shared the host. The bound leaves room for such a
+/// neighbour; the exact miss counts catch a warm path that recomputes
+/// more than the entering day.
+const WARM_MEDIAN_BOUND_MS: f64 = 200.0;
 
 #[derive(Serialize)]
 struct Step {
@@ -44,7 +60,8 @@ struct Step {
     warm_layer_ms: [f64; 3],
     /// Per-layer wall time of the cold baseline.
     cold_layer_ms: [f64; 3],
-    /// Cache traffic of the warm advance.
+    /// Cache traffic of the warm advance (asserted equal to the
+    /// expected traffic).
     warm_stats: CacheStats,
 }
 
@@ -64,8 +81,12 @@ struct Report {
     cold_ms: f64,
     /// Total wall time of the cached advances over the same windows.
     warm_ms: f64,
+    /// Median wall time of one warm advance.
+    warm_median_ms: f64,
+    /// The bound the median was held to (`None` in smoke mode).
+    warm_median_bound_ms: Option<f64>,
+    /// Total cold over total warm: reported, not gated.
     speedup: f64,
-    speedup_asserted: bool,
     steps: Vec<Step>,
     /// Every warm model byte-identical to its fresh-cache model, and
     /// the first advance equal to the uncached runners (asserted).
@@ -122,6 +143,59 @@ fn layer_ms(out: &WindowOutcome) -> [f64; 3] {
         *slot = h.elapsed_us as f64 / 1_000.0;
     }
     ms
+}
+
+/// The window's sessions bucketed by start day, as the windowed L2
+/// buckets them before digesting each bucket.
+fn day_buckets(store: &LogStore, window: TimeRange, l2: &L2Config) -> BTreeMap<i64, Vec<Session>> {
+    let mut buckets: BTreeMap<i64, Vec<Session>> = BTreeMap::new();
+    for session in reconstruct_range(store, window, &l2.session).sessions {
+        buckets
+            .entry(session.start().0.div_euclid(MS_PER_DAY))
+            .or_default()
+            .push(session);
+    }
+    buckets
+}
+
+/// The cache traffic of a warm advance from `prev` to `next` (one day
+/// later) that recomputes only what the move changed: L1 the entering
+/// day's slots, L3 the entering day's chunk, and L2 every day bucket of
+/// `next` that differs from the same day's bucket in `prev`.
+fn expected_traffic(
+    wb: &Workbench,
+    prev: TimeRange,
+    next: TimeRange,
+    window_days: i64,
+) -> CacheStats {
+    let slots_per_day = u64::try_from(MS_PER_DAY / wb.l1_config().slot_ms).expect("positive");
+    let shared_days = u64::try_from(window_days - 1).expect("a window of at least one day");
+    let l2 = wb.l2_config();
+    let before = day_buckets(&wb.out.store, prev, &l2);
+    let after = day_buckets(&wb.out.store, next, &l2);
+    let changed = after
+        .iter()
+        .filter(|&(day, bucket)| before.get(day) != Some(bucket))
+        .count() as u64;
+    CacheStats {
+        l1_hits: shared_days * slots_per_day,
+        l1_misses: slots_per_day,
+        l2_hits: after.len() as u64 - changed,
+        l2_misses: changed,
+        l3_hits: shared_days,
+        l3_misses: 1,
+    }
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 0 {
+        (v[mid - 1] + v[mid]) / 2.0
+    } else {
+        v[mid]
+    }
 }
 
 fn main() {
@@ -205,8 +279,17 @@ fn main() {
             warm_stats.hits(),
             warm_stats.misses()
         );
-        assert!(warm_stats.l1_hits > 0, "L1 never hit: {warm_stats:?}");
-        assert!(warm_stats.l3_hits > 0, "L3 never hit: {warm_stats:?}");
+        let prev = TimeRange::new(
+            Millis::from_days(step - 1),
+            Millis::from_days(step - 1 + window_days),
+        );
+        let expected = expected_traffic(&wb, prev, w, window_days);
+        assert_eq!(
+            warm_stats,
+            expected,
+            "warm advance [{step},{}) recomputed other than the entering day",
+            step + window_days
+        );
 
         // Cold baseline: the same window from scratch.
         let mut fresh = EvidenceCache::new();
@@ -265,16 +348,23 @@ fn main() {
     }
 
     let speedup = cold_total / warm_total;
-    let speedup_asserted = !smoke;
-    if speedup_asserted {
+    let warm_each: Vec<f64> = steps.iter().map(|s: &Step| s.warm_ms).collect();
+    let warm_median_ms = median(&warm_each);
+    let warm_median_bound_ms = (!smoke).then_some(WARM_MEDIAN_BOUND_MS);
+    if let Some(bound) = warm_median_bound_ms {
         assert!(
-            speedup >= 5.0,
-            "expected >= 5x warm-over-cold speedup across the week, got {speedup:.2}x \
-             (cold {cold_total:.1} ms, warm {warm_total:.1} ms)"
+            warm_median_ms <= bound,
+            "median warm advance took {warm_median_ms:.1} ms, bound {bound:.1} ms"
         );
-        println!("speedup gate passed: {speedup:.2}x warm over cold across {n_advances} advances");
+        println!(
+            "warm gate passed: median advance {warm_median_ms:.1} ms <= {bound:.1} ms \
+             ({speedup:.2}x cold over warm, not gated)"
+        );
     } else {
-        println!("speedup gate skipped (smoke mode): {speedup:.2}x observed");
+        println!(
+            "warm gate skipped (smoke mode): median advance {warm_median_ms:.1} ms, \
+             {speedup:.2}x cold over warm"
+        );
     }
 
     // Smoke-only overhead gate: replaying the final (fully warm) window
@@ -328,8 +418,9 @@ fn main() {
         prime_ms,
         cold_ms: cold_total,
         warm_ms: warm_total,
+        warm_median_ms,
+        warm_median_bound_ms,
         speedup,
-        speedup_asserted,
         steps,
         identical: true,
     };

@@ -326,6 +326,32 @@ impl SegmentPayload {
         self.len() == 0
     }
 
+    /// Appends `serde_json::to_string(self)` to `out`, entry by entry,
+    /// so only one entry's value tree is alive at a time. A cold
+    /// window's delta is about 0.5 MB of JSON; its whole tree is about
+    /// ten times that, and was the peak of a cold `daily` run.
+    fn write_json(&self, out: &mut String) -> Result<(), DurableError> {
+        fn entries<T: Serialize>(xs: &[T], out: &mut String) -> Result<(), DurableError> {
+            out.push('[');
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&serde_json::to_string(x).map_err(|e| codec_err("entry", e))?);
+            }
+            out.push(']');
+            Ok(())
+        }
+        out.push_str("{\"l1\":");
+        entries(&self.l1, out)?;
+        out.push_str(",\"l2\":");
+        entries(&self.l2, out)?;
+        out.push_str(",\"l3\":");
+        entries(&self.l3, out)?;
+        out.push('}');
+        Ok(())
+    }
+
     /// Inserts every entry into `cache`.
     fn apply_to(self, cache: &mut EvidenceCache) {
         cache.l1.extend(self.l1);
@@ -428,14 +454,8 @@ impl<const N: usize> Frame<N> {
         f.finish()
     }
 
-    /// Appends `value` framed under `keys` to `out`.
-    fn write<K: FrameKey, T: Serialize>(
-        &self,
-        keys: [K; N],
-        value: &T,
-        out: &mut Vec<u8>,
-    ) -> Result<(), DurableError> {
-        let json = serde_json::to_string(value).map_err(|e| codec_err(self.noun, e))?;
+    /// Appends the JSON text `json` framed under `keys` to `out`.
+    fn write<K: FrameKey>(&self, keys: [K; N], json: &str, out: &mut Vec<u8>) {
         let mut header = self.tag.to_string();
         for k in keys {
             header.push_str(&format!(" {k}"));
@@ -445,7 +465,6 @@ impl<const N: usize> Frame<N> {
         out.extend_from_slice(header.as_bytes());
         out.extend_from_slice(json.as_bytes());
         out.push(b'\n');
-        Ok(())
     }
 
     /// Decodes the frame starting at `pos`, verifying its length,
@@ -531,7 +550,9 @@ fn encode_checkpoint(
     )
     .into_bytes();
     for (day, payload) in &days {
-        SEGMENT.write([*day], payload, &mut out)?;
+        let mut json = String::new();
+        payload.write_json(&mut json)?;
+        SEGMENT.write([*day], &json, &mut out);
     }
     Ok(out)
 }
@@ -723,8 +744,14 @@ fn encode_journal_record(
     plan_fp: u64,
     payload: &JournalPayload,
 ) -> Result<Vec<u8>, DurableError> {
-    let mut out = Vec::new();
-    RECORD.write([step, plan_fp], payload, &mut out)?;
+    let mut json = format!(
+        "{{\"window_start\":{},\"window_end\":{},\"delta\":",
+        payload.window_start, payload.window_end
+    );
+    payload.delta.write_json(&mut json)?;
+    json.push('}');
+    let mut out = Vec::with_capacity(json.len() + 64);
+    RECORD.write([step, plan_fp], &json, &mut out);
     Ok(out)
 }
 
@@ -2017,6 +2044,30 @@ SEG 1 283 16044180610580456926\n\
         let dj = decode_journal(JOURNAL.as_bytes());
         assert!(!dj.torn);
         assert_eq!(dj.records, vec![(5, 99, payload)]);
+    }
+
+    #[test]
+    fn streamed_json_equals_the_whole_value_encoding() {
+        let cache = sample_cache();
+        let full = SegmentPayload {
+            l1: cache.l1.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            l2: cache.l2.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            l3: cache.l3.iter().map(|(k, v)| (*k, v.clone())).collect(),
+        };
+        for delta in [SegmentPayload::default(), full] {
+            let mut json = String::new();
+            delta.write_json(&mut json).expect("encode");
+            assert_eq!(json, serde_json::to_string(&delta).expect("to_string"));
+            let payload = JournalPayload {
+                window_start: -MS_PER_DAY,
+                window_end: 2 * MS_PER_DAY,
+                delta,
+            };
+            let record = encode_journal_record(3, 7, &payload).expect("encode");
+            let whole = serde_json::to_string(&payload).expect("to_string");
+            assert!(String::from_utf8_lossy(&record).ends_with(&format!("{whole}\n")));
+            assert_eq!(decode_journal(&record).records, vec![(3, 7, payload)]);
+        }
     }
 
     #[test]

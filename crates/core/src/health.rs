@@ -77,8 +77,9 @@ pub struct DetectorHealth {
     pub enabled: bool,
     /// Number of dependencies it detected (0 when it failed).
     pub detected: usize,
-    /// Wall-clock time the detector spent, in microseconds (0 when
-    /// disabled). Observational only — it is *not* part of the
+    /// Wall-clock time the detector spent, in microseconds, rounded up:
+    /// at least 1 for a detector that ran, 0 only when disabled.
+    /// Observational only — it is *not* part of the
     /// scientific output, and the differential harness excludes it
     /// when asserting parallel ≡ serial.
     pub elapsed_us: u64,
@@ -213,8 +214,12 @@ pub(crate) fn run_detector<C, T>(
     }
 }
 
+/// Microseconds since `start`, rounded up and at least 1, so a detector
+/// that finishes within a microsecond still reads as timed: 0 would
+/// claim it never ran.
 fn elapsed_us(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    let us = start.elapsed().as_nanos().div_ceil(1_000).max(1);
+    u64::try_from(us).unwrap_or(u64::MAX)
 }
 
 /// Emits one detector's trace span and metrics from its health row.
@@ -422,6 +427,24 @@ mod tests {
             assert!(a.ok && a.elapsed_us > 0, "{a:?}");
             assert!(b.elapsed_us > 0, "{b:?}");
         }
+    }
+
+    #[test]
+    fn a_detector_that_ran_is_timed_even_under_a_microsecond() {
+        let cfg = ();
+        for _ in 0..1000 {
+            let (ran, _) = run_detector(DetectorKind::L2, Some(&cfg), |_| Ok(0usize), |&n| n);
+            assert!(ran.ok && ran.elapsed_us >= 1, "{ran:?}");
+            let (failed, _) = run_detector(
+                DetectorKind::L3,
+                Some(&cfg),
+                |_| Err::<usize, _>(crate::MineError::NoData("fixture")),
+                |&n| n,
+            );
+            assert!(!failed.ok && failed.elapsed_us >= 1, "{failed:?}");
+        }
+        let (off, _) = run_detector(DetectorKind::L1, None::<&()>, |_| Ok(0usize), |&n| n);
+        assert_eq!(off.elapsed_us, 0);
     }
 
     #[test]

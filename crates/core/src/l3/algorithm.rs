@@ -1,10 +1,11 @@
 //! The citation-scanning runner of technique L3.
 
+use crate::cache::L3DayCounts;
 use crate::model::AppServiceModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, SourceId, StoredRecord};
 use logdep_par::{par_chunks_fold, ParConfig};
-use logdep_textmatch::{MatchMode, MatcherBuilder, StopPatterns};
+use logdep_textmatch::{MatchMode, Matcher, MatcherBuilder, Scan, ScanScratch, StopPatterns};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,20 +63,98 @@ pub struct L3Result {
     pub scanned_logs: usize,
 }
 
-/// Per-shard scan accumulator: citation counters plus the stop/scan
-/// tallies. Addition-only, so shards merge order-free.
-#[derive(Default)]
+/// One L3 configuration compiled for scanning: the directory ids and
+/// the stop globs in one case-folded automaton. Built once per run and
+/// shared read-only by every worker and every day chunk.
+pub(crate) struct CitationScan {
+    matcher: Matcher,
+}
+
+impl CitationScan {
+    /// Compiles `service_ids` (service index = position among the
+    /// non-empty ids) and `cfg`'s stop patterns.
+    pub(crate) fn new(service_ids: &[String], cfg: &L3Config) -> Self {
+        let mut builder = MatcherBuilder::new();
+        builder
+            .mode(if cfg.whole_word {
+                MatchMode::WholeWord
+            } else {
+                MatchMode::Substring
+            })
+            .add_all(service_ids.iter().map(String::as_str))
+            .stop_patterns(&StopPatterns::new(&cfg.stop_patterns));
+        Self {
+            matcher: builder.build(),
+        }
+    }
+
+    /// Citation counts and stop/scan tallies of the records in `range`,
+    /// on the worker pool `par`. Every line is scanned independently and
+    /// the shard counters merge by saturating addition, so the counts
+    /// equal the serial scan at any thread count.
+    pub(crate) fn count(&self, store: &LogStore, range: TimeRange, par: &ParConfig) -> L3DayCounts {
+        let ids = self.matcher.pattern_count();
+        let width = store.registry.source_count() * ids;
+        let scan = par_chunks_fold(
+            par,
+            store.range(range),
+            || ScanShard::new(width),
+            |mut shard: ScanShard, rec: &StoredRecord| {
+                match self.matcher.scan(store.text(rec), &mut shard.scratch) {
+                    Scan::Stopped => shard.stopped += 1,
+                    Scan::Cited(cited) => {
+                        shard.scanned += 1;
+                        let row = rec.source.index() * ids;
+                        for &svc in cited {
+                            if let Some(n) = shard.counts.get_mut(row + svc as usize) {
+                                *n += 1;
+                            }
+                        }
+                    }
+                }
+                shard
+            },
+            ScanShard::merge,
+        );
+        let mut citations = BTreeMap::new();
+        for (source, row) in scan.counts.chunks(ids.max(1)).enumerate() {
+            let app = SourceId(u32::try_from(source).unwrap_or(u32::MAX));
+            for (svc, &n) in row.iter().enumerate().filter(|(_, &n)| n > 0) {
+                citations.insert((app, svc), n);
+            }
+        }
+        L3DayCounts {
+            citations,
+            scanned: scan.scanned,
+            stopped: scan.stopped,
+        }
+    }
+}
+
+/// Per-shard scan accumulator: dense citation counters plus the
+/// stop/scan tallies, and the scan's scratch so the per-record loop
+/// allocates nothing. Addition-only, so shards merge order-free.
 struct ScanShard {
-    citations: BTreeMap<(SourceId, usize), u64>,
-    stopped: usize,
-    scanned: usize,
+    /// Citations of service `s` by source `a` at `a × ids + s`.
+    counts: Vec<u64>,
+    stopped: u64,
+    scanned: u64,
+    scratch: ScanScratch,
 }
 
 impl ScanShard {
+    fn new(width: usize) -> Self {
+        Self {
+            counts: vec![0; width],
+            stopped: 0,
+            scanned: 0,
+            scratch: ScanScratch::default(),
+        }
+    }
+
     fn merge(mut self, other: ScanShard) -> ScanShard {
-        for (key, count) in other.citations {
-            let slot = self.citations.entry(key).or_insert(0);
-            *slot = slot.saturating_add(count);
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine = mine.saturating_add(theirs);
         }
         self.stopped = self.stopped.saturating_add(other.stopped);
         self.scanned = self.scanned.saturating_add(other.scanned);
@@ -83,14 +162,28 @@ impl ScanShard {
     }
 }
 
+/// The dependencies whose citation count reaches `min_citations`.
+pub(crate) fn detect(
+    citations: &BTreeMap<(SourceId, usize), u64>,
+    min_citations: u64,
+) -> AppServiceModel {
+    let mut detected = AppServiceModel::new();
+    for (&(app, svc), &count) in citations {
+        if count >= min_citations {
+            detected.insert(app, svc);
+        }
+    }
+    detected
+}
+
 /// Runs technique L3 over the records in `range`, scanning for the
 /// given directory ids on the worker pool `par`.
 ///
-/// The Aho–Corasick automaton is built once and shared read-only; the
-/// log lines fan out in contiguous chunks, each worker counting
-/// citations into a private map, and the shard counters merge by
-/// saturating addition — every line is scanned independently, so the
-/// citation counts equal the serial scan at any thread count.
+/// The ids and stop patterns compile once into one automaton shared
+/// read-only; the log lines fan out in contiguous chunks, each worker
+/// counting citations into private counters. Every line is scanned
+/// independently and the shards merge by saturating addition, so the
+/// counts equal the serial scan at any thread count.
 pub fn run_l3_pool(
     store: &LogStore,
     range: TimeRange,
@@ -98,48 +191,12 @@ pub fn run_l3_pool(
     cfg: &L3Config,
     par: &ParConfig,
 ) -> crate::Result<L3Result> {
-    let mut builder = MatcherBuilder::new();
-    builder.mode(if cfg.whole_word {
-        MatchMode::WholeWord
-    } else {
-        MatchMode::Substring
-    });
-    builder.add_all(service_ids.iter().map(String::as_str));
-    let matcher = builder.build();
-    let stops = StopPatterns::new(&cfg.stop_patterns);
-
-    let records = store.range(range);
-    let scan = par_chunks_fold(
-        par,
-        records,
-        ScanShard::default,
-        |mut shard: ScanShard, rec: &StoredRecord| {
-            let text = store.text(rec);
-            if !stops.is_empty() && stops.matches(text) {
-                shard.stopped += 1;
-                return shard;
-            }
-            shard.scanned += 1;
-            for svc in matcher.matched_ids(text) {
-                *shard.citations.entry((rec.source, svc)).or_insert(0) += 1;
-            }
-            shard
-        },
-        ScanShard::merge,
-    );
-
-    let mut detected = AppServiceModel::new();
-    for (&(app, svc), &count) in &scan.citations {
-        if count >= cfg.min_citations {
-            detected.insert(app, svc);
-        }
-    }
-
+    let counts = CitationScan::new(service_ids, cfg).count(store, range, par);
     Ok(L3Result {
-        detected,
-        citations: scan.citations,
-        stopped_logs: scan.stopped,
-        scanned_logs: scan.scanned,
+        detected: detect(&counts.citations, cfg.min_citations),
+        citations: counts.citations,
+        stopped_logs: usize::try_from(counts.stopped).unwrap_or(usize::MAX),
+        scanned_logs: usize::try_from(counts.scanned).unwrap_or(usize::MAX),
     })
 }
 

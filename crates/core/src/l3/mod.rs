@@ -11,4 +11,5 @@
 
 mod algorithm;
 
+pub(crate) use algorithm::{detect, CitationScan};
 pub use algorithm::{run_l3_pool, L3Config, L3Result};

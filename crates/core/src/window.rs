@@ -23,15 +23,13 @@
 
 use crate::cache::{
     l2_fingerprint, l3_fingerprint, run_l1_cached, CacheStats, EvidenceCache, EvidenceKey, Fnv,
-    L3DayCounts,
 };
 use crate::health::{
     record_detector_health, run_detector, DetectorHealth, DetectorKind, PipelineConfig,
 };
 use crate::l1::L1Result;
 use crate::l2::{associations, count_session, merge_counts, BigramCounts, L2Config, L2Result};
-use crate::l3::{run_l3_pool, L3Config, L3Result};
-use crate::model::AppServiceModel;
+use crate::l3::{detect, CitationScan, L3Config, L3Result};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_obs::{record, Field};
@@ -237,8 +235,9 @@ fn sessions_digest(sessions: &[&Session]) -> u64 {
 }
 
 /// Technique L3 over `window` with per-day-chunk count memoization —
-/// byte-identical to [`run_l3_pool`] on the same window. Each chunk's
-/// miss path is [`run_l3_pool`] over the chunk on a serial pool.
+/// byte-identical to [`crate::l3::run_l3_pool`] on the same window.
+/// Each chunk's miss path is that scan over the chunk on a serial pool;
+/// the automaton is compiled at the first miss and serves every other.
 pub fn run_l3_windowed_cached(
     store: &LogStore,
     window: TimeRange,
@@ -261,6 +260,7 @@ pub fn run_l3_windowed_cached(
     let mut scanned = 0u64;
     let mut stopped = 0u64;
 
+    let mut scan: Option<CitationScan> = None;
     let chunks = day_chunks(window);
     let n_chunks = chunks.len();
     for chunk in chunks {
@@ -285,12 +285,9 @@ pub fn run_l3_windowed_cached(
             }
             None => {
                 cache.stats.l3_misses += 1;
-                let scan = run_l3_pool(store, chunk, service_ids, cfg, &ParConfig::serial())?;
-                let fresh = L3DayCounts {
-                    citations: scan.citations,
-                    scanned: scan.scanned_logs as u64,
-                    stopped: scan.stopped_logs as u64,
-                };
+                let fresh = scan
+                    .get_or_insert_with(|| CitationScan::new(service_ids, cfg))
+                    .count(store, chunk, &ParConfig::serial());
                 cache.l3.insert(key, fresh.clone());
                 fresh
             }
@@ -303,12 +300,7 @@ pub fn run_l3_windowed_cached(
         stopped = stopped.saturating_add(day.stopped);
     }
 
-    let mut detected = AppServiceModel::new();
-    for (&(app, svc), &count) in &citations {
-        if count >= cfg.min_citations {
-            detected.insert(app, svc);
-        }
-    }
+    let detected = detect(&citations, cfg.min_citations);
     let (hits, misses) = (
         cache.stats.l3_hits - hits_before,
         cache.stats.l3_misses - misses_before,

@@ -6,10 +6,11 @@
 //! with *stop patterns*. This crate supplies both primitives, built from
 //! scratch:
 //!
-//! * [`aho`] — an Aho–Corasick automaton matching thousands of directory
-//!   identifiers against millions of messages in a single pass per
-//!   message, with optional ASCII case folding and whole-word filtering
-//!   (so `UPSRV` does not fire inside `UPSRV2`);
+//! * [`aho`] — an Aho–Corasick automaton with a dense, case-folded
+//!   transition table. It holds the directory identifiers and the literal
+//!   pieces of the stop globs together, so [`Matcher::scan`] filters and
+//!   cites in a single pass per message, with optional whole-word
+//!   filtering (so `UPSRV` does not fire inside `UPSRV2`);
 //! * [`stop`] — `*`/`?` glob stop patterns applied to the whole message;
 //! * [`templates`] — SLCT-style message clustering (Vaarandi), the
 //!   preprocessing step §5 of the paper suggests for sharpening the
@@ -22,6 +23,6 @@ pub mod aho;
 pub mod stop;
 pub mod templates;
 
-pub use aho::{Match, MatchMode, Matcher, MatcherBuilder};
+pub use aho::{Match, MatchMode, Matcher, MatcherBuilder, Scan, ScanScratch};
 pub use stop::StopPatterns;
 pub use templates::{cluster, ClusterConfig, Template};

@@ -11,11 +11,29 @@
 //! Patterns are globs over the whole message: `*` matches any byte
 //! sequence (including empty), `?` any single byte. Matching is ASCII
 //! case-insensitive, consistent with the citation matcher.
+//!
+//! A set compiles into the dense automaton of [`crate::aho`]: the literal
+//! pieces of every glob share one table, and a glob is tried only on a
+//! message that holds all of its pieces. L3 attaches the same globs to
+//! its directory-id [`Matcher`] so one pass over a
+//! message both filters and cites.
+
+use crate::aho::{MatcherBuilder, Scan, ScanScratch};
+use crate::Matcher;
 
 /// A compiled set of stop patterns.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StopPatterns {
+    /// Lower-cased globs, in insertion order.
     patterns: Vec<String>,
+    /// The globs' automaton, with no ids.
+    kernel: Matcher,
+}
+
+impl Default for StopPatterns {
+    fn default() -> Self {
+        Self::compile(Vec::new())
+    }
 }
 
 impl StopPatterns {
@@ -26,17 +44,24 @@ impl StopPatterns {
 
     /// Compiles a set of glob patterns.
     pub fn new<S: AsRef<str>>(patterns: impl IntoIterator<Item = S>) -> Self {
-        Self {
-            patterns: patterns
+        Self::compile(
+            patterns
                 .into_iter()
                 .map(|p| p.as_ref().to_ascii_lowercase())
                 .collect(),
-        }
+        )
     }
 
-    /// Adds one more pattern.
+    fn compile(patterns: Vec<String>) -> Self {
+        let kernel = MatcherBuilder::for_globs(&patterns).build();
+        Self { patterns, kernel }
+    }
+
+    /// Adds one more pattern (and recompiles the set).
     pub fn add(&mut self, pattern: &str) {
-        self.patterns.push(pattern.to_ascii_lowercase());
+        let mut patterns = std::mem::take(&mut self.patterns);
+        patterns.push(pattern.to_ascii_lowercase());
+        *self = Self::compile(patterns);
     }
 
     /// Number of patterns in the set.
@@ -49,43 +74,89 @@ impl StopPatterns {
         self.patterns.is_empty()
     }
 
+    /// The lower-cased globs, in insertion order.
+    pub(crate) fn patterns(&self) -> &[String] {
+        &self.patterns
+    }
+
     /// True when `text` matches at least one stop pattern (the log
     /// should then be ignored by the citation scan).
     pub fn matches(&self, text: &str) -> bool {
-        let lower = text.to_ascii_lowercase();
-        self.patterns.iter().any(|p| glob_match(p, &lower))
+        self.kernel.scan(text, &mut ScanScratch::default()) == Scan::Stopped
     }
 }
 
-/// Iterative glob matcher with `*` backtracking — O(|text|·|pattern|)
-/// worst case, linear in practice. Both inputs must already be lowercase.
-fn glob_match(pattern: &str, text: &str) -> bool {
-    let p = pattern.as_bytes();
-    let t = text.as_bytes();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern pos after *, text pos)
-    while ti < t.len() {
-        // The wildcard test must precede the literal test: a text byte
-        // that happens to *be* `*` must not consume a pattern `*`.
-        if pi < p.len() && p[pi] == b'*' {
-            star = Some((pi + 1, ti));
-            pi += 1;
-        } else if pi < p.len() && (p[pi] == b'?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if let Some((sp, st)) = star {
-            // Backtrack: let the last * absorb one more byte.
-            pi = sp;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
+/// One lower-cased glob.
+#[derive(Debug, Clone)]
+pub(crate) struct Glob {
+    pattern: Vec<u8>,
+}
+
+impl Glob {
+    /// Compiles `pattern`, folding it to lower case.
+    pub(crate) fn new(pattern: &str) -> Self {
+        Self {
+            pattern: pattern.bytes().map(|b| b.to_ascii_lowercase()).collect(),
         }
     }
-    while pi < p.len() && p[pi] == b'*' {
-        pi += 1;
+
+    /// The literal pieces: the maximal runs between wildcards. A message
+    /// the glob matches holds every one of them.
+    pub(crate) fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        self.pattern
+            .split(|&b| b == b'*' || b == b'?')
+            .filter(|piece| !piece.is_empty())
     }
-    pi == p.len()
+
+    /// True for `*piece*`: one literal piece, free on both sides, so any
+    /// message that holds the piece matches.
+    pub(crate) fn is_one_floating_piece(&self) -> bool {
+        self.pattern.starts_with(b"*")
+            && self.pattern.ends_with(b"*")
+            && !self.pattern.contains(&b'?')
+            && self.pieces().count() == 1
+    }
+
+    /// Exact glob semantics over the whole of `text`, ASCII
+    /// case-insensitive. The `*`-free segments are placed greedily: the
+    /// first at the start, the last at the end, each one between at its
+    /// leftmost fit after the one before. Leftmost is never worse for
+    /// the segments still to place, so no backtracking is needed.
+    pub(crate) fn matches(&self, text: &[u8]) -> bool {
+        let mut segments = self.pattern.split(|&b| b == b'*');
+        let first = segments.next().unwrap_or_default();
+        let Some(last) = segments.next_back() else {
+            return segment_eq(first, text);
+        };
+        let Some(middle_len) = text.len().checked_sub(first.len() + last.len()) else {
+            return false;
+        };
+        let (head, rest) = text.split_at(first.len());
+        let (mut middle, tail) = rest.split_at(middle_len);
+        if !segment_eq(first, head) || !segment_eq(last, tail) {
+            return false;
+        }
+        for segment in segments.filter(|s| !s.is_empty()) {
+            let Some(at) = middle
+                .windows(segment.len())
+                .position(|w| segment_eq(segment, w))
+            else {
+                return false;
+            };
+            middle = middle.get(at + segment.len()..).unwrap_or_default();
+        }
+        true
+    }
+}
+
+/// `text` has the length of `segment` and matches it byte by byte, `?`
+/// matching any byte.
+fn segment_eq(segment: &[u8], text: &[u8]) -> bool {
+    segment.len() == text.len()
+        && segment
+            .iter()
+            .zip(text)
+            .all(|(&p, &t)| p == b'?' || p == t.to_ascii_lowercase())
 }
 
 #[cfg(test)]

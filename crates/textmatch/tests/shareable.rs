@@ -1,8 +1,9 @@
 //! Compile-time proof that the scan substrates can be shared read-only
 //! across `logdep-par` workers.
 //!
-//! L3 builds one Aho–Corasick [`Matcher`] and one [`StopPatterns`] set
-//! per run and hands `&`-references to every pool worker. That is only
+//! L3 builds one Aho–Corasick [`Matcher`] per run, with its
+//! [`StopPatterns`] attached, and hands `&`-references to every pool
+//! worker; each worker keeps its own `ScanScratch`. That is only
 //! sound because neither type has interior mutability — which these
 //! assertions pin down at compile time: if a future change adds a
 //! `Cell`/`RefCell`-style cache, this test stops compiling instead of
