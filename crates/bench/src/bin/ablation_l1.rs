@@ -9,7 +9,7 @@
 use logdep::l1::{run_l1_pool, CenterStat, DecisionRule, DistanceKind, L1Config};
 use logdep::model::diff;
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
 
@@ -128,6 +128,5 @@ fn main() {
         minlogs_sweep,
         slot_sweep_minutes: slot_sweep,
     };
-    let path = wb.report("ablation_l1", &report);
-    println!("\nreport: {}", path.display());
+    write_report("ablation_l1", &report);
 }

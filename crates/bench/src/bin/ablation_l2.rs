@@ -10,7 +10,7 @@
 use logdep::l2::{run_l2_pool, L2Config};
 use logdep::model::diff;
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_stats::contingency::AssociationStatistic;
 use serde::Serialize;
@@ -78,6 +78,5 @@ fn main() {
     println!(" the skewed-table statistic and admits more false positives at the");
     println!(" same nominal α)");
 
-    let path = wb.report("ablation_l2", &AblationL2Report { day, points });
-    println!("report: {}", path.display());
+    write_report("ablation_l2", &AblationL2Report { day, points });
 }

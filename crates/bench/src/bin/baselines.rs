@@ -13,7 +13,7 @@ use logdep::baselines::{pair_features, run_agrawal, AgrawalConfig, EnselClassifi
 use logdep::l1::run_l1_pool;
 use logdep::model::{diff, PairModel};
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::SourceId;
 use serde::Serialize;
@@ -112,6 +112,5 @@ fn main() {
         report.ensel_test_tp + report.ensel_test_fn
     );
 
-    let path = wb.report("baselines", &report);
-    println!("\nreport: {}", path.display());
+    write_report("baselines", &report);
 }

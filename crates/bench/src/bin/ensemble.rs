@@ -11,7 +11,7 @@ use logdep::l2::run_l2_pool;
 use logdep::l3::run_l3_pool;
 use logdep::model::diff;
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
 
@@ -91,7 +91,7 @@ fn main() {
         100.0 * fp_share
     );
 
-    let path = wb.report(
+    write_report(
         "ensemble",
         &EnsembleReport {
             vote_histogram: hist,
@@ -99,5 +99,4 @@ fn main() {
             l1_only_fp_share: fp_share,
         },
     );
-    println!("report: {}", path.display());
 }

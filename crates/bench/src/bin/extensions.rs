@@ -16,7 +16,7 @@ use logdep::l1::{
 use logdep::l2::{delay_profiles, detect_directions, run_l2_pool, DelayConfig, DirectionConfig};
 use logdep::model::diff;
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_sessions::reconstruct_range;
 use serde::Serialize;
@@ -162,6 +162,5 @@ fn main() {
         report.l1_load_proportional.0, report.l1_load_proportional.1
     );
 
-    let path = wb.report("extensions", &report);
-    println!("\nreport: {}", path.display());
+    write_report("extensions", &report);
 }

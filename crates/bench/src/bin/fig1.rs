@@ -7,7 +7,7 @@
 //! periods is the visual motivation for technique L1.
 
 use logdep_bench::ascii::sparkline;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::{TimeRange, MS_PER_HOUR, MS_PER_SEC};
 use logdep_logstore::Millis;
 use serde::Serialize;
@@ -79,7 +79,7 @@ fn main() {
     );
     println!("\nactivity correlation over the window: {corr:.3} (paper: visibly positive)");
 
-    let path = wb.report(
+    write_report(
         "fig1",
         &Fig1Report {
             caller,
@@ -91,5 +91,4 @@ fn main() {
             correlation: corr,
         },
     );
-    println!("report: {}", path.display());
 }

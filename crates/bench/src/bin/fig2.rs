@@ -7,7 +7,7 @@
 
 use logdep::l1::direction_test;
 use logdep_bench::ascii::boxplot_line;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::{TimeRange, MS_PER_HOUR};
 use logdep_logstore::Millis;
 use logdep_stats::boxplot::summarize;
@@ -97,6 +97,5 @@ fn main() {
 
     let both = directions.iter().all(|d| d.positive);
     println!("both directions positive: {both} (paper: yes — the pair is declared dependent)");
-    let path = wb.report("fig2", &Fig2Report { directions });
-    println!("report: {}", path.display());
+    write_report("fig2", &Fig2Report { directions });
 }

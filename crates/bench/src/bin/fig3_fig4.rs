@@ -93,7 +93,7 @@ fn main() {
     );
     assert_eq!(with_timeout.total, counts.total - 1);
 
-    let path = write_report(
+    write_report(
         "fig3_fig4",
         &Fig34Report {
             bigrams,
@@ -102,5 +102,4 @@ fn main() {
             bigrams_without_last: with_timeout.total as usize,
         },
     );
-    println!("report: {}", path.display());
 }

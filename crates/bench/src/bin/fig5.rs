@@ -7,7 +7,7 @@
 
 use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -51,7 +51,7 @@ fn main() {
         100.0 * worst_fp as f64 / unrelated as f64
     );
 
-    let path = wb.report(
+    write_report(
         "fig5",
         &Fig5Report {
             days: series.days.clone(),
@@ -61,5 +61,4 @@ fn main() {
             paper_tpr_ci: (0.63, 0.73),
         },
     );
-    println!("report: {}", path.display());
 }

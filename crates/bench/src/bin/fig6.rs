@@ -9,7 +9,7 @@ use logdep::l2::run_l2_pool;
 use logdep::par::ParConfig;
 use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
 
@@ -73,7 +73,7 @@ fn main() {
         ci.achieved_level, ci.lower, ci.upper
     );
 
-    let path = wb.report(
+    write_report(
         "fig6",
         &Fig6Report {
             days: series.days.clone(),
@@ -85,5 +85,4 @@ fn main() {
             paper_tpr_ci: (0.71, 0.78),
         },
     );
-    println!("report: {}", path.display());
 }

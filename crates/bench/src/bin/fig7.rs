@@ -9,7 +9,7 @@ use logdep::l2::{run_l2_pool, L2Config};
 use logdep::model::diff;
 use logdep::par::ParConfig;
 use logdep_bench::ascii::stacked_days;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use serde::Serialize;
 
@@ -86,6 +86,5 @@ fn main() {
         best.timeout_ms, best.tpr, inf.tpr, best.tp, inf.tp
     );
 
-    let path = wb.report("fig7", &Fig7Report { day, points });
-    println!("report: {}", path.display());
+    write_report("fig7", &Fig7Report { day, points });
 }

@@ -6,7 +6,7 @@
 
 use logdep::PipelineConfig;
 use logdep_bench::ascii::stacked_days;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -44,7 +44,7 @@ fn main() {
         ci.achieved_level, ci.lower, ci.upper
     );
 
-    let path = wb.report(
+    write_report(
         "fig8",
         &Fig8Report {
             days: series.days.clone(),
@@ -54,5 +54,4 @@ fn main() {
             paper_tpr_ci: (0.93, 0.96),
         },
     );
-    println!("report: {}", path.display());
 }

@@ -10,7 +10,7 @@
 
 use logdep::eval::{load_experiment, LoadConfig};
 use logdep_bench::ascii::sparkline;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -116,7 +116,7 @@ fn main() {
         straightness(&exp.qq_p2)
     );
 
-    let path = wb.report(
+    write_report(
         "fig9",
         &Fig9Report {
             experiment: exp,
@@ -124,5 +124,4 @@ fn main() {
             paper_slope_p2: (-0.025, 0.002),
         },
     );
-    println!("report: {}", path.display());
 }

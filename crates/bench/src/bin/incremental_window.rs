@@ -6,8 +6,8 @@
 //! For every advance the cold path re-mines the whole window with an
 //! empty cache; the warm path replays the cached evidence of the 6
 //! shared days and recomputes only the day that entered the window.
-//! Emits `BENCH_incremental.json` both under `target/experiments/` and
-//! at the repository root (the committed evidence artifact).
+//! Emits `BENCH_incremental.json` under `target/experiments/`; a full
+//! run also writes the committed copy at the workspace root.
 //!
 //! Invariants checked on every run:
 //! * every warm (cached) model is **byte-identical** to a fresh-cache
@@ -32,7 +32,7 @@ use logdep::l2::run_l2_pool;
 use logdep::l2::L2Config;
 use logdep::l3::run_l3_pool;
 use logdep::window::{run_window_cached, WindowOutcome};
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{cli_args, write_bench_report, Args, Workbench};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_sessions::{reconstruct_range, Session};
@@ -199,36 +199,9 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let Args { seed, scale, smoke } = cli_args(0.5, true);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let n_advances: i64 = if smoke { 1 } else { 7 };
-    if smoke {
-        scale = 0.15;
-    }
 
     let mut cfg = SimConfig::paper_week(seed, scale);
     cfg.days = u32::try_from(window_days + n_advances).expect("small");
@@ -424,13 +397,5 @@ fn main() {
         steps,
         identical: true,
     };
-    let path = write_report("BENCH_incremental", &report);
-    println!("wrote {}", path.display());
-    let root = "BENCH_incremental.json";
-    std::fs::write(
-        root,
-        serde_json::to_string_pretty(&report).expect("serialize report"),
-    )
-    .expect("write repo-root report");
-    println!("wrote {root}");
+    write_bench_report("BENCH_incremental", &report, smoke);
 }

@@ -12,7 +12,7 @@
 use logdep::l3::{run_l3_pool, L3Config};
 use logdep::model::diff;
 use logdep::par::ParConfig;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_sim::topology::CitationStyle;
@@ -179,6 +179,5 @@ fn main() {
         t.inverted_without_stop_patterns, t.fp_inverted
     );
 
-    let path = wb.report("l3_errors", &t);
-    println!("report: {}", path.display());
+    write_report("l3_errors", &t);
 }

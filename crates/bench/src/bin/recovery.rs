@@ -7,8 +7,8 @@
 //! (replay the journal, run only the missing steps) against rebuilding
 //! the whole week cold from an empty store, and asserts both converge
 //! to **byte-identical** checkpoints and identical mined models. Emits
-//! `BENCH_recovery.json` under `target/experiments/` and at the
-//! repository root (the committed evidence artifact).
+//! `BENCH_recovery.json` under `target/experiments/`; a full run also
+//! writes the committed copy at the workspace root.
 //!
 //! Invariants checked on every run:
 //! * every resumed run's final models equal the cold rebuild's, and the
@@ -25,7 +25,7 @@ use logdep::durable::{
 };
 use logdep::health::PipelineConfig;
 use logdep::window::WindowOutcome;
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{cli_args, write_bench_report, Args, Workbench};
 use logdep_sim::SimConfig;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -132,36 +132,9 @@ fn run(
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let Args { seed, scale, smoke } = cli_args(0.5, true);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let steps: u64 = if smoke { 2 } else { 6 };
-    if smoke {
-        scale = 0.15;
-    }
 
     let mut sim = SimConfig::paper_week(seed, scale);
     sim.days = u32::try_from(window_days + i64::try_from(steps).expect("small")).expect("small");
@@ -278,6 +251,7 @@ fn main() {
             ratio,
         });
     }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
 
     let speedup = cold_total / resume_total;
     let speedup_asserted = !smoke;
@@ -311,13 +285,5 @@ fn main() {
         speedup_asserted,
         identical: true,
     };
-    let path = write_report("BENCH_recovery", &report);
-    println!("wrote {}", path.display());
-    let root = "BENCH_recovery.json";
-    std::fs::write(
-        root,
-        serde_json::to_string_pretty(&report).expect("serialize report"),
-    )
-    .expect("write repo-root report");
-    println!("wrote {root}");
+    write_bench_report("BENCH_recovery", &report, smoke);
 }

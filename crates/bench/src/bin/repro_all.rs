@@ -4,7 +4,7 @@
 //! views; this is the "is the whole reproduction still green?" check.
 
 use logdep::eval::{load_experiment, timeout_study, LoadConfig};
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -177,8 +177,7 @@ fn main() {
         ok &= pass;
     }
 
-    let path = logdep_bench::workbench::write_report("repro_all", &summary);
-    println!("\nreport: {}", path.display());
+    write_report("repro_all", &summary);
     if !ok {
         std::process::exit(1);
     }

@@ -19,7 +19,7 @@
 
 use logdep::health::{run_pipeline, PipelineOutcome};
 use logdep::model::{diff, AppServiceModel, PairModel};
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{cli_args, write_report, Args, Workbench};
 use logdep_faults::{inject, FaultConfig};
 use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
@@ -179,33 +179,9 @@ fn score_outcome(
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let Args { seed, scale, smoke } = cli_args(0.5, true);
 
-    let mut cfg = logdep_sim::SimConfig::paper_week(seed, if smoke { 0.15 } else { scale });
+    let mut cfg = logdep_sim::SimConfig::paper_week(seed, scale);
     if smoke {
         cfg.days = 1;
     }
@@ -326,8 +302,7 @@ fn main() {
         days: wb.days,
         points,
     };
-    let path = write_report("robustness", &report);
-    println!("wrote {}", path.display());
+    write_report("robustness", &report);
     if smoke {
         println!("smoke assertions passed");
     }

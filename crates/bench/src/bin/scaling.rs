@@ -20,7 +20,7 @@
 //! still hard-asserted, timing is recorded but not judged.
 
 use logdep::health::{run_pipeline, PipelineConfig, PipelineOutcome};
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{cli_args, write_report, Args, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_par::ParConfig;
@@ -98,34 +98,7 @@ fn detector_us(out: &PipelineOutcome, idx: usize) -> u64 {
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
-    if smoke {
-        scale = 0.15;
-    }
+    let Args { seed, scale, smoke } = cli_args(0.5, true);
 
     let mut cfg = SimConfig::paper_week(seed, scale);
     if smoke {
@@ -228,6 +201,5 @@ fn main() {
         speedup_asserted,
         points,
     };
-    let path = write_report("BENCH_scaling", &report);
-    println!("wrote {}", path.display());
+    write_report("BENCH_scaling", &report);
 }

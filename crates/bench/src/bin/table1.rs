@@ -5,7 +5,7 @@
 //! week is ~100× smaller; the *shape* (weekend dip to roughly a third)
 //! is the reproduction target.
 
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -56,6 +56,5 @@ fn main() {
         paper_relative: paper.iter().map(|&p| p / p0).collect(),
         measured,
     };
-    let path = wb.report("table1", &report);
-    println!("report: {}", path.display());
+    write_report("table1", &report);
 }

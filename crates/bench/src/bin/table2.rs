@@ -9,7 +9,7 @@
 //! 0.0156 whenever all 7 daily differences agree in sign.
 
 use logdep::eval::timeout_study;
-use logdep_bench::workbench::{cli_seed_scale, Workbench};
+use logdep_bench::workbench::{cli_seed_scale, write_report, Workbench};
 use serde::Serialize;
 
 /// A paper row: (timeout s, Δtpr median, Δtpr CI, Δtp median, Δtp CI).
@@ -70,12 +70,11 @@ fn main() {
         study.rows.iter().all(|r| r.d_tp_median <= 0.0),
     );
 
-    let path = wb.report(
+    write_report(
         "table2",
         &Table2Report {
             rows: study.rows.clone(),
             paper_rows: paper.to_vec(),
         },
     );
-    println!("report: {}", path.display());
 }

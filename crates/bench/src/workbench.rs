@@ -9,7 +9,7 @@ use logdep_logstore::SourceId;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig, SimOutput};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Default seed of the published experiment runs.
 pub const DEFAULT_SEED: u64 = 42;
@@ -139,15 +139,10 @@ impl Workbench {
     pub fn name(&self, id: SourceId) -> &str {
         self.out.store.registry.source_name(id)
     }
-
-    /// Writes a machine-readable experiment report under
-    /// `target/experiments/<name>.json` and returns the path.
-    pub fn report<T: Serialize>(&self, name: &str, value: &T) -> PathBuf {
-        write_report(name, value)
-    }
 }
 
-/// Writes a JSON report under `target/experiments/`.
+/// Writes a machine-readable experiment report to
+/// `target/experiments/<name>.json` and returns its path.
 pub fn write_report<T: Serialize>(name: &str, value: &T) -> PathBuf {
     let dir =
         PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_owned()))
@@ -156,30 +151,150 @@ pub fn write_report<T: Serialize>(name: &str, value: &T) -> PathBuf {
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialize report");
     std::fs::write(&path, json).expect("write report");
+    println!("report: {}", path.display());
     path
 }
 
-/// Parses `--seed N` and `--scale X` from argv, with defaults.
+/// Writes a timed bench's report under `target/experiments/` and, for
+/// a full run, atomically over the committed `<name>.json` at the
+/// workspace root. A `--smoke` run leaves the committed copy alone.
+pub fn write_bench_report<T: Serialize>(name: &str, value: &T, smoke: bool) {
+    let path = write_report(name, value);
+    if smoke {
+        return;
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the bench crate sits two levels below the workspace root")
+        .join(format!("{name}.json"));
+    let bytes = std::fs::read(&path).expect("read the report back");
+    logdep::durable::persist_atomic(&root, &bytes).expect("write the committed report");
+    println!("wrote {}", root.display());
+}
+
+/// What an experiment bin was asked to run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Args {
+    /// Simulation seed (`--seed N`).
+    pub seed: u64,
+    /// Traffic scale (`--scale X`), [`SMOKE_SCALE`] under `--smoke`.
+    pub scale: f64,
+    /// `--smoke`: the small CI variant of a timed bench.
+    pub smoke: bool,
+}
+
+/// The traffic scale every `--smoke` run uses, whatever `--scale` says.
+pub const SMOKE_SCALE: f64 = 0.15;
+
+/// Parses a figure bin's `--seed N` and `--scale X` (defaults
+/// [`DEFAULT_SEED`] and [`DEFAULT_SCALE`]).
 pub fn cli_seed_scale() -> (u64, f64) {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = DEFAULT_SCALE;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
+    let args = cli_args(DEFAULT_SCALE, false);
+    (args.seed, args.scale)
+}
+
+/// Parses the process arguments as [`parse_args`] does (a timed bench
+/// sets `smoke_flag`). On a bad one it prints the reason and a usage
+/// line and exits with code 2, so a mistyped flag never runs the
+/// defaults.
+pub fn cli_args(default_scale: f64, smoke_flag: bool) -> Args {
+    let argv: Vec<String> = std::env::args().collect();
+    parse_args(argv.get(1..).unwrap_or_default(), default_scale, smoke_flag).unwrap_or_else(|why| {
+        let bin = argv.first().map_or("bench", |p| {
+            Path::new(p)
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or(p)
+        });
+        let smoke = if smoke_flag { " [--smoke]" } else { "" };
+        eprintln!("{bin}: {why}\nusage: {bin} [--seed N] [--scale X]{smoke}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses `argv` (without the program name). `--smoke` is a flag only
+/// when `smoke_flag` is set; a repeated flag keeps its last value.
+pub fn parse_args(argv: &[String], default_scale: f64, smoke_flag: bool) -> Result<Args, String> {
+    let mut args = Args {
+        seed: DEFAULT_SEED,
+        scale: default_scale,
+        smoke: false,
+    };
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--seed" => {
+                let v = value()?;
+                args.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed takes an unsigned integer, not {v:?}"))?;
             }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
+            "--scale" => {
+                let v = value()?;
+                args.scale = v
+                    .parse()
+                    .ok()
+                    .filter(|x: &f64| x.is_finite() && *x > 0.0)
+                    .ok_or_else(|| format!("--scale takes a positive number, not {v:?}"))?;
             }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
+            "--smoke" if smoke_flag => args.smoke = true,
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    (seed, scale)
+    if args.smoke {
+        args.scale = SMOKE_SCALE;
+    }
+    Ok(args)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str], smoke_flag: bool) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        parse_args(&argv, 0.5, smoke_flag)
+    }
+
+    #[test]
+    fn defaults_and_values() {
+        let args = |seed, scale, smoke| Args { seed, scale, smoke };
+        assert_eq!(parse(&[], false), Ok(args(DEFAULT_SEED, 0.5, false)));
+        assert_eq!(
+            parse(&["--seed", "7", "--scale", "0.3"], false),
+            Ok(args(7, 0.3, false))
+        );
+        assert_eq!(
+            parse(&["--seed", "1", "--seed", "9"], false),
+            Ok(args(9, 0.5, false))
+        );
+        assert_eq!(
+            parse(&["--scale", "2", "--smoke", "--seed", "3"], true),
+            Ok(args(3, SMOKE_SCALE, true))
+        );
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for (argv, smoke_flag) in [
+            (&["--seeds", "7"][..], true),
+            (&["--seed"], true),
+            (&["--seed", "-1"], true),
+            (&["--seed", "x"], true),
+            (&["--scale"], false),
+            (&["--scale", "fast"], false),
+            (&["--scale", "0"], false),
+            (&["--scale", "NaN"], false),
+            (&["--smoke"], false),
+            (&["7"], false),
+        ] {
+            assert!(parse(argv, smoke_flag).is_err(), "{argv:?} parsed");
+        }
+        assert_eq!(
+            parse(&["--seed"], false),
+            Err("--seed needs a value".to_owned())
+        );
+    }
 }

@@ -1,8 +1,10 @@
 //! Conformance of the query server: the response transcript for a
 //! fixed request sequence is byte-identical at `--workers 1` and
-//! `--workers 4`, including across a mid-sequence snapshot hot-swap,
-//! and concurrent readers racing repeated swaps always observe a
-//! complete body from exactly one generation — never a torn mix.
+//! `--workers 4`, including across a mid-sequence snapshot hot-swap;
+//! a fresh connection per request gets the same `/v1/pair` body as the
+//! keep-alive client, for whichever generation is installed; and
+//! concurrent readers racing repeated swaps always observe a complete
+//! body from exactly one generation — never a torn mix.
 //! The transcript is also pinned to `tests/golden/serve_transcript.txt`,
 //! so a changed `/v1/pair`, `/v1/diff` or `/v1/churn` body fails here
 //! even when both widths agree. To regenerate it after an intended
@@ -56,6 +58,13 @@ fn gen2() -> ModelIndex {
     build_index(13, 0.3, 2)
 }
 
+/// The `/v1/pair` query between the first two applications.
+fn pair_path(index: &ModelIndex) -> String {
+    let s0 = index.source_label(SourceId(0));
+    let s1 = index.source_label(SourceId(1));
+    format!("/v1/pair?src={s0}&dst={s1}")
+}
+
 /// The fixed endpoint matrix, parameterized by names the index knows.
 /// `/v1/metrics` goes last: its counters summarize the requests that
 /// preceded it, which is the same sequence at every worker width.
@@ -71,7 +80,7 @@ fn matrix(index: &ModelIndex) -> Vec<String> {
         "/healthz".to_owned(),
         "/v1/model".to_owned(),
         "/v1/report".to_owned(),
-        format!("/v1/pair?src={s0}&dst={s1}"),
+        pair_path(index),
         format!("/v1/pair?src={s0}&dst={svc}"),
         format!("/v1/pair?src=no-such-app&dst={s1}"),
         "/v1/pair?src=only-one-param".to_owned(),
@@ -102,29 +111,61 @@ fn start(workers: usize, index: ModelIndex) -> (ServerHandle, std::thread::JoinH
     (handle, join)
 }
 
+/// Requests every path on one keep-alive connection, appends each status
+/// and body to `out`, and returns the body served for `pair`.
+fn request_all(client: &mut HttpClient, paths: &[String], pair: &str, out: &mut String) -> String {
+    let mut pair_body = String::new();
+    for path in paths {
+        let (status, body) = client.get(path).expect("request");
+        out.push_str(&format!("{path} -> {status} {body}\n"));
+        if path == pair {
+            pair_body = body;
+        }
+    }
+    pair_body
+}
+
+/// Asserts that a new connection per request gets exactly `expected`.
+fn assert_fresh_connections(handle: &ServerHandle, pair: &str, expected: &str) {
+    for _ in 0..3 {
+        let mut client = HttpClient::connect(handle.addr(), 5_000).expect("fresh connect");
+        let (status, body) = client.get(pair).expect("fresh request");
+        assert_eq!(status, 200);
+        assert!(
+            body == expected,
+            "a fresh connection got a body the keep-alive client did not:\n{body}\n--- keep-alive ---\n{expected}"
+        );
+    }
+}
+
 /// Runs the whole conformance sequence against a `workers`-wide server
 /// and returns the response transcript: every path's status and body,
 /// for generation 1, then again after hot-swapping in generation 2.
 fn transcript(workers: usize) -> String {
     let index = gen1();
     let paths = matrix(&index);
-    let (handle, join) = start(workers, index);
+    let pair = pair_path(&index);
+    let (handle, join) = start(workers, index.clone());
     let mut client = HttpClient::connect(handle.addr(), 5_000).expect("connect");
 
     let mut out = String::new();
-    for path in &paths {
-        let (status, body) = client.get(path).expect("request");
-        out.push_str(&format!("{path} -> {status} {body}\n"));
-    }
+    let gen1_pair = request_all(&mut client, &paths, &pair, &mut out);
 
     // Hot-swap mid-sequence: same connection, new generation.
     handle.install(gen2());
     assert_eq!(handle.generation(), 2);
     out.push_str("-- swap --\n");
-    for path in &paths {
-        let (status, body) = client.get(path).expect("request after swap");
-        out.push_str(&format!("{path} -> {status} {body}\n"));
-    }
+    let gen2_pair = request_all(&mut client, &paths, &pair, &mut out);
+
+    // Fresh connections, one request each, come after the recorded
+    // sequence so its `/v1/metrics` lines stay as committed. The
+    // keep-alive client closes first: one worker serves one connection
+    // at a time. A new connection sees generation 2 after the swap, and
+    // generation 1 once it is installed again, byte for byte.
+    drop(client);
+    assert_fresh_connections(&handle, &pair, &gen2_pair);
+    handle.install(index);
+    assert_fresh_connections(&handle, &pair, &gen1_pair);
 
     handle.shutdown();
     join.join().expect("server thread");
@@ -170,22 +211,15 @@ fn golden_check(actual: &str) {
 #[test]
 fn concurrent_readers_never_observe_torn_swaps() {
     let (index_a, index_b) = (gen1(), gen2());
-    let pair_path = {
-        let paths = matrix(&index_a);
-        paths
-            .iter()
-            .find(|p| p.starts_with("/v1/pair?src=") && !p.contains("no-such"))
-            .expect("pair path")
-            .clone()
-    };
+    let pair = pair_path(&index_a);
     let (handle, join) = start(4, index_a.clone());
 
     // The two legal bodies: one per generation.
     let mut probe = HttpClient::connect(handle.addr(), 5_000).expect("connect");
-    let (status, body_gen1) = probe.get(&pair_path).expect("probe gen1");
+    let (status, body_gen1) = probe.get(&pair).expect("probe gen1");
     assert_eq!(status, 200);
     handle.install(index_b.clone());
-    let (status, body_gen2) = probe.get(&pair_path).expect("probe gen2");
+    let (status, body_gen2) = probe.get(&pair).expect("probe gen2");
     assert_eq!(status, 200);
     assert_ne!(body_gen1, body_gen2, "generations must be observable");
 
@@ -194,7 +228,7 @@ fn concurrent_readers_never_observe_torn_swaps() {
     for _ in 0..4 {
         let stop = Arc::clone(&stop);
         let addr = handle.addr();
-        let path = pair_path.clone();
+        let path = pair.clone();
         let (b1, b2) = (body_gen1.clone(), body_gen2.clone());
         readers.push(std::thread::spawn(move || {
             let mut client = HttpClient::connect(addr, 5_000).expect("reader connect");
