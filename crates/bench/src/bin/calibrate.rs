@@ -7,10 +7,12 @@ use logdep::l2::L2Config;
 use logdep::l3::L3Config;
 use logdep::par::ParConfig;
 use logdep::{AppServiceModel, PairModel, PipelineConfig};
+use logdep_bench::workbench::cli_no_args;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig};
 
 fn main() {
+    cli_no_args();
     let par = ParConfig::default();
     let out = simulate(&SimConfig::paper_week(42, 1.0));
     let store = &out.store;

@@ -8,7 +8,7 @@
 //! the table, checked against the paper's published counts.
 
 use logdep::l2::extract_bigrams;
-use logdep_bench::workbench::write_report;
+use logdep_bench::workbench::{cli_no_args, write_report};
 use logdep_logstore::{HostId, Millis, SourceId, UserId};
 use logdep_sessions::{Session, SessionEntry};
 use logdep_stats::contingency::Table2x2;
@@ -23,6 +23,7 @@ struct Fig34Report {
 }
 
 fn main() {
+    cli_no_args();
     // The session of Figure 3 (times in seconds from the first log,
     // sources A1..A4 as indices 1..4). The final gap is 0.6 s.
     let entries = [

@@ -32,7 +32,7 @@ use logdep::l2::run_l2_pool;
 use logdep::l2::L2Config;
 use logdep::l3::run_l3_pool;
 use logdep::window::{run_window_cached, WindowOutcome};
-use logdep_bench::workbench::{cli_args, write_bench_report, Args, Workbench};
+use logdep_bench::workbench::{cli_args, write_bench_report, Args, Flags, Workbench};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_sessions::{reconstruct_range, Session};
@@ -199,7 +199,7 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    let Args { seed, scale, smoke } = cli_args(0.5, true);
+    let Args { seed, scale, smoke } = cli_args(0.5, Flags::SeedScaleSmoke);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let n_advances: i64 = if smoke { 1 } else { 7 };
 

@@ -25,7 +25,7 @@ use logdep::durable::{
 };
 use logdep::health::PipelineConfig;
 use logdep::window::WindowOutcome;
-use logdep_bench::workbench::{cli_args, write_bench_report, Args, Workbench};
+use logdep_bench::workbench::{cli_args, write_bench_report, Args, Flags, Workbench};
 use logdep_sim::SimConfig;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -132,7 +132,7 @@ fn run(
 }
 
 fn main() {
-    let Args { seed, scale, smoke } = cli_args(0.5, true);
+    let Args { seed, scale, smoke } = cli_args(0.5, Flags::SeedScaleSmoke);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let steps: u64 = if smoke { 2 } else { 6 };
 

@@ -19,7 +19,7 @@
 
 use logdep::health::{run_pipeline, PipelineOutcome};
 use logdep::model::{diff, AppServiceModel, PairModel};
-use logdep_bench::workbench::{cli_args, write_report, Args, Workbench};
+use logdep_bench::workbench::{cli_args, write_report, Args, Flags, Workbench};
 use logdep_faults::{inject, FaultConfig};
 use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
@@ -179,7 +179,7 @@ fn score_outcome(
 }
 
 fn main() {
-    let Args { seed, scale, smoke } = cli_args(0.5, true);
+    let Args { seed, scale, smoke } = cli_args(0.5, Flags::SeedScaleSmoke);
 
     let mut cfg = logdep_sim::SimConfig::paper_week(seed, scale);
     if smoke {

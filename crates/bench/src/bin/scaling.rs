@@ -20,7 +20,7 @@
 //! still hard-asserted, timing is recorded but not judged.
 
 use logdep::health::{run_pipeline, PipelineConfig, PipelineOutcome};
-use logdep_bench::workbench::{cli_args, write_report, Args, Workbench};
+use logdep_bench::workbench::{cli_args, write_report, Args, Flags, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_par::ParConfig;
@@ -98,7 +98,7 @@ fn detector_us(out: &PipelineOutcome, idx: usize) -> u64 {
 }
 
 fn main() {
-    let Args { seed, scale, smoke } = cli_args(0.5, true);
+    let Args { seed, scale, smoke } = cli_args(0.5, Flags::SeedScaleSmoke);
 
     let mut cfg = SimConfig::paper_week(seed, scale);
     if smoke {

@@ -187,35 +187,60 @@ pub struct Args {
 /// The traffic scale every `--smoke` run uses, whatever `--scale` says.
 pub const SMOKE_SCALE: f64 = 0.15;
 
+/// The flags a bench bin takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flags {
+    /// None: the bin runs one fixed example, so any argument is an error.
+    None,
+    /// `--seed N` and `--scale X` (the figure bins).
+    SeedScale,
+    /// `--seed N`, `--scale X` and `--smoke` (the timed benches).
+    SeedScaleSmoke,
+}
+
+impl Flags {
+    /// The bin's usage line after its name.
+    fn usage(self) -> &'static str {
+        match self {
+            Flags::None => "(no arguments)",
+            Flags::SeedScale => "[--seed N] [--scale X]",
+            Flags::SeedScaleSmoke => "[--seed N] [--scale X] [--smoke]",
+        }
+    }
+}
+
 /// Parses a figure bin's `--seed N` and `--scale X` (defaults
 /// [`DEFAULT_SEED`] and [`DEFAULT_SCALE`]).
 pub fn cli_seed_scale() -> (u64, f64) {
-    let args = cli_args(DEFAULT_SCALE, false);
+    let args = cli_args(DEFAULT_SCALE, Flags::SeedScale);
     (args.seed, args.scale)
 }
 
-/// Parses the process arguments as [`parse_args`] does (a timed bench
-/// sets `smoke_flag`). On a bad one it prints the reason and a usage
-/// line and exits with code 2, so a mistyped flag never runs the
-/// defaults.
-pub fn cli_args(default_scale: f64, smoke_flag: bool) -> Args {
+/// Checks that a bin taking no flags was given no arguments.
+pub fn cli_no_args() {
+    cli_args(DEFAULT_SCALE, Flags::None);
+}
+
+/// Parses the process arguments as [`parse_args`] does. On a bad one it
+/// prints the reason and a usage line and exits with code 2, so a
+/// mistyped flag never runs the defaults.
+pub fn cli_args(default_scale: f64, flags: Flags) -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    parse_args(argv.get(1..).unwrap_or_default(), default_scale, smoke_flag).unwrap_or_else(|why| {
+    parse_args(argv.get(1..).unwrap_or_default(), default_scale, flags).unwrap_or_else(|why| {
         let bin = argv.first().map_or("bench", |p| {
             Path::new(p)
                 .file_name()
                 .and_then(|n| n.to_str())
                 .unwrap_or(p)
         });
-        let smoke = if smoke_flag { " [--smoke]" } else { "" };
-        eprintln!("{bin}: {why}\nusage: {bin} [--seed N] [--scale X]{smoke}");
+        eprintln!("{bin}: {why}\nusage: {bin} {}", flags.usage());
         std::process::exit(2)
     })
 }
 
-/// Parses `argv` (without the program name). `--smoke` is a flag only
-/// when `smoke_flag` is set; a repeated flag keeps its last value.
-pub fn parse_args(argv: &[String], default_scale: f64, smoke_flag: bool) -> Result<Args, String> {
+/// Parses `argv` (without the program name) for a bin taking `flags`;
+/// a repeated flag keeps its last value.
+pub fn parse_args(argv: &[String], default_scale: f64, flags: Flags) -> Result<Args, String> {
     let mut args = Args {
         seed: DEFAULT_SEED,
         scale: default_scale,
@@ -224,14 +249,15 @@ pub fn parse_args(argv: &[String], default_scale: f64, smoke_flag: bool) -> Resu
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--seed" => {
+        match (flag.as_str(), flags) {
+            (_, Flags::None) => return Err(format!("takes no arguments, got {flag:?}")),
+            ("--seed", _) => {
                 let v = value()?;
                 args.seed = v
                     .parse()
                     .map_err(|_| format!("--seed takes an unsigned integer, not {v:?}"))?;
             }
-            "--scale" => {
+            ("--scale", _) => {
                 let v = value()?;
                 args.scale = v
                     .parse()
@@ -239,8 +265,8 @@ pub fn parse_args(argv: &[String], default_scale: f64, smoke_flag: bool) -> Resu
                     .filter(|x: &f64| x.is_finite() && *x > 0.0)
                     .ok_or_else(|| format!("--scale takes a positive number, not {v:?}"))?;
             }
-            "--smoke" if smoke_flag => args.smoke = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            ("--smoke", Flags::SeedScaleSmoke) => args.smoke = true,
+            (other, _) => return Err(format!("unknown argument {other:?}")),
         }
     }
     if args.smoke {
@@ -254,8 +280,17 @@ mod tests {
     use super::*;
 
     fn parse(argv: &[&str], smoke_flag: bool) -> Result<Args, String> {
+        let flags = if smoke_flag {
+            Flags::SeedScaleSmoke
+        } else {
+            Flags::SeedScale
+        };
+        parse_with(argv, flags)
+    }
+
+    fn parse_with(argv: &[&str], flags: Flags) -> Result<Args, String> {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        parse_args(&argv, 0.5, smoke_flag)
+        parse_args(&argv, 0.5, flags)
     }
 
     #[test]
@@ -296,5 +331,29 @@ mod tests {
             parse(&["--seed"], false),
             Err("--seed needs a value".to_owned())
         );
+    }
+
+    #[test]
+    fn a_flagless_bin_rejects_every_argument() {
+        assert_eq!(
+            parse_with(&[], Flags::None),
+            Ok(Args {
+                seed: DEFAULT_SEED,
+                scale: 0.5,
+                smoke: false
+            })
+        );
+        for argv in [
+            &["--seed", "7"][..],
+            &["--scale", "1"],
+            &["--smoke"],
+            &["7"],
+        ] {
+            assert_eq!(
+                parse_with(argv, Flags::None),
+                Err(format!("takes no arguments, got {:?}", argv[0])),
+                "{argv:?}"
+            );
+        }
     }
 }

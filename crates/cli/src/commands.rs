@@ -11,11 +11,12 @@ use logdep::health::PipelineConfig;
 use logdep::l1::{run_l1_pool, L1Config};
 use logdep::l2::{run_l2_pool, L2Config};
 use logdep::l3::{run_l3_pool, L3Config};
+use logdep::obs::{record, Field};
 use logdep::window::{run_window_cached, WindowOutcome};
 use logdep::{evolution, EdgeTarget, MineError, Model};
 use logdep_faults::{inject as inject_faults, FaultConfig};
 use logdep_logstore::codec::write_store;
-use logdep_logstore::ingest::{read_store_resilient, IngestPolicy, WHOLE_CLOCK};
+use logdep_logstore::ingest::{read_store_resilient, IngestPolicy, IngestReport, WHOLE_CLOCK};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis, SourceId};
 use logdep_par::ParConfig;
@@ -93,27 +94,33 @@ type CmdResult = Result<(), Box<dyn Error>>;
 /// and out-of-order delivery repaired, with a warning summarizing any
 /// damage found.
 fn load_logs(args: &Args, key: &'static str) -> Result<LogStore, Box<dyn Error>> {
-    load_logs_in(args, key, WHOLE_CLOCK)
+    Ok(load_logs_in(args, key, WHOLE_CLOCK)?.0)
 }
 
 /// [`load_logs`], storing only the rows whose client timestamp lies in
-/// `scope` (see [`IngestPolicy::scope`]).
+/// `scope` (see [`IngestPolicy::scope`]). Also returns the files'
+/// reports summed into one.
 fn load_logs_in(
     args: &Args,
     key: &'static str,
     scope: RangeInclusive<Millis>,
-) -> Result<LogStore, Box<dyn Error>> {
+) -> Result<(LogStore, IngestReport), Box<dyn Error>> {
     let policy = IngestPolicy {
         scope,
         ..IngestPolicy::with_par(par_config(args)?)
     };
     let (store, reports) = logdep_logstore::load_logs(args.required(key)?, &policy)?;
+    let mut total = IngestReport::default();
     for (path, report) in &reports {
         if report.quarantined > 0 || report.deduped > 0 {
             eprintln!("warning: {path}: {}", report.summary());
         }
+        total.total_lines += report.total_lines;
+        total.parsed += report.parsed;
+        total.quarantined += report.quarantined;
+        total.outside_scope += report.outside_scope;
     }
-    Ok(store)
+    Ok((store, total))
 }
 
 fn load_directory(path: &str) -> Result<Vec<String>, Box<dyn Error>> {
@@ -412,7 +419,19 @@ fn daily_inner(args: &Args, out: &mut dyn Write) -> CmdResult {
     }
     // Only the rows the plan's windows read are stored.
     let plan = daily_plan(args)?;
-    let store = load_logs_in(args, "logs", plan.read_span())?;
+    record(|r| r.span_begin("ingest", &[]));
+    let (store, report) = load_logs_in(args, "logs", plan.read_span())?;
+    record(|r| {
+        r.span_end(
+            "ingest",
+            &[
+                ("lines", Field::from(report.total_lines)),
+                ("parsed", Field::from(report.parsed)),
+                ("quarantined", Field::from(report.quarantined)),
+                ("outside_scope", Field::from(report.outside_scope)),
+            ],
+        );
+    });
     let resume: bool = args.parsed_or("resume", false)?;
 
     let ids = match args.optional("directory") {

@@ -817,6 +817,15 @@ fn daily_trace_is_byte_identical_across_thread_widths() {
     assert!(!text.contains("wall_us"), "{text}");
     assert!(text.contains("\"name\":\"daily\""), "{text}");
     assert!(text.contains("\"name\":\"daily.step\""), "{text}");
+    // The ingest span comes first and closes with its counts.
+    assert!(
+        text.starts_with("{\"seq\":0,\"ev\":\"begin\",\"name\":\"ingest\"}"),
+        "{text}"
+    );
+    assert!(
+        text.contains("\"ev\":\"end\",\"name\":\"ingest\",\"lines\":"),
+        "{text}"
+    );
     assert!(text.contains("\"name\":\"window\""), "{text}");
     // Every window reports the three detectors' health, and the
     // durable store adds its own row.

@@ -12,11 +12,12 @@
 
 use crate::ingest::IngestError;
 use crate::record::{LogRecord, Severity, StoreFull, StoredRecord, TextSpan};
-use crate::registry::NameRegistry;
+use crate::registry::{HostId, NameRegistry, SourceId, Space, UserId};
 use crate::store::LogStore;
 use crate::time::Millis;
 use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
+use std::ops::Range;
 
 /// Escapes text for a single TSV field.
 fn escape(text: &str) -> String {
@@ -35,7 +36,7 @@ fn escape(text: &str) -> String {
 
 /// Reverses [`escape`]. Borrows the field when it holds no backslash,
 /// which is every field the writer did not have to escape.
-fn unescape(text: &str) -> Cow<'_, str> {
+pub(crate) fn unescape(text: &str) -> Cow<'_, str> {
     if !text.contains('\\') {
         return Cow::Borrowed(text);
     }
@@ -142,49 +143,55 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one TSV line into a record, interning names into `registry`.
+/// Parses one TSV line (without its line terminator) into a record,
+/// interning names into `registry`.
 ///
 /// The fields are slices of `line`, and a field is unescaped into a new
 /// string only when it holds a backslash, so the record's one allocation
 /// is its text. Names are interned before the severity is checked, so a
 /// line with a bad tag still registers its names. The ingest readers
-/// skip even that allocation: they unescape the text straight into the
-/// store's text arena ([`crate::LogStore::text`]).
+/// parse with the same line parser but skip even that allocation:
+/// they unescape the text straight into the store's text arena
+/// ([`crate::LogStore::text`]).
 pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord, ParseError> {
-    let (mut record, text) = parse_fields(line, registry)?;
+    let (mut record, text) = parse_line(line, &mut |space, raw| {
+        registry.interner(space).intern(&unescape(raw))
+    })?;
     record.text = unescape(text).into_owned();
     Ok(record)
 }
 
-/// [`parse_record`] up to the text: the record with an empty `text`
-/// (which allocates nothing), and the text field still escaped.
-pub(crate) fn parse_fields<'a>(
+/// The one line parser: [`parse_record`] up to the text, with `intern`
+/// mapping each raw (still escaped) name field of a [`Space`] to its id.
+/// Returns the record with an empty `text` (which allocates nothing) and
+/// the text field still escaped.
+///
+/// The six field tabs are found in one pass, eight bytes at a time; the
+/// text is the rest of the line, tabs included, and is not scanned here. A
+/// timestamp of one to 18 ASCII digits is read directly; any other (a
+/// sign, 19 digits, an empty field) goes to `str::parse`, so exactly the
+/// fields `i64` parses are accepted.
+pub(crate) fn parse_line<'a>(
     line: &'a str,
-    registry: &mut NameRegistry,
+    intern: &mut impl FnMut(Space, &'a str) -> u32,
 ) -> Result<(LogRecord, &'a str), ParseError> {
-    let mut parts = line.splitn(7, '\t');
-    let mut fields = [""; 7];
-    for (n, field) in fields.iter_mut().enumerate() {
-        *field = parts.next().ok_or(ParseError::FieldCount(n))?;
+    let (tabs, found) = field_tabs(line.as_bytes());
+    let mut fields = [""; 6];
+    let mut start = 0;
+    for (field, &tab) in fields.iter_mut().zip(tabs.get(..found).unwrap_or_default()) {
+        *field = line.get(start..tab).unwrap_or_default();
+        start = tab + 1;
     }
-    let [client_ts, server_ts, source, user, host, severity, text] = fields;
-    let timestamp = |field: &str| {
-        field
-            .parse::<i64>()
-            .map(Millis)
-            .map_err(|_| ParseError::BadTimestamp(field.to_owned()))
-    };
-    let client_ts = timestamp(client_ts)?;
-    let server_ts = timestamp(server_ts)?;
-    let source = registry.source(&unescape(source));
-    let user = match user {
-        "-" => None,
-        u => Some(registry.user(&unescape(u))),
-    };
-    let host = match host {
-        "-" => None,
-        h => Some(registry.host(&unescape(h))),
-    };
+    if found < 6 {
+        return Err(ParseError::FieldCount(found + 1));
+    }
+    let rest = line.get(start..).unwrap_or_default();
+    let [client_ts, server_ts, source, user, host, severity] = fields;
+    let client_ts = parse_timestamp(client_ts)?;
+    let server_ts = parse_timestamp(server_ts)?;
+    let source = SourceId(intern(Space::Source, source));
+    let user = (user != "-").then(|| UserId(intern(Space::User, user)));
+    let host = (host != "-").then(|| HostId(intern(Space::Host, host)));
     let severity =
         Severity::from_tag(severity).ok_or_else(|| ParseError::BadSeverity(severity.to_owned()))?;
     let record = LogRecord {
@@ -196,28 +203,64 @@ pub(crate) fn parse_fields<'a>(
         severity,
         text: String::new(),
     };
-    Ok((record, text))
+    Ok((record, rest))
 }
 
-/// The lines of an in-memory block with their 1-based line numbers,
-/// empty ones included.
+/// Digits [`parse_timestamp`] reads directly: 18 nines is below
+/// `i64::MAX`, so no such run can overflow.
+const DIRECT_DIGITS: usize = 18;
+
+/// A timestamp field as `str::parse::<i64>` reads it: one to
+/// [`DIRECT_DIGITS`] ASCII digits are summed in place, anything else goes
+/// to `parse`, which also makes the error.
+fn parse_timestamp(field: &str) -> Result<Millis, ParseError> {
+    let digits = field.as_bytes();
+    if (1..=DIRECT_DIGITS).contains(&digits.len()) {
+        let mut value = 0i64;
+        let mut all_digits = true;
+        for &b in digits {
+            let digit = b.wrapping_sub(b'0');
+            all_digits &= digit <= 9;
+            // Wrapping only past a non-digit, whose value is discarded.
+            value = value.wrapping_mul(10).wrapping_add(i64::from(digit));
+        }
+        if all_digits {
+            return Ok(Millis(value));
+        }
+    }
+    field
+        .parse::<i64>()
+        .map(Millis)
+        .map_err(|_| ParseError::BadTimestamp(field.to_owned()))
+}
+
+/// The lines of an in-memory block as byte ranges of it, with their
+/// 1-based line numbers, empty ones included.
 ///
 /// A line ends at `\n`; one `\r` right before it is dropped too, exactly
 /// as [`std::io::BufRead::lines`] does, and a `\r` anywhere else stays in
 /// the line, a final line without `\n` included.
-pub(crate) fn lines(block: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
-    let mut rest = block;
+pub(crate) fn lines(block: &[u8]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let mut start = 0;
     let lines = std::iter::from_fn(move || {
-        let (line, after) = match find_newline(rest) {
+        let rest = block.get(start..).filter(|rest| !rest.is_empty())?;
+        let line = match find_newline(rest) {
             Some(at) => {
-                let (line, after) = rest.split_at(at);
-                let line = line.strip_suffix(b"\r").unwrap_or(line);
-                (line, after.get(1..).unwrap_or_default())
+                let end = start + at;
+                let stripped = match rest.get(..at) {
+                    Some([.., b'\r']) => end - 1,
+                    _ => end,
+                };
+                let line = start..stripped;
+                start = end + 1;
+                line
             }
-            None if rest.is_empty() => return None,
-            None => (rest, &[][..]),
+            None => {
+                let line = start..block.len();
+                start = block.len();
+                line
+            }
         };
-        rest = after;
         Some(line)
     });
     (1..).zip(lines)
@@ -227,20 +270,61 @@ pub(crate) fn lines(block: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
 /// time: a byte-at-a-time search made the splitter about twice as slow
 /// as the `read_until` loop it replaced.
 fn find_newline(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
     let mut skipped = 0;
-    for word in bytes.chunks_exact(8) {
-        let word = u64::from_ne_bytes(word.try_into().unwrap_or_default()) ^ NEWLINES;
-        // Nonzero exactly when some byte of `word` is zero, i.e. `\n`.
-        if word.wrapping_sub(ONES) & !word & HIGHS != 0 {
-            break;
+    for word in words.by_ref() {
+        let found = matches(word, b'\n');
+        if found != 0 {
+            return Some(skipped + (found.trailing_zeros() / 8) as usize);
         }
         skipped += 8;
     }
-    let tail = bytes.get(skipped..)?;
-    tail.iter().position(|&b| b == b'\n').map(|at| skipped + at)
+    let at = words.remainder().iter().position(|&b| b == b'\n')?;
+    Some(skipped + at)
+}
+
+/// The first six tabs of `line` (the ends of its six fields before the
+/// text) and how many of them there are, found in one pass eight bytes
+/// at a time.
+fn field_tabs(line: &[u8]) -> ([usize; 6], usize) {
+    let mut tabs = [0; 6];
+    let mut found = 0;
+    let mut note = |at: usize| {
+        if let Some(tab) = tabs.get_mut(found) {
+            *tab = at;
+            found += 1;
+        }
+        found == 6
+    };
+    let mut words = line.chunks_exact(8);
+    let mut base = 0;
+    for word in words.by_ref() {
+        let mut hits = matches(word, b'\t');
+        while hits != 0 {
+            if note(base + (hits.trailing_zeros() / 8) as usize) {
+                return (tabs, 6);
+            }
+            hits &= hits - 1;
+        }
+        base += 8;
+    }
+    for (at, &b) in (base..).zip(words.remainder()) {
+        if b == b'\t' && note(at) {
+            break;
+        }
+    }
+    (tabs, found)
+}
+
+/// The high bit of each byte of `word` (eight bytes, little-endian) that
+/// equals `byte`, and no other bit: after the XOR those bytes are zero,
+/// and adding `0x7f` to each byte's low seven bits cannot carry into its
+/// neighbour, so unlike the usual `haszero` trick no bit is set falsely.
+fn matches(word: &[u8], byte: u8) -> u64 {
+    const LOWS: u64 = u64::from_le_bytes([0x7f; 8]);
+    let word =
+        u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ u64::from_le_bytes([byte; 8]);
+    !(((word & LOWS) + LOWS) | word | LOWS)
 }
 
 /// Parse failures from one ingest pass, with bounded memory: the first
@@ -347,7 +431,6 @@ pub fn read_store<R: BufRead>(r: R) -> io::Result<(LogStore, ParseErrors)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::SourceId;
 
     fn sample_store() -> LogStore {
         let mut s = LogStore::new();
@@ -462,7 +545,7 @@ mod tests {
     #[test]
     fn lines_strip_like_buf_read_lines() {
         let data: &[u8] = b"a\r\n\n\r\nb\rc\n\xff\x80\r\nlast\r";
-        let seen: Vec<(usize, &[u8])> = lines(data).collect();
+        let seen: Vec<(usize, &[u8])> = lines(data).map(|(n, range)| (n, &data[range])).collect();
         assert_eq!(
             seen,
             vec![
@@ -476,7 +559,7 @@ mod tests {
             ]
         );
         assert_eq!(lines(b"").count(), 0);
-        assert_eq!(lines(b"\n").collect::<Vec<_>>(), vec![(1, &b""[..])]);
+        assert_eq!(lines(b"\n").collect::<Vec<_>>(), vec![(1, 0..0)]);
     }
 
     #[test]

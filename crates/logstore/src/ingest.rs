@@ -16,10 +16,10 @@
 //! only the rows inside the scope are stored, plus, per source, the
 //! nearest timestamp on each side of it (see [`LogStore`]).
 
-use crate::codec::{lines, parse_fields, unescape_into, ParseError, ParseErrors};
-use crate::record::{StoreFull, StoredRecord, TextSpan};
-use crate::registry::{HostId, Interner, NameRegistry, SourceId, UserId};
-use crate::store::LogStore;
+use crate::codec::{lines, parse_line, unescape, unescape_into, ParseError, ParseErrors};
+use crate::record::{LogRecord, StoreFull, StoredRecord, TextSpan};
+use crate::registry::{HostId, Interner, NameRegistry, SourceId, Space, UserId};
+use crate::store::{grown, LogStore};
 use crate::time::Millis;
 use logdep_par::ParConfig;
 use std::collections::BTreeMap;
@@ -235,9 +235,9 @@ impl From<StoreFull> for IngestError {
 /// [`IngestError::StoreFull`], but where a budget trip falls in the same
 /// block as that overflow the pass may report either.)
 ///
-/// Each stored record's text is unescaped straight into a block-local
-/// text arena, which the merge appends to the store's, so no record
-/// costs an allocation of its own.
+/// Each stored record's text is unescaped straight into the store's
+/// text arena (at width 1) or a block-local one the merge appends to the
+/// store's, so no record costs an allocation of its own.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
@@ -281,19 +281,41 @@ impl Pass {
         }
     }
 
-    /// Appends the next block, exactly as a line-by-line loop would have
-    /// taken its lines: names interned in first-seen order, the error
-    /// budget checked wherever it could trip, arrivals observed in order.
-    /// Rows outside `policy.scope` are observed, then left out; the store
-    /// notes each as a candidate for its source's nearest timestamp and
-    /// for the first appearance of its names.
+    /// Takes the next block's line counts and failures, once the budget
+    /// checks a line-by-line loop would have made in it have passed.
+    fn count(&mut self, tally: Tally, policy: &IngestPolicy) -> Result<(), IngestError> {
+        self.check_block_budget(&tally, policy)?;
+        self.report.total_lines += tally.lines;
+        self.report.parsed += tally.parsed;
+        self.errors.append(tally.errors, self.lines_read);
+        self.lines_read += tally.line_count;
+        Ok(())
+    }
+
+    /// Parses the next block straight into the store (pool width 1).
+    fn parse_direct(&mut self, block: &[u8], policy: &IngestPolicy) -> Result<(), IngestError> {
+        let mut direct = Direct {
+            store: &mut self.store,
+            arrivals: &mut self.arrivals,
+            scope: &policy.scope,
+            arrival: self.report.parsed,
+            outside: 0,
+        };
+        let tally = parse_block(block, &mut direct, policy)?;
+        self.report.outside_scope += direct.outside;
+        self.count(tally, policy)
+    }
+
+    /// Appends the next block a worker parsed, exactly as a line-by-line
+    /// loop would have taken its lines: names interned in first-seen
+    /// order, the error budget checked wherever it could trip, arrivals
+    /// folded in order. Of the rows outside `policy.scope`, the store
+    /// notes the worker's summary: each source's nearest timestamps and
+    /// the rows a name may first appear in.
     fn absorb(&mut self, block: &mut Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
-        self.check_block_budget(block, policy)?;
-        self.report.total_lines += block.lines;
-        self.report.parsed += block.rows.len();
-        self.errors
-            .append(std::mem::take(&mut block.errors), self.lines_read);
-        self.lines_read += block.line_count;
+        let first_arrival = self.report.parsed;
+        self.count(std::mem::take(&mut block.tally), policy)?;
+        self.report.outside_scope += block.outside.count;
 
         let Self {
             store, arrivals, ..
@@ -301,26 +323,39 @@ impl Pass {
         let sources = reintern(&block.registry.sources, &mut store.registry.sources);
         let users = reintern(&block.registry.users, &mut store.registry.users);
         let hosts = reintern(&block.registry.hosts, &mut store.registry.hosts);
-        let (parsed, mut arrival) = (block.rows.len(), self.report.parsed - block.rows.len());
-        block.rows.retain_mut(|row| {
-            *row = row.with_ids(
+        let translated = |row: &StoredRecord| {
+            row.with_ids(
                 SourceId(translate(&sources, row.source.0)),
                 row.user().map(|u| UserId(translate(&users, u.0))),
                 row.host().map(|h| HostId(translate(&hosts, h.0))),
-            );
-            arrivals.observe(row.client_ts, row.server_ts, row.source);
-            let inside = policy.scope.contains(&row.client_ts);
-            if !inside {
-                let below = row.client_ts < *policy.scope.start();
-                store.keep_outside(row, arrival, below);
+            )
+        };
+        arrivals.append(block, &sources);
+        let OutsideRows {
+            nearest: [under, over],
+            candidates,
+            ..
+        } = &block.outside;
+        for (below, nearest) in [(true, under), (false, over)] {
+            for (id, ts) in (0u32..).zip(nearest) {
+                if let Some(ts) = *ts {
+                    store.keep_nearest(SourceId(translate(&sources, id)), ts, below);
+                }
             }
-            arrival += 1;
-            inside
-        });
-        self.report.outside_scope += parsed - block.rows.len();
-        store.append_rows(block.rows.drain(..), &block.arena)?;
-        block.arena.clear();
-        Ok(())
+        }
+        for &at in candidates {
+            if let Some(row) = block.rows.get(at) {
+                let below = row.client_ts < *policy.scope.start();
+                store.keep_outside(&translated(row), first_arrival + at, below);
+            }
+        }
+        let inside = block
+            .rows
+            .iter()
+            .filter(|row| policy.scope.contains(&row.client_ts));
+        store
+            .append_rows(inside.map(translated), &block.arena)
+            .map_err(IngestError::from)
     }
 
     /// Replays a line-by-line loop's per-line budget checks over one block.
@@ -329,7 +364,7 @@ impl Pass {
     /// on. Past that line the error fraction only falls until the next
     /// failure, so the check can first trip there or at a failed line:
     /// checking just those gives the same trip, at the same line.
-    fn check_block_budget(&self, block: &Parsed, policy: &IngestPolicy) -> Result<(), IngestError> {
+    fn check_block_budget(&self, block: &Tally, policy: &IngestPolicy) -> Result<(), IngestError> {
         let (lines, failed) = (self.report.total_lines, self.errors.len());
         let first = policy.min_lines_before_check.max(1);
         if lines < first && first <= lines + block.lines {
@@ -357,7 +392,7 @@ impl Pass {
             .iter()
             .map(|(lineno, e)| (*lineno, e.to_string()))
             .collect();
-        report.repaired_out_of_order = self.arrivals.out_of_order;
+        report.repaired_out_of_order = self.arrivals.order.out_of_order;
 
         let mut store = self.store;
         report.deduped = if policy.dedup {
@@ -379,12 +414,56 @@ impl Pass {
     }
 }
 
+/// Out-of-order deliveries: records below the largest client timestamp
+/// seen before them.
+#[derive(Default)]
+struct Order {
+    last_seen_ts: Option<i64>,
+    out_of_order: usize,
+}
+
+impl Order {
+    /// Observes the next parsed record's client timestamp.
+    fn observe(&mut self, ts: i64) {
+        if self.last_seen_ts.is_some_and(|prev| ts < prev) {
+            self.out_of_order += 1;
+        }
+        self.last_seen_ts = Some(self.last_seen_ts.map_or(ts, |prev| prev.max(ts)));
+    }
+
+    /// Folds in a later block, which `block` observed on its own;
+    /// `client_ts` yields its rows' timestamps in order.
+    ///
+    /// Until the block's own running maximum reaches this one's, the
+    /// largest timestamp before a row is this one's, so those rows are
+    /// recounted here; from there on it is the block's, whose count the
+    /// block made. Most blocks reach it within their first rows.
+    fn append(&mut self, block: &Order, client_ts: impl Iterator<Item = i64>) {
+        let mut out_of_order = block.out_of_order;
+        if let Some(max) = self.last_seen_ts {
+            let mut prefix = Order::default();
+            for ts in client_ts {
+                if prefix
+                    .last_seen_ts
+                    .is_some_and(|prefix_max| prefix_max >= max)
+                {
+                    break;
+                }
+                out_of_order += usize::from(ts < max);
+                prefix.observe(ts);
+            }
+            out_of_order -= prefix.out_of_order;
+        }
+        self.out_of_order += out_of_order;
+        self.last_seen_ts = self.last_seen_ts.max(block.last_seen_ts);
+    }
+}
+
 /// Arrival-order statistics: out-of-order deliveries and the first
 /// [`SKEW_SAMPLE_CAP`] clock-skew samples of each source.
 #[derive(Default)]
 struct Arrivals {
-    last_seen_ts: Option<i64>,
-    out_of_order: usize,
+    order: Order,
     /// (client_ts - server_ts) samples per source index, capped.
     skew_samples: Vec<Vec<i64>>,
 }
@@ -392,19 +471,42 @@ struct Arrivals {
 impl Arrivals {
     /// Observes the next parsed record, in stream order.
     fn observe(&mut self, client_ts: Millis, server_ts: Millis, source: SourceId) {
-        let ts = client_ts.as_millis();
-        if self.last_seen_ts.is_some_and(|prev| ts < prev) {
-            self.out_of_order += 1;
-        }
-        self.last_seen_ts = Some(self.last_seen_ts.map_or(ts, |prev| prev.max(ts)));
-        let idx = source.index();
-        if self.skew_samples.len() <= idx {
-            self.skew_samples.resize_with(idx + 1, Vec::new);
-        }
-        if let Some(samples) = self.skew_samples.get_mut(idx) {
+        self.order.observe(client_ts.as_millis());
+        self.sample_skew(client_ts, server_ts, source.index());
+    }
+
+    /// Keeps `client_ts - server_ts` as a sample of source index `idx`
+    /// while it has fewer than [`SKEW_SAMPLE_CAP`].
+    fn sample_skew(&mut self, client_ts: Millis, server_ts: Millis, idx: usize) {
+        if let Some(samples) = grown(&mut self.skew_samples, idx) {
             if samples.len() < SKEW_SAMPLE_CAP {
-                samples.push(client_ts - server_ts);
+                // Saturating: two timestamps far apart in an export must
+                // not overflow (a panic in debug builds, a wrapped sample
+                // of the wrong sign in release ones).
+                samples.push(client_ts.as_millis().saturating_sub(server_ts.as_millis()));
             }
+        }
+    }
+
+    /// Folds in a block a worker parsed, its source ids mapped to this
+    /// pass's by `sources`. The skew samples are taken here, walking the
+    /// block's rows in order, and only while one of its sources has room.
+    fn append(&mut self, block: &Parsed, sources: &[u32]) {
+        self.order.append(
+            &block.order,
+            block.rows.iter().map(|r| r.client_ts.as_millis()),
+        );
+        let full = |idx: &u32| {
+            self.skew_samples
+                .get(*idx as usize)
+                .is_some_and(|samples| samples.len() >= SKEW_SAMPLE_CAP)
+        };
+        if sources.iter().all(full) {
+            return;
+        }
+        for row in &block.rows {
+            let idx = translate(sources, row.source.0) as usize;
+            self.sample_skew(row.client_ts, row.server_ts, idx);
         }
     }
 }
@@ -422,13 +524,10 @@ fn translate(map: &[u32], id: u32) -> u32 {
     map.get(id as usize).copied().unwrap_or(id)
 }
 
-/// One block, parsed against its own registry.
-struct Parsed {
-    registry: NameRegistry,
-    /// The block's records in line order, with block-local ids.
-    rows: Vec<StoredRecord>,
-    /// The rows' texts; their spans address this block-local arena.
-    arena: String,
+/// What the merge needs of a block's lines to replay the error budget
+/// and number the failures.
+#[derive(Default)]
+struct Tally {
     /// Failures, numbered by line within the block.
     errors: ParseErrors,
     /// Where each failure fell among the block's non-empty lines (1-based).
@@ -437,145 +536,349 @@ struct Parsed {
     lines: usize,
     /// All lines, empty ones included.
     line_count: usize,
+    /// Lines parsed into rows.
+    parsed: usize,
+}
+
+/// Where [`parse_block`] puts each row it parses.
+trait Rows {
+    /// The registry the block's names are interned into.
+    fn registry(&mut self) -> &mut NameRegistry;
+
+    /// Takes the next parsed row, with its text still escaped.
+    fn push(&mut self, record: &LogRecord, text: &str) -> Result<(), StoreFull>;
+}
+
+/// Rows parsed straight into the pass (pool width 1): names interned
+/// into the store's registry, arrivals observed in place, texts inside
+/// the scope unescaped into the store's arena, and rows outside it noted
+/// by the store.
+struct Direct<'p> {
+    store: &'p mut LogStore,
+    arrivals: &'p mut Arrivals,
+    scope: &'p RangeInclusive<Millis>,
+    /// Rows of the pass parsed before the next one.
+    arrival: usize,
+    /// Rows of this block left outside the scope.
+    outside: usize,
+}
+
+impl Rows for Direct<'_> {
+    fn registry(&mut self) -> &mut NameRegistry {
+        &mut self.store.registry
+    }
+
+    fn push(&mut self, record: &LogRecord, text: &str) -> Result<(), StoreFull> {
+        let ts = record.client_ts;
+        self.arrivals.observe(ts, record.server_ts, record.source);
+        if self.scope.contains(&ts) {
+            self.store.push_escaped(record, text)?;
+        } else {
+            let row = StoredRecord::new(record, TextSpan::default());
+            let below = ts < *self.scope.start();
+            self.store.keep_outside(&row, self.arrival, below);
+            self.outside += 1;
+        }
+        self.arrival += 1;
+        Ok(())
+    }
+}
+
+/// One block, parsed by a worker against its own registry, for the merge
+/// to translate and append. Its buffers are recycled from block to block.
+struct Parsed {
+    /// The pass's scope.
+    scope: RangeInclusive<Millis>,
+    tally: Tally,
+    registry: NameRegistry,
+    /// The block's rows in line order, with block-local ids; the spans
+    /// of those outside the scope are empty.
+    rows: Vec<StoredRecord>,
+    /// The texts of the rows inside the scope; their spans address this
+    /// block-local arena.
+    arena: String,
+    /// The summary of the rows outside the scope.
+    outside: OutsideRows,
+    /// The block's out-of-order count, as if it began the stream.
+    order: Order,
+}
+
+impl Parsed {
+    fn new(scope: RangeInclusive<Millis>) -> Self {
+        Self {
+            scope,
+            tally: Tally::default(),
+            registry: NameRegistry::new(),
+            rows: Vec::new(),
+            arena: String::new(),
+            outside: OutsideRows::default(),
+            order: Order::default(),
+        }
+    }
+
+    /// Empties the block for the next one, keeping the buffers (on the
+    /// worker, which frees the registry's names off the merge thread).
+    fn clear(&mut self) {
+        self.registry = NameRegistry::new();
+        self.rows.clear();
+        self.arena.clear();
+        self.outside.clear();
+        self.order = Order::default();
+    }
+}
+
+impl Rows for Parsed {
+    fn registry(&mut self) -> &mut NameRegistry {
+        &mut self.registry
+    }
+
+    fn push(&mut self, record: &LogRecord, text: &str) -> Result<(), StoreFull> {
+        let ts = record.client_ts;
+        self.order.observe(ts.as_millis());
+        let row = if self.scope.contains(&ts) {
+            let span = TextSpan::append(&mut self.arena, |a| unescape_into(text, a))?;
+            StoredRecord::new(record, span)
+        } else {
+            let row = StoredRecord::new(record, TextSpan::default());
+            let below = ts < *self.scope.start();
+            self.outside.note(&row, self.rows.len(), below);
+            row
+        };
+        self.rows.push(row);
+        Ok(())
+    }
+}
+
+/// A worker's summary of a block's rows outside the scope, in its own
+/// ids, for the merge to note in the store ([`LogStore::keep_outside`]
+/// on every such row would give the same store).
+#[derive(Default)]
+struct OutsideRows {
+    /// Rows left outside.
+    count: usize,
+    /// Below the scope (`[0]`) and above it (`[1]`): per source, the
+    /// timestamp nearest the scope.
+    nearest: [Vec<Option<Millis>>; 2],
+    /// Per side, per id space and per id: the least client timestamp
+    /// of the name's rows so far.
+    least: [[Vec<Option<Millis>>; 3]; 2],
+    /// The rows (their places in the block) that were, when parsed, at
+    /// or below the least timestamp of one of their names on their side.
+    /// Where a name first appears in sort order is the least key of its
+    /// rows, whose first part is the timestamp, so it is one of these.
+    candidates: Vec<usize>,
+}
+
+impl OutsideRows {
+    /// Notes `row`, the block's `at`-th, below the scope when `below`.
+    fn note(&mut self, row: &StoredRecord, at: usize, below: bool) {
+        self.count += 1;
+        let side = usize::from(!below);
+        let ts = row.client_ts;
+        let nearest = self.nearest.get_mut(side);
+        if let Some(nearest) = nearest.and_then(|n| grown(n, row.source.index())) {
+            let nearer = |kept: Millis| if below { kept.max(ts) } else { kept.min(ts) };
+            *nearest = Some(nearest.map_or(ts, nearer));
+        }
+        let ids = [
+            Some(row.source.0),
+            row.user().map(|u| u.0),
+            row.host().map(|h| h.0),
+        ];
+        let mut candidate = false;
+        for (least, id) in self.least.get_mut(side).into_iter().flatten().zip(ids) {
+            if let Some(least) = id.and_then(|id| grown(least, id as usize)) {
+                if least.is_none_or(|kept| ts <= kept) {
+                    *least = Some(ts);
+                    candidate = true;
+                }
+            }
+        }
+        if candidate {
+            self.candidates.push(at);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.count = 0;
+        self.nearest.iter_mut().for_each(Vec::clear);
+        self.least.iter_mut().flatten().for_each(Vec::clear);
+        self.candidates.clear();
+    }
+}
+
+/// Slots per id space in [`NameMemo`].
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+const MEMO_BITS: u32 = 8;
+
+/// A block's name fields already interned: the raw field to its id,
+/// direct-mapped per id space by a cheap hash of the field's ends.
+///
+/// Most rows repeat names the block has seen, so most name fields cost a
+/// hash of two words and one comparison here instead of a keyed hash in
+/// the interner's map. Two names sharing a slot evict each other and go
+/// to the map, which keeps its keyed hasher: the names come from
+/// untrusted exports, and a crafted export can only make this memo miss,
+/// never make interning slow.
+struct NameMemo<'b> {
+    slots: Vec<Option<(&'b str, u32)>>,
+}
+
+impl<'b> NameMemo<'b> {
+    fn new() -> Self {
+        Self {
+            slots: vec![None; 3 * MEMO_SLOTS],
+        }
+    }
+
+    /// The id of the raw name field `raw` of `space`, interned into
+    /// `registry` on a miss.
+    fn id(&mut self, registry: &mut NameRegistry, space: Space, raw: &'b str) -> u32 {
+        let slot = self
+            .slots
+            .get_mut(space as usize * MEMO_SLOTS + memo_hash(raw));
+        match slot {
+            Some(Some((seen, id))) if *seen == raw => *id,
+            Some(slot) => {
+                let id = registry.interner(space).intern(&unescape(raw));
+                *slot = Some((raw, id));
+                id
+            }
+            None => registry.interner(space).intern(&unescape(raw)),
+        }
+    }
+}
+
+/// A [`NameMemo`] slot for `raw`: its length and its first and last
+/// eight bytes, mixed by one multiply. A field of four to seven bytes
+/// contributes its first and last four, a shorter one all its bytes; the
+/// two loads may overlap.
+fn memo_hash(raw: &str) -> usize {
+    let bytes = raw.as_bytes();
+    let n = bytes.len();
+    let load = |at: usize, width: usize| {
+        let mut word = [0u8; 8];
+        if let (Some(part), Some(dst)) = (bytes.get(at..at + width), word.get_mut(..width)) {
+            dst.copy_from_slice(part);
+        }
+        u64::from_le_bytes(word)
+    };
+    let (head, tail) = match n {
+        8.. => (load(0, 8), load(n - 8, 8)),
+        4..=7 => (load(0, 4), load(n - 4, 4)),
+        _ => (load(0, n), 0),
+    };
+    let mixed = (head ^ tail.rotate_left(29) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> (64 - MEMO_BITS)) as usize
 }
 
 /// The kernel: splits one block into [`lines`] and parses each with
-/// [`parse_fields`], appending to the recycled `rows` and `arena`. Only
-/// the texts of rows inside `policy.scope` are unescaped; a row outside
-/// it gets an empty span, and the merge drops it.
+/// [`parse_line`], handing every row to `rows`.
+///
+/// The block is checked for UTF-8 once; only a block that fails is
+/// checked again line by line, so a line that is not UTF-8 is still
+/// quarantined on its own. Names go through a per-block [`NameMemo`].
 fn parse_block(
     block: &[u8],
-    mut rows: Vec<StoredRecord>,
-    mut arena: String,
+    rows: &mut impl Rows,
     policy: &IngestPolicy,
-) -> Result<Parsed, StoreFull> {
-    let mut registry = NameRegistry::new();
-    let mut errors = ParseErrors::with_cap(policy.error_sample_cap);
-    let mut failed_at = Vec::new();
-    let (mut nonempty, mut line_count) = (0, 0);
-    for (lineno, line) in lines(block) {
-        line_count = lineno;
-        if line.is_empty() {
+) -> Result<Tally, StoreFull> {
+    let mut tally = Tally {
+        errors: ParseErrors::with_cap(policy.error_sample_cap),
+        ..Tally::default()
+    };
+    let mut memo = NameMemo::new();
+    let valid = std::str::from_utf8(block).ok();
+    for (lineno, range) in lines(block) {
+        tally.line_count = lineno;
+        if range.is_empty() {
             continue;
         }
-        nonempty += 1;
-        let line = std::str::from_utf8(line).map_err(|_| ParseError::InvalidUtf8);
-        match line.and_then(|line| parse_fields(line, &mut registry)) {
-            Ok((fields, text)) => {
-                let span = if policy.scope.contains(&fields.client_ts) {
-                    TextSpan::append(&mut arena, |a| unescape_into(text, a))?
-                } else {
-                    TextSpan::default()
-                };
-                rows.push(StoredRecord::new(&fields, span));
+        tally.lines += 1;
+        let line = match valid {
+            Some(text) => text.get(range),
+            None => block
+                .get(range)
+                .and_then(|line| std::str::from_utf8(line).ok()),
+        };
+        let parsed = line.ok_or(ParseError::InvalidUtf8).and_then(|line| {
+            parse_line(line, &mut |space, raw| memo.id(rows.registry(), space, raw))
+        });
+        match parsed {
+            Ok((record, text)) => {
+                tally.parsed += 1;
+                rows.push(&record, text)?;
             }
             Err(e) => {
-                errors.record(lineno, e);
-                failed_at.push(nonempty);
+                tally.errors.record(lineno, e);
+                tally.failed_at.push(tally.lines);
             }
         }
     }
-    Ok(Parsed {
-        registry,
-        rows,
-        arena,
-        errors,
-        failed_at,
-        lines: nonempty,
-        line_count,
-    })
+    Ok(tally)
 }
 
 /// Reads about `block_bytes` of `r` into `buf`, then on to the end of
 /// the line that cut, so a block always ends at a `\n` or at the end
-/// of the stream. After an error `buf` holds what was read before it.
+/// of the stream. After an error `buf` holds the complete lines read
+/// before it.
+///
+/// The bulk is read straight into `buf` (a `BufReader` passes a read
+/// this large through), not copied out of the reader's own buffer; a
+/// recycled `buf` is already that long, so nothing is zeroed first.
 fn fill_block<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, block_bytes: usize) -> io::Result<()> {
-    buf.clear();
-    while buf.len() < block_bytes {
-        let available = match r.fill_buf() {
-            Ok(available) => available,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(());
+    buf.resize(block_bytes, 0);
+    let mut filled = 0;
+    let mut result = Ok(());
+    while let Some(free) = buf.get_mut(filled..).filter(|free| !free.is_empty()) {
+        match r.read(free) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                result = Err(e);
+                break;
+            }
         }
-        let take = available.len().min(block_bytes - buf.len());
-        buf.extend_from_slice(available.get(..take).unwrap_or_default());
-        r.consume(take);
     }
-    if buf.last() != Some(&b'\n') {
-        r.read_until(b'\n', buf)?;
+    buf.truncate(filled);
+    if result.is_ok() && filled == block_bytes && buf.last() != Some(&b'\n') {
+        result = r.read_until(b'\n', buf).map(drop);
     }
-    Ok(())
+    if result.is_err() {
+        let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1);
+        buf.truncate(complete);
+    }
+    result
 }
 
-/// A block on its way to a worker: the bytes, and empty row and text
-/// buffers to parse into. All come back with the result for reuse.
+/// A block on its way to a worker: the bytes, and the recycled buffers
+/// to parse them into. Both come back with the result.
 struct Job {
     bytes: Vec<u8>,
-    rows: Vec<StoredRecord>,
-    arena: String,
+    block: Parsed,
 }
 
 impl Job {
-    /// Parses the block.
-    fn run(self, policy: &IngestPolicy) -> Done {
-        let Job { bytes, rows, arena } = self;
-        let parsed = parse_block(&bytes, rows, arena, policy);
-        Done { bytes, parsed }
+    /// Empties the recycled buffers, then parses the block into them.
+    fn run(mut self, policy: &IngestPolicy) -> Done {
+        self.block.clear();
+        let parsed = parse_block(&self.bytes, &mut self.block, policy);
+        let parsed = parsed.map(|tally| self.block.tally = tally);
+        Done { job: self, parsed }
     }
 }
 
 /// A worker's answer for one block.
 struct Done {
-    bytes: Vec<u8>,
-    parsed: Result<Parsed, StoreFull>,
+    job: Job,
+    parsed: Result<(), StoreFull>,
 }
 
-/// Where blocks are parsed.
-enum Worker<'p> {
-    /// On the calling thread: holds the one block sent and parses it
-    /// when its answer is received.
-    Inline {
-        policy: &'p IngestPolicy,
-        job: Option<Job>,
-    },
-    /// On a persistent worker thread, reached through two channels.
-    Thread {
-        jobs: mpsc::Sender<Job>,
-        done: mpsc::Receiver<Done>,
-    },
-}
-
-impl Worker<'_> {
-    /// Blocks this worker may hold at once, queued or being parsed.
-    fn depth(&self) -> usize {
-        match self {
-            Worker::Inline { .. } => 1,
-            Worker::Thread { .. } => BLOCKS_PER_WORKER,
-        }
-    }
-
-    fn send(&mut self, next: Job) -> Result<(), IngestError> {
-        match self {
-            Worker::Inline { job, .. } => {
-                *job = Some(next);
-                Ok(())
-            }
-            Worker::Thread { jobs, .. } => jobs.send(next).map_err(|_| stopped()),
-        }
-    }
-
-    fn recv(&mut self) -> Result<Done, IngestError> {
-        match self {
-            Worker::Inline { policy, job } => {
-                let job = job.take().ok_or_else(stopped)?;
-                Ok(job.run(policy))
-            }
-            Worker::Thread { done, .. } => done.recv().map_err(|_| stopped()),
-        }
-    }
+/// A persistent worker thread, reached through two channels.
+struct Worker {
+    jobs: mpsc::Sender<Job>,
+    done: mpsc::Receiver<Done>,
 }
 
 fn stopped() -> IngestError {
@@ -585,15 +888,15 @@ fn stopped() -> IngestError {
 /// The pass: `block_bytes` blocks, each cut at a line end, parsed where
 /// `policy.par` says and merged strictly in block order by this thread.
 ///
-/// At width 1 one [`Worker::Inline`] parses each block on this thread
-/// when the merge asks for it, and no thread is started. Wider, the blocks go to
+/// At width 1 each block is parsed on this thread straight into the
+/// store ([`Direct`]), and no thread is started. Wider, the blocks go to
 /// `policy.par.threads()` persistent workers: block `k` to worker
 /// `k % threads`, and each worker answers in the order it was given
 /// work, so the merge reads block `k`'s result from that worker's
-/// channel with no reorder buffer. At most [`Worker::depth`] blocks per
-/// worker are in flight; their byte, row and text buffers are recycled,
-/// so memory beyond the store is bounded by the block size, not the
-/// stream.
+/// channel with no reorder buffer. At most [`BLOCKS_PER_WORKER`] blocks
+/// per worker are in flight; their byte, row and text buffers are
+/// recycled, so memory beyond the store is bounded by the block size,
+/// not the stream.
 fn read_blocks<R: BufRead>(
     mut r: R,
     policy: &IngestPolicy,
@@ -601,9 +904,18 @@ fn read_blocks<R: BufRead>(
 ) -> Result<Pass, IngestError> {
     let mut pass = Pass::new(policy);
     if policy.par.is_serial() {
-        let mut inline = [Worker::Inline { policy, job: None }];
-        pump(&mut r, &mut inline, block_bytes, &mut pass, policy)?;
-        return Ok(pass);
+        let mut bytes = Vec::new();
+        loop {
+            let read = fill_block(&mut r, &mut bytes, block_bytes);
+            if !bytes.is_empty() {
+                pass.parse_direct(&bytes, policy)?;
+            }
+            match read {
+                Ok(()) if bytes.is_empty() => return Ok(pass),
+                Ok(()) => {}
+                Err(e) => return Err(IngestError::Io(e)),
+            }
+        }
     }
     let threads = policy.par.threads();
     logdep_par::scope(|s| {
@@ -619,9 +931,9 @@ fn read_blocks<R: BufRead>(
                     }
                 }
             }));
-            workers.push(Worker::Thread { jobs, done });
+            workers.push(Worker { jobs, done });
         }
-        let result = pump(&mut r, &mut workers, block_bytes, &mut pass, policy);
+        let result = pump(&mut r, &workers, block_bytes, &mut pass, policy);
         // Closing the channels stops the workers; one that panicked
         // re-raises its panic here, with its own payload.
         drop(workers);
@@ -635,54 +947,50 @@ fn read_blocks<R: BufRead>(
     Ok(pass)
 }
 
-/// The orchestration loop of [`read_blocks`]: reads blocks and keeps the
-/// workers fed, merges their results in block order, and stops at the
-/// first budget trip. After a failed read, the complete lines before the
-/// failure are merged and checked before the read error is returned, as
-/// a line-by-line loop does.
+/// The orchestration loop of [`read_blocks`] on the worker pool: reads
+/// blocks and keeps the workers fed, merges their results in block
+/// order, and stops at the first budget trip. After a failed read, the
+/// complete lines before the failure are merged and checked before the
+/// read error is returned, as a line-by-line loop does.
 fn pump<R: BufRead>(
     r: &mut R,
-    workers: &mut [Worker],
+    workers: &[Worker],
     block_bytes: usize,
     pass: &mut Pass,
     policy: &IngestPolicy,
 ) -> Result<(), IngestError> {
-    let in_flight_cap: usize = workers.iter().map(Worker::depth).sum();
-    let mut free: Vec<(Vec<u8>, Vec<StoredRecord>, String)> = Vec::with_capacity(in_flight_cap);
+    let in_flight_cap = workers.len() * BLOCKS_PER_WORKER;
+    let mut free: Vec<Job> = Vec::with_capacity(in_flight_cap);
     let (mut sent, mut merged) = (0usize, 0usize);
     let mut read_error = None;
     let mut eof = false;
     loop {
         while !eof && sent - merged < in_flight_cap {
-            let (mut bytes, rows, arena) = free.pop().unwrap_or_default();
-            if let Err(e) = fill_block(r, &mut bytes, block_bytes) {
-                let complete = bytes
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |at| at + 1);
-                bytes.truncate(complete);
+            let mut job = free.pop().unwrap_or_else(|| Job {
+                bytes: Vec::new(),
+                block: Parsed::new(policy.scope.clone()),
+            });
+            if let Err(e) = fill_block(r, &mut job.bytes, block_bytes) {
                 read_error = Some(e);
                 eof = true;
             }
-            if bytes.is_empty() {
+            if job.bytes.is_empty() {
                 eof = true;
                 break;
             }
-            let worker = workers.get_mut(sent % workers.len()).ok_or_else(stopped)?;
-            worker.send(Job { bytes, rows, arena })?;
+            let worker = workers.get(sent % workers.len()).ok_or_else(stopped)?;
+            worker.jobs.send(job).map_err(|_| stopped())?;
             sent += 1;
         }
         if merged == sent {
             break;
         }
-        let worker = workers
-            .get_mut(merged % workers.len())
-            .ok_or_else(stopped)?;
-        let Done { bytes, parsed } = worker.recv()?;
+        let worker = workers.get(merged % workers.len()).ok_or_else(stopped)?;
+        let Done { mut job, parsed } = worker.done.recv().map_err(|_| stopped())?;
         merged += 1;
-        let mut parsed = parsed?;
-        pass.absorb(&mut parsed, policy)?;
-        free.push((bytes, parsed.rows, parsed.arena));
+        parsed?;
+        pass.absorb(&mut job.block, policy)?;
+        free.push(job);
     }
     match read_error {
         Some(e) => Err(IngestError::Io(e)),
@@ -1130,6 +1438,84 @@ mod tests {
     }
 
     #[test]
+    fn block_reader_matches_serial_at_every_block_size_to_64() {
+        // Every kernel edge in one stream: direct and fallback
+        // timestamps, multibyte and escaped names, five and six tabs,
+        // tabs in the text, blank and CRLF lines, one line that is not
+        // UTF-8 among valid ones, and a repeated name at the memo. Block
+        // sizes 1 to 64 put a block edge inside every field.
+        let mut data = tsv(&[(30, 25, "Ωé", "late\ttab"), (10, 10, "B", "x")]).into_bytes();
+        data.extend_from_slice(b"+7\t007\t\xce\xa9\xc3\xa9\tu\\\\1\th\tERR\t\n");
+        data.extend_from_slice(b"999999999999999999\t1234567890123456789\tB\t-\t-\tINF\tw\n");
+        data.extend_from_slice(b"9223372036854775808\t1\tB\t-\t-\tINF\tpast max\r\n\r\n");
+        data.extend_from_slice(b"\t1\tB\t-\t-\tINF\tempty\n 1\t1\tB\t-\t-\tINF\tspace\n");
+        data.extend_from_slice(b"4\t4\tC\t-\t-\tINF\n5\t5\tC\t-\t-\tINF\tnot UTF-8 \xc3\n");
+        data.extend_from_slice(tsv(&[(20, 5, "Ωé", "y"), (-3, 0, "B", "a\\b")]).as_bytes());
+        let sizes: Vec<usize> = (1..=64).collect();
+        for policy in [IngestPolicy::default(), IngestPolicy::lenient()] {
+            assert_blocks_match_serial(|| data.as_slice(), &policy, &sizes);
+        }
+        let Outcome::Read(records, names, report, _) =
+            assert_blocks_match_serial(|| data.as_slice(), &IngestPolicy::lenient(), &[])
+        else {
+            panic!("a lenient pass reads the stream");
+        };
+        assert_eq!(names[0], ["Ωé", "B"], "C only on rejected lines");
+        assert_eq!((report.parsed, report.quarantined), (6, 5));
+        assert_eq!(records.first().map(|r| r.client_ts), Some(Millis(-3)));
+    }
+
+    #[test]
+    fn block_reader_matches_serial_when_names_share_memo_slots() {
+        // Hundreds of names a block, so many share a memo slot: each
+        // must still get its own id.
+        let mut rows = Vec::new();
+        for n in 0..600 {
+            let name = format!("svc{}", (n * 7919) % 600);
+            rows.push((n, n, name, format!("t{n}")));
+        }
+        let rows: Vec<(i64, i64, &str, &str)> = rows
+            .iter()
+            .chain(rows.iter().rev())
+            .map(|(c, s, name, text)| (*c, *s, name.as_str(), text.as_str()))
+            .collect();
+        let data = tsv(&rows);
+        let Outcome::Read(_, names, _, _) =
+            assert_blocks_match_serial(|| data.as_bytes(), &IngestPolicy::default(), &[1 << 16])
+        else {
+            panic!("a clean stream reads");
+        };
+        assert_eq!(names[0].len(), 600);
+    }
+
+    #[test]
+    fn outside_summary_keeps_every_row_at_a_names_least_timestamp() {
+        // An earlier block interns A before B. A later block, below the
+        // scope, has four rows at 5 ms: u's first row in sort order is
+        // its second (source A sorts before B), which neither starts a
+        // name nor lowers a timestamp. Merged into an empty store, the
+        // users must come out v, u, w, as a line-by-line pass gives.
+        let first = format!("100\t100\tA\t-\t-\tINF\t{}\n", "x".repeat(80));
+        let data = format!(
+            "{first}5\t5\tB\tu\t-\tINF\tr0\n5\t5\tA\tv\t-\tINF\tr1\n\
+             5\t5\tA\tu\t-\tINF\tr2\n5\t5\tA\tw\t-\tINF\tr3\n"
+        );
+        for threads in 1..=3 {
+            let policy = IngestPolicy {
+                par: width(threads),
+                scope: Millis(50)..=Millis(200),
+                ..IngestPolicy::default()
+            };
+            let pass = read_blocks(data.as_bytes(), &policy, first.len()).expect("reads");
+            let (store, _) = pass.finish(&policy).expect("finishes");
+            let mut merged = LogStore::new();
+            merged.merge(store).expect("fits");
+            let users: Vec<&str> = merged.registry.users.iter().map(|(_, n)| n).collect();
+            assert_eq!(users, ["v", "u", "w"], "width {threads}");
+        }
+    }
+
+    #[test]
     fn block_reader_keeps_crlf_split_across_a_block_edge() {
         let mut data = Vec::new();
         for n in 0..20 {
@@ -1211,7 +1597,8 @@ mod tests {
         // 100 ms: only a cap counted over the whole stream gives 5.
         let mut rows = vec![(1_005, 1_000, "A", "early"); SKEW_SAMPLE_CAP];
         rows.extend(vec![(2_100, 2_000, "A", "late"); SKEW_SAMPLE_CAP + 500]);
-        rows.push((3_000, 3_000, "B", "honest"));
+        // B's one sample falls in a block where A is already full.
+        rows.push((3_010, 3_000, "B", "ahead"));
         let data = tsv(&rows);
         let Outcome::Read(_, _, report, _) =
             assert_blocks_match_serial(|| data.as_bytes(), &IngestPolicy::default(), &[])
@@ -1219,6 +1606,7 @@ mod tests {
             panic!("a clean stream reads");
         };
         assert_eq!(report.per_source_skew_ms.get("A"), Some(&5));
+        assert_eq!(report.per_source_skew_ms.get("B"), Some(&10));
         assert_eq!(report.deduped, 2 * SKEW_SAMPLE_CAP + 498);
     }
 

@@ -112,6 +112,17 @@ impl Interner {
     }
 }
 
+/// One of the three id spaces of a log stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Space {
+    /// [`SourceId`]s.
+    Source,
+    /// [`UserId`]s.
+    User,
+    /// [`HostId`]s.
+    Host,
+}
+
 /// Registries for the three id spaces of a log stream.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NameRegistry {
@@ -127,6 +138,15 @@ impl NameRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The interner of id space `space`.
+    pub(crate) fn interner(&mut self, space: Space) -> &mut Interner {
+        match space {
+            Space::Source => &mut self.sources,
+            Space::User => &mut self.users,
+            Space::Host => &mut self.hosts,
+        }
     }
 
     /// Interns a source name.

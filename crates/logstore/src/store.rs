@@ -20,6 +20,7 @@
 //! among the rows left out, so [`LogStore::merge`] interns the names in
 //! the order the whole stream's rows would.
 
+use crate::codec::unescape_into;
 use crate::record::{LogRecord, StoreFull, StoredRecord, TextSpan};
 use crate::registry::{HostId, NameRegistry, SourceId, UserId};
 use crate::time::{Millis, TimeRange};
@@ -86,7 +87,7 @@ impl Outside {
 }
 
 /// The slot at `idx` of `v`, grown with `T::default()` to reach it.
-fn grown<T: Clone + Default>(v: &mut Vec<T>, idx: usize) -> Option<&mut T> {
+pub(crate) fn grown<T: Clone + Default>(v: &mut Vec<T>, idx: usize) -> Option<&mut T> {
     if v.len() <= idx {
         v.resize(idx + 1, T::default());
     }
@@ -129,16 +130,28 @@ impl LogStore {
         }
     }
 
+    /// Appends the row of `record`, its text the TSV field `escaped`
+    /// unescaped straight into the arena (`record.text` is not read).
+    pub(crate) fn push_escaped(
+        &mut self,
+        record: &LogRecord,
+        escaped: &str,
+    ) -> Result<(), StoreFull> {
+        self.finalized = false;
+        let span = TextSpan::append(&mut self.arena, |a| unescape_into(escaped, a))?;
+        self.records.push(StoredRecord::new(record, span));
+        Ok(())
+    }
+
     /// Appends rows whose spans address `arena`, which is appended to
     /// this store's arena, the spans moved along with it.
     pub(crate) fn append_rows(
         &mut self,
-        rows: impl ExactSizeIterator<Item = StoredRecord>,
+        rows: impl Iterator<Item = StoredRecord>,
         arena: &str,
     ) -> Result<(), StoreFull> {
         self.finalized = false;
         let base = TextSpan::append(&mut self.arena, |a| a.push_str(arena))?.start;
-        self.records.reserve(rows.len());
         for row in rows {
             self.records.push(row.rebased(base).ok_or(StoreFull)?);
         }
@@ -164,6 +177,13 @@ impl LogStore {
                 *first = Some(first.map_or(key, |kept| kept.min(key)));
             }
         }
+    }
+
+    /// Offers `ts`, a timestamp of `source` that a scoped ingest leaves
+    /// out, below its scope when `below`, as the source's nearest to it.
+    pub(crate) fn keep_nearest(&mut self, source: SourceId, ts: Millis, below: bool) {
+        self.finalized = false;
+        self.side(below).keep_nearest(source, ts, below);
     }
 
     /// What this store keeps of the rows below its scope, or above it.
@@ -379,7 +399,7 @@ impl LogStore {
             for (id, ts) in (0u32..).zip(side.nearest) {
                 if let Some(ts) = ts {
                     let source = SourceId(ids.translate(&mut self.registry, 0, id));
-                    self.side(is_below).keep_nearest(source, ts, is_below);
+                    self.keep_nearest(source, ts, is_below);
                 }
             }
         }

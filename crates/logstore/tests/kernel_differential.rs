@@ -211,7 +211,11 @@ mod reference {
                         skew_samples.resize_with(idx + 1, Vec::new);
                     }
                     if skew_samples[idx].len() < SKEW_SAMPLE_CAP {
-                        skew_samples[idx].push(rec.client_ts - rec.server_ts);
+                        let skew = rec
+                            .client_ts
+                            .as_millis()
+                            .saturating_sub(rec.server_ts.as_millis());
+                        skew_samples[idx].push(skew);
                     }
                     records.push(rec);
                 }
@@ -317,12 +321,38 @@ const TEXT_TOKENS: &[&str] = &[
     "a", "b", "é", " ", "\\t", "\\n", "\\r", "\\\\", "\\q", "\\", "\t", "\r",
 ];
 
+/// Timestamp fields: a small key space, so equal `(client_ts, source)`
+/// runs are common, and every edge of the kernel's direct digit path —
+/// a sign, leading zeros, 18 and 19 digits, `i64::MAX` and one past it,
+/// an empty field, a leading space, a non-ASCII digit and a letter.
+const TS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "3",
+    "0",
+    "1",
+    "2",
+    "3",
+    "+7",
+    "-3",
+    "007",
+    "123456789012345678",
+    "999999999999999999",
+    "1234567890123456789",
+    "9223372036854775807",
+    "9223372036854775808",
+    "",
+    " 1",
+    "\u{661}",
+    "x1",
+];
+
 fn record_line() -> impl Strategy<Value = Vec<u8>> {
-    // Small key spaces, so equal (client_ts, source) runs are common;
-    // names carry escapes too, and a bad severity still interns them.
-    const TS: &[&str] = &["0", "1", "2", "3", "0", "1", "2", "3", "x1"];
-    const NAMES: &[&str] = &["A", "B", "C\\tD", "E\\", "F\\q", "\\\\G"];
-    const PEOPLE: &[&str] = &["-", "-", "u1", "u\\\\2", "u\\q"];
+    // Names carry escapes and multibyte characters too, and a bad
+    // severity still interns them.
+    const NAMES: &[&str] = &["A", "B", "C\\tD", "E\\", "F\\q", "\\\\G", "Ωé", "日本"];
+    const PEOPLE: &[&str] = &["-", "-", "u1", "u\\\\2", "u\\q", "ü"];
     const SEVERITY: &[&str] = &["INF", "INF", "ERR", "WRN", "DBG", "ZZZ"];
     (
         pick(TS),
@@ -343,12 +373,13 @@ fn record_line() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// One line's content, without its terminator: mostly records, some
-/// garbage, blank lines, a lone CR, and records made invalid UTF-8 by a
-/// stray continuation byte, a truncated two-byte sequence, or a byte
-/// that never occurs in UTF-8.
+/// garbage, blank lines, a lone CR, records cut to five tabs or to six
+/// (an empty text), and records made invalid UTF-8 by a stray
+/// continuation byte, a truncated two-byte sequence, or a byte that
+/// never occurs in UTF-8.
 fn line() -> impl Strategy<Value = Vec<u8>> {
     (
-        0..18usize,
+        0..21usize,
         record_line(),
         "[ -~]{0,20}",
         pick(&[0x80u8, 0xc3, 0xff]),
@@ -358,10 +389,20 @@ fn line() -> impl Strategy<Value = Vec<u8>> {
             12 | 13 => garbage.into_bytes(),
             14 => Vec::new(),
             15 => b"\r".to_vec(),
-            _ => {
+            16 | 17 => {
                 let mut record = record;
                 record.push(byte);
                 record
+            }
+            _ => {
+                // Six tabs and an empty text (kind 18), or five tabs.
+                let cut = record
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\t')
+                    .nth(5)
+                    .map_or(record.len(), |(at, _)| at + usize::from(kind == 18));
+                record[..cut].to_vec()
             }
         })
 }
@@ -438,6 +479,15 @@ bare\rcarriage return\n\
 2\t2\tD\t-\t-\tZZZ\tbad severity interns D first\n\
 0\t5\tA\t-\t-\tWRN\tnot UTF-8 \xff\n\
 0\t5\tA\t-\t-\tDBG\tescapes \\t\\n\\r\\\\ and a raw\ttab\n\
++7\t007\t\xce\xa9\t\xc3\xbc\t-\tINF\tsigned, zero-padded, multibyte names\n\
+999999999999999999\t1234567890123456789\tA\t-\t-\tINF\t18 and 19 digits\n\
+9223372036854775807\t-3\tA\t-\t-\tINF\ti64::MAX\n\
+9223372036854775808\t1\tA\t-\t-\tINF\tone past i64::MAX\n\
+\t1\tA\t-\t-\tINF\tempty timestamp\n\
+\x201\t1\tA\t-\t-\tINF\tleading space\n\
+\xd9\xa1\t1\tA\t-\t-\tINF\tnon-ASCII digit\n\
+4\t4\tA\t-\t-\tINF\n\
+4\t4\tA\t-\t-\tINF\t\n\
 9\t9\tA\t-\t-\tINF\tno final newline\r";
     for &threads in WIDTHS {
         for policy in [
@@ -463,10 +513,16 @@ bare\rcarriage return\n\
     };
     assert_eq!(report.deduped, 2, "the repeated B\\tC line");
     assert_eq!(
-        report.quarantined, 3,
-        "bare CR line, bad severity, non-UTF-8"
+        report.quarantined, 8,
+        "bare CR line, bad severity, non-UTF-8, one past i64::MAX, empty, \
+         leading space, non-ASCII digit, five tabs"
     );
-    assert_eq!(report.total_lines, 10);
+    assert_eq!(report.total_lines, 19);
+    assert!(records.iter().any(|r| r.client_ts.as_millis() == 7));
+    assert!(records.iter().any(|r| r.client_ts.as_millis() == i64::MAX));
+    assert!(records
+        .iter()
+        .any(|r| r.server_ts.as_millis() == 1_234_567_890_123_456_789));
     assert!(records.iter().any(|r| r.text == "trailing backslash\\"));
     assert!(records.iter().any(|r| r.text == "no final newline\r"));
 }

@@ -1,6 +1,7 @@
-//! A minimal blocking HTTP/1.1 client for the conformance suite and
-//! the throughput bench: keep-alive GETs against a loopback server,
-//! strict `Content-Length` framing, no external dependency.
+//! A minimal blocking HTTP/1.1 client for the conformance and
+//! malformed-request suites and the operator benchmark's serving
+//! workloads: keep-alive GETs against a loopback server, strict
+//! `Content-Length` framing, no external dependency.
 
 use crate::ServeError;
 use std::io::{Read, Write};
