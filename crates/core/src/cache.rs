@@ -19,9 +19,13 @@
 //! Hits therefore never require trusting the caller: equal key ⇒ equal
 //! inputs ⇒ (the computations being pure) byte-identical evidence. The
 //! per-layer payloads are the *pre-threshold* accumulators — L1 slot
-//! evidence triples, L2 [`BigramCounts`], L3 day citation counts — so
-//! the final thresholding always runs fresh over the merged window and
-//! matches the batch runners bit for bit.
+//! evidence triples, L3 day citation counts — so the final thresholding
+//! always runs fresh over the merged window and matches the batch
+//! runners bit for bit.
+//!
+//! L2 has no layer here: its key would have to digest the window's
+//! reconstructed sessions, and that rebuild is most of what L2 costs.
+//! [`crate::window::run_window_cached`] mines it fresh every window.
 //!
 //! [`Timeline::digest_neighborhood`]: logdep_logstore::Timeline::digest_neighborhood
 
@@ -29,7 +33,7 @@ use crate::l1::{
     combine_evidence, slot_evidence, slot_token, L1Config, L1Result, ReferenceProcess,
     LOAD_JITTER_MS,
 };
-use crate::l2::{BigramCounts, L2Config};
+use crate::l2::L2Config;
 use crate::l3::L3Config;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, SourceId};
@@ -110,6 +114,10 @@ impl EvidenceKey {
     }
 }
 
+/// Cached evidence of one L1 slot: `(i, j, positive)` per candidate
+/// pair, `i` and `j` being positions in the candidate source list.
+pub type SlotEvidence = Vec<(u32, u32, bool)>;
+
 /// Cached per-day L3 scan: citation counts plus the stop/scan tallies.
 /// Counts are monotone and additive, so day chunks merge exactly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -130,9 +138,10 @@ pub struct CacheStats {
     pub l1_hits: u64,
     /// L1 slot-evidence misses (computed and inserted).
     pub l1_misses: u64,
-    /// L2 session-day bigram hits.
+    /// Always 0: L2 has no cache layer. Kept for callers written when
+    /// it had one.
     pub l2_hits: u64,
-    /// L2 session-day bigram misses.
+    /// Always 0, like [`l2_hits`](Self::l2_hits).
     pub l2_misses: u64,
     /// L3 day-scan hits.
     pub l3_hits: u64,
@@ -143,12 +152,12 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total hits across layers.
     pub fn hits(&self) -> u64 {
-        self.l1_hits + self.l2_hits + self.l3_hits
+        self.l1_hits + self.l3_hits
     }
 
     /// Total misses across layers.
     pub fn misses(&self) -> u64 {
-        self.l1_misses + self.l2_misses + self.l3_misses
+        self.l1_misses + self.l3_misses
     }
 
     /// Counter delta since an earlier snapshot.
@@ -156,21 +165,20 @@ impl CacheStats {
         CacheStats {
             l1_hits: self.l1_hits.saturating_sub(earlier.l1_hits),
             l1_misses: self.l1_misses.saturating_sub(earlier.l1_misses),
-            l2_hits: self.l2_hits.saturating_sub(earlier.l2_hits),
-            l2_misses: self.l2_misses.saturating_sub(earlier.l2_misses),
+            l2_hits: 0,
+            l2_misses: 0,
             l3_hits: self.l3_hits.saturating_sub(earlier.l3_hits),
             l3_misses: self.l3_misses.saturating_sub(earlier.l3_misses),
         }
     }
 }
 
-/// The evidence store: three content-addressed maps (one per technique)
-/// plus session-local hit/miss counters. `BTreeMap` keeps iteration —
+/// The evidence store: two content-addressed maps (L1 and L3) plus
+/// session-local hit/miss counters. `BTreeMap` keeps iteration —
 /// and so the durable segments written from it — deterministic.
 #[derive(Debug, Clone)]
 pub struct EvidenceCache {
-    pub(crate) l1: BTreeMap<EvidenceKey, Vec<(u32, u32, bool)>>,
-    pub(crate) l2: BTreeMap<EvidenceKey, BigramCounts>,
+    pub(crate) l1: BTreeMap<EvidenceKey, SlotEvidence>,
     pub(crate) l3: BTreeMap<EvidenceKey, L3DayCounts>,
     pub(crate) stats: CacheStats,
 }
@@ -183,14 +191,13 @@ impl Default for EvidenceCache {
 
 impl EvidenceCache {
     /// Evidence-layout version stamped into the durable segment headers;
-    /// bump on layout changes.
-    pub const VERSION: u32 = 1;
+    /// bump on layout changes. Version 2 dropped the L2 layer.
+    pub const VERSION: u32 = 2;
 
     /// An empty cache.
     pub fn new() -> Self {
         Self {
             l1: BTreeMap::new(),
-            l2: BTreeMap::new(),
             l3: BTreeMap::new(),
             stats: CacheStats::default(),
         }
@@ -198,7 +205,7 @@ impl EvidenceCache {
 
     /// Total number of cached entries across layers.
     pub fn len(&self) -> usize {
-        self.l1.len() + self.l2.len() + self.l3.len()
+        self.l1.len() + self.l3.len()
     }
 
     /// Whether the cache holds no entries.
@@ -223,7 +230,6 @@ impl EvidenceCache {
     pub fn evict_outside(&mut self, window: TimeRange) -> usize {
         let before = self.len();
         self.l1.retain(|k, _| k.overlaps(window));
-        self.l2.retain(|k, _| k.overlaps(window));
         self.l3.retain(|k, _| k.overlaps(window));
         before - self.len()
     }
@@ -235,7 +241,6 @@ impl EvidenceCache {
     pub fn invalidate_overlapping(&mut self, range: TimeRange) -> usize {
         let before = self.len();
         self.l1.retain(|k, _| !k.overlaps(range));
-        self.l2.retain(|k, _| !k.overlaps(range));
         self.l3.retain(|k, _| !k.overlaps(range));
         before - self.len()
     }
@@ -379,7 +384,9 @@ fn run_l1_slots_cached(
     });
     for ((idx, key, _, _), evidence) in misses.into_iter().zip(computed) {
         cache.l1.insert(key, encode_evidence(&evidence));
-        per_slot[idx] = Some(evidence);
+        if let Some(slot) = per_slot.get_mut(idx) {
+            *slot = Some(evidence);
+        }
     }
     record(|r| {
         r.counter_add("cache.l1.hits", hits);
@@ -398,7 +405,7 @@ fn run_l1_slots_cached(
 }
 
 /// Compact storage form of slot evidence (pair positions fit u32).
-fn encode_evidence(evidence: &[(usize, usize, bool)]) -> Vec<(u32, u32, bool)> {
+fn encode_evidence(evidence: &[(usize, usize, bool)]) -> SlotEvidence {
     evidence
         .iter()
         .map(|&(i, j, pos)| {

@@ -35,11 +35,11 @@
 
 use crate::cache::{
     l1_fingerprint, l2_fingerprint, l3_fingerprint, EvidenceCache, EvidenceKey, Fnv, L3DayCounts,
+    SlotEvidence,
 };
 use crate::error::MineError;
 use crate::health::{record_detector_health, DetectorHealth, DetectorKind, PipelineConfig};
 use crate::l1::LOAD_JITTER_MS;
-use crate::l2::BigramCounts;
 use crate::window::{run_window_cached, WindowOutcome};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
@@ -308,9 +308,7 @@ pub fn persist_atomic(path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SegmentPayload {
     /// L1 slot-evidence entries.
-    pub l1: Vec<(EvidenceKey, Vec<(u32, u32, bool)>)>,
-    /// L2 session-day bigram entries.
-    pub l2: Vec<(EvidenceKey, BigramCounts)>,
+    pub l1: Vec<(EvidenceKey, SlotEvidence)>,
     /// L3 day-scan entries.
     pub l3: Vec<(EvidenceKey, L3DayCounts)>,
 }
@@ -318,7 +316,7 @@ pub struct SegmentPayload {
 impl SegmentPayload {
     /// Total entries across layers.
     pub fn len(&self) -> usize {
-        self.l1.len() + self.l2.len() + self.l3.len()
+        self.l1.len() + self.l3.len()
     }
 
     /// Whether the delta carries no entries.
@@ -344,8 +342,6 @@ impl SegmentPayload {
         }
         out.push_str("{\"l1\":");
         entries(&self.l1, out)?;
-        out.push_str(",\"l2\":");
-        entries(&self.l2, out)?;
         out.push_str(",\"l3\":");
         entries(&self.l3, out)?;
         out.push('}');
@@ -355,7 +351,6 @@ impl SegmentPayload {
     /// Inserts every entry into `cache`.
     fn apply_to(self, cache: &mut EvidenceCache) {
         cache.l1.extend(self.l1);
-        cache.l2.extend(self.l2);
         cache.l3.extend(self.l3);
     }
 }
@@ -535,9 +530,6 @@ fn encode_checkpoint(
     let mut days: BTreeMap<i64, SegmentPayload> = BTreeMap::new();
     for (k, v) in &cache.l1 {
         days.entry(day_of(k)).or_default().l1.push((*k, v.clone()));
-    }
-    for (k, v) in &cache.l2 {
-        days.entry(day_of(k)).or_default().l2.push((*k, v.clone()));
     }
     for (k, v) in &cache.l3 {
         days.entry(day_of(k)).or_default().l3.push((*k, v.clone()));
@@ -1346,14 +1338,12 @@ pub fn plan_signature(
 
 struct KeySnapshot {
     l1: BTreeSet<EvidenceKey>,
-    l2: BTreeSet<EvidenceKey>,
     l3: BTreeSet<EvidenceKey>,
 }
 
 fn key_snapshot(cache: &EvidenceCache) -> KeySnapshot {
     KeySnapshot {
         l1: cache.l1.keys().copied().collect(),
-        l2: cache.l2.keys().copied().collect(),
         l3: cache.l3.keys().copied().collect(),
     }
 }
@@ -1367,12 +1357,6 @@ fn delta_since(cache: &EvidenceCache, before: &KeySnapshot) -> SegmentPayload {
             .l1
             .iter()
             .filter(|(k, _)| !before.l1.contains(k))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect(),
-        l2: cache
-            .l2
-            .iter()
-            .filter(|(k, _)| !before.l2.contains(k))
             .map(|(k, v)| (*k, v.clone()))
             .collect(),
         l3: cache
@@ -1644,12 +1628,6 @@ mod tests {
         let mut c = EvidenceCache::new();
         c.l1.insert(key(0, 1, 11), vec![(3, 4, true), (0, 2, false)]);
         c.l1.insert(key(1, 1, 12), vec![(1, 1, true)]);
-        let mut bg = BigramCounts::default();
-        bg.joint.insert((SourceId(0), SourceId(1)), 5);
-        bg.first_margin.insert(SourceId(0), 5);
-        bg.second_margin.insert(SourceId(1), 5);
-        bg.total = 9;
-        c.l2.insert(key(1, 2, 21), bg);
         let mut l3 = L3DayCounts::default();
         l3.citations.insert((SourceId(2), 0), 7);
         l3.scanned = 40;
@@ -1659,7 +1637,7 @@ mod tests {
     }
 
     fn caches_equal(a: &EvidenceCache, b: &EvidenceCache) -> bool {
-        a.l1 == b.l1 && a.l2 == b.l2 && a.l3 == b.l3
+        a.l1 == b.l1 && a.l3 == b.l3
     }
 
     /// A store path in a fresh scratch dir with no leftover siblings.
@@ -1763,21 +1741,23 @@ mod tests {
     fn version_mismatch_is_a_cold_start_not_corruption() {
         let cache = sample_cache();
         let bytes = encode_checkpoint(&cache, 2, 5).expect("encode");
-        // Re-stamp the header with a future version (and a matching
-        // checksum, as a future writer would).
-        let n = 3u64;
-        let hfnv = header_fnv(EvidenceCache::VERSION + 1, n, 2, 5);
         let header_end = find_byte(&bytes, 0, b'\n').expect("header");
-        let mut restamped =
-            format!("{MAGIC} {} {n} 2 5 {hfnv}\n", EvidenceCache::VERSION + 1).into_bytes();
-        restamped.extend_from_slice(&bytes[header_end + 1..]);
-        let d = decode_checkpoint(&restamped);
-        assert!(d.header_ok && !d.version_ok);
-        assert!(d
-            .events
-            .iter()
-            .any(|e| e.code == "version-mismatch" && !e.corruption));
-        assert_eq!(d.restored, 0);
+        // Re-stamp the header with the version before L2 left the cache
+        // and with a future version (and a matching checksum, as that
+        // writer would).
+        for version in [1, EvidenceCache::VERSION + 1] {
+            let n = 3u64;
+            let hfnv = header_fnv(version, n, 2, 5);
+            let mut restamped = format!("{MAGIC} {version} {n} 2 5 {hfnv}\n").into_bytes();
+            restamped.extend_from_slice(&bytes[header_end + 1..]);
+            let d = decode_checkpoint(&restamped);
+            assert!(d.header_ok && !d.version_ok, "v{version}");
+            assert!(d
+                .events
+                .iter()
+                .any(|e| e.code == "version-mismatch" && !e.corruption));
+            assert_eq!(d.restored, 0);
+        }
     }
 
     fn sample_journal_records() -> Vec<(u64, u64, JournalPayload)> {
@@ -2014,12 +1994,16 @@ mod tests {
     /// shared one frame codec; stores written then must still read.
     #[test]
     fn on_disk_format_is_pinned() {
-        const CHECKPOINT: &str = "LOGDEP-DUR v1 1 2 4 99 4256224291720675030\n\
-SEG 0 106 17576523638702620903\n\
-{\"l1\":[[{\"fingerprint\":1,\"start\":0,\"end\":86400000,\"digest\":11},[[3,4,true],[0,2,false]]]],\"l2\":[],\"l3\":[]}\n\
-SEG 1 283 16044180610580456926\n\
-{\"l1\":[],\"l2\":[[{\"fingerprint\":2,\"start\":86400000,\"end\":172800000,\"digest\":21},{\"joint\":[[[0,1],5]],\"first_margin\":[[0,5]],\"second_margin\":[[1,5]],\"total\":9}]],\"l3\":[[{\"fingerprint\":3,\"start\":86400000,\"end\":172800000,\"digest\":31},{\"citations\":[[[2,0],7]],\"scanned\":40,\"stopped\":2}]]}\n";
-        const JOURNAL: &str = "J 5 99 160 12527053497270730231\n\
+        const CHECKPOINT: &str = "LOGDEP-DUR v1 2 2 4 99 15791453702200639125\n\
+SEG 0 98 10628446594321542568\n\
+{\"l1\":[[{\"fingerprint\":1,\"start\":0,\"end\":86400000,\"digest\":11},[[3,4,true],[0,2,false]]]],\"l3\":[]}\n\
+SEG 1 132 7592530801087863390\n\
+{\"l1\":[],\"l3\":[[{\"fingerprint\":3,\"start\":86400000,\"end\":172800000,\"digest\":31},{\"citations\":[[[2,0],7]],\"scanned\":40,\"stopped\":2}]]}\n";
+        const JOURNAL: &str = "J 5 99 152 1899423736526837577\n\
+{\"window_start\":86400000,\"window_end\":259200000,\"delta\":{\"l1\":[[{\"fingerprint\":1,\"start\":172800000,\"end\":259200000,\"digest\":12},[[1,1,true]]]],\"l3\":[]}}\n";
+        // A record journaled while L2 still had cache entries carries an
+        // `"l2"` list; it replays with that list ignored.
+        const JOURNAL_WITH_L2: &str = "J 5 99 160 12527053497270730231\n\
 {\"window_start\":86400000,\"window_end\":259200000,\"delta\":{\"l1\":[[{\"fingerprint\":1,\"start\":172800000,\"end\":259200000,\"digest\":12},[[1,1,true]]]],\"l2\":[],\"l3\":[]}}\n";
 
         let mut cache = sample_cache();
@@ -2041,9 +2025,11 @@ SEG 1 283 16044180610580456926\n\
         };
         let record = encode_journal_record(5, 99, &payload).expect("encode");
         assert_eq!(String::from_utf8_lossy(&record), JOURNAL);
-        let dj = decode_journal(JOURNAL.as_bytes());
-        assert!(!dj.torn);
-        assert_eq!(dj.records, vec![(5, 99, payload)]);
+        for journal in [JOURNAL, JOURNAL_WITH_L2] {
+            let dj = decode_journal(journal.as_bytes());
+            assert!(!dj.torn);
+            assert_eq!(dj.records, vec![(5, 99, payload.clone())]);
+        }
     }
 
     #[test]
@@ -2051,7 +2037,6 @@ SEG 1 283 16044180610580456926\n\
         let cache = sample_cache();
         let full = SegmentPayload {
             l1: cache.l1.iter().map(|(k, v)| (*k, v.clone())).collect(),
-            l2: cache.l2.iter().map(|(k, v)| (*k, v.clone())).collect(),
             l3: cache.l3.iter().map(|(k, v)| (*k, v.clone())).collect(),
         };
         for delta in [SegmentPayload::default(), full] {
@@ -2122,19 +2107,12 @@ SEG 1 283 16044180610580456926\n\
     fn cache_from(entries: &[(u64, i64, u64)]) -> EvidenceCache {
         let mut c = EvidenceCache::new();
         for &(fp, day, digest) in entries {
-            match fp % 3 {
+            match fp % 2 {
                 0 => {
                     c.l1.insert(
                         key(day, fp, digest),
                         vec![(fp as u32, digest as u32, day % 2 == 0)],
                     );
-                }
-                1 => {
-                    let mut bg = BigramCounts::default();
-                    bg.joint
-                        .insert((SourceId(fp as u32 % 7), SourceId(digest as u32 % 7)), fp);
-                    bg.total = digest;
-                    c.l2.insert(key(day, fp, digest), bg);
                 }
                 _ => {
                     let mut l3 = L3DayCounts::default();
@@ -2191,9 +2169,6 @@ SEG 1 283 16044180610580456926\n\
             for (k, v) in &d.cache.l1 {
                 prop_assert_eq!(cache.l1.get(k), Some(v));
             }
-            for (k, v) in &d.cache.l2 {
-                prop_assert_eq!(cache.l2.get(k), Some(v));
-            }
             for (k, v) in &d.cache.l3 {
                 prop_assert_eq!(cache.l3.get(k), Some(v));
             }
@@ -2218,7 +2193,6 @@ SEG 1 283 16044180610580456926\n\
                             window_end: 10 * MS_PER_DAY,
                             delta: SegmentPayload {
                                 l1: cache_from(chunk).l1.into_iter().collect(),
-                                l2: cache_from(chunk).l2.into_iter().collect(),
                                 l3: cache_from(chunk).l3.into_iter().collect(),
                             },
                         },

@@ -121,14 +121,9 @@ pub fn run_l2_pool(
 }
 
 /// The significance pass of L2: tests every ordered type in `bigrams`
-/// against the χ²₁ gate and collects the detected pair model. Shared
-/// between the batch runner and the windowed cache driver, so both
-/// produce byte-identical outputs from equal counts. Iteration follows
-/// the `BTreeMap` key order — deterministic by construction.
-pub(crate) fn associations(
-    bigrams: &BigramCounts,
-    cfg: &L2Config,
-) -> (PairModel, Vec<PairTypeOutcome>) {
+/// against the χ²₁ gate and collects the detected pair model. Iteration
+/// follows the `BTreeMap` key order — deterministic by construction.
+fn associations(bigrams: &BigramCounts, cfg: &L2Config) -> (PairModel, Vec<PairTypeOutcome>) {
     let mut detected = PairModel::new();
     let mut outcomes = Vec::new();
     for (&(first, second), &f) in bigrams.joint.iter() {

@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 ///
 /// The maps are `BTreeMap`s so iteration, serialization, and shard
 /// merges are deterministically ordered — equal counts serialize to
-/// byte-identical snapshots, which the incremental cache relies on.
+/// byte-identical snapshots (it is serialized as part of
+/// [`super::L2Result`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BigramCounts {
     /// Joint counts per ordered `(first, second)` source pair.
@@ -69,11 +70,10 @@ pub fn extract_bigrams_pool(
     )
 }
 
-/// Counts one session's bigrams into `counts` — the serial inner loop
-/// (also the per-chunk primitive of the windowed cache driver).
-pub(crate) fn count_session(counts: &mut BigramCounts, session: &Session, timeout_ms: Option<i64>) {
+/// Counts one session's bigrams into `counts` — the serial inner loop.
+fn count_session(counts: &mut BigramCounts, session: &Session, timeout_ms: Option<i64>) {
     for w in session.entries.windows(2) {
-        let (first, second) = (w[0], w[1]);
+        let &[first, second] = w else { continue };
         if first.source == second.source {
             continue;
         }

@@ -18,9 +18,7 @@ mod bigrams;
 mod delays;
 mod direction;
 
-pub(crate) use algorithm::associations;
 pub use algorithm::{run_l2_pool, L2Config, L2Result, PairTypeOutcome};
-pub(crate) use bigrams::count_session;
 pub use bigrams::{extract_bigrams, extract_bigrams_pool, merge_counts, BigramCounts};
 pub use delays::{delay_profiles, DelayConfig, DelayProfile};
 pub use direction::{detect_directions, DirectionConfig, DirectionOutcome};

@@ -85,9 +85,7 @@ pub use error::{MineError, Result};
 pub use graph::DependencyGraph;
 pub use health::{run_pipeline, DetectorHealth, DetectorKind, PipelineConfig, PipelineOutcome};
 pub use model::{diff, AppServiceModel, Diff, EdgeTarget, Model, PairModel};
-pub use window::{
-    run_l2_windowed_cached, run_l3_windowed_cached, run_window_cached, WindowOutcome,
-};
+pub use window::{run_l3_windowed_cached, run_window_cached, WindowOutcome};
 
 // Re-export the substrate crates under predictable names so downstream
 // users need only one dependency.

@@ -2,7 +2,7 @@
 //!
 //! The "around the clock" deployment of §1.2: re-mine the trailing
 //! window (say, 7 days) once per day. The batch runners would replay
-//! the whole window; the drivers here route every technique through the
+//! the whole window; the driver here routes L1 and L3 through the
 //! [`EvidenceCache`] so an advance only recomputes the day that entered
 //! the window — the rest hits on content address.
 //!
@@ -10,31 +10,25 @@
 //!
 //! * **L1** — slot evidence is cached per slot ([`run_l1_cached`]) and
 //!   combined by the very same thresholding pass.
-//! * **L2** — sessions of the window are bucketed by their *start day*;
-//!   each bucket's [`BigramCounts`] is cached under a digest of the
-//!   bucket's sessions and the buckets merge with saturating adds
-//!   (order-free), reproducing the whole-window counts exactly. Gap
-//!   splitting is local, so interior days' buckets are byte-stable as
-//!   the window slides; only the edge days (whose sessions the window
-//!   boundary clips) re-digest and recompute.
+//! * **L2** — mined fresh over the whole window by the batch runner
+//!   [`run_l2_pool`]. A cache key for L2 would need the window's
+//!   sessions, and rebuilding them is most of what L2 costs, so there
+//!   is nothing for a cache to save.
 //! * **L3** — citation counts are additive over any partition of the
 //!   records, so the window splits at absolute day boundaries and each
 //!   chunk's counts are cached under a digest of its records.
 
-use crate::cache::{
-    l2_fingerprint, l3_fingerprint, run_l1_cached, CacheStats, EvidenceCache, EvidenceKey, Fnv,
-};
+use crate::cache::{l3_fingerprint, run_l1_cached, CacheStats, EvidenceCache, EvidenceKey, Fnv};
 use crate::health::{
     record_detector_health, run_detector, DetectorHealth, DetectorKind, PipelineConfig,
 };
 use crate::l1::L1Result;
-use crate::l2::{associations, count_session, merge_counts, BigramCounts, L2Config, L2Result};
+use crate::l2::{run_l2_pool, L2Config, L2Result};
 use crate::l3::{detect, CitationScan, L3Config, L3Result};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_obs::{record, Field};
 use logdep_par::ParConfig;
-use logdep_sessions::{reconstruct_range, Session};
 use std::collections::BTreeMap;
 
 /// Everything one windowed pipeline pass produced, plus the cache
@@ -56,10 +50,10 @@ pub struct WindowOutcome {
     pub stats: CacheStats,
 }
 
-/// Runs every enabled technique of `cfg` over `window` through the
-/// cache, then evicts entries that slid out of the window. This is the
-/// only function that runs more than one detector: the batch
-/// [`crate::health::run_pipeline`] is this pass on a fresh cache.
+/// Runs every enabled technique of `cfg` over `window`, L1 and L3
+/// through the cache, then evicts entries that slid out of the window.
+/// This is the only function that runs more than one detector: the
+/// batch [`crate::health::run_pipeline`] is this pass on a fresh cache.
 ///
 /// A detector that errors does not abort the window: its result is
 /// `None` and its [`DetectorHealth`] row carries the error, so the
@@ -93,7 +87,7 @@ pub fn run_window_cached(
     let (h2, l2) = run_detector(
         DetectorKind::L2,
         cfg.l2.as_ref(),
-        |c| run_l2_windowed_cached(store, window, c, cache),
+        |c| run_l2_windowed(store, window, c, &cfg.par),
         |r| r.detected.len(),
     );
     let (h3, l3) = run_detector(
@@ -126,19 +120,13 @@ pub fn run_window_cached(
     })
 }
 
-/// Technique L2 over `window` with per-day bigram memoization —
-/// byte-identical to [`crate::l2::run_l2_pool`] on the same window.
-///
-/// Sessions are reconstructed for the whole window (cheap — a linear
-/// sweep), bucketed by start day, and each bucket's counts are cached
-/// under a digest of the bucket's exact session contents. A clipped
-/// edge-day session changes its bucket's digest, so boundary effects
-/// can never replay stale counts.
-pub fn run_l2_windowed_cached(
+/// Technique L2 over `window` inside a `window.l2` span: the batch
+/// runner [`run_l2_pool`], with no cache in between.
+fn run_l2_windowed(
     store: &LogStore,
     window: TimeRange,
     cfg: &L2Config,
-    cache: &mut EvidenceCache,
+    par: &ParConfig,
 ) -> crate::Result<L2Result> {
     cfg.validate()?;
     record(|r| {
@@ -150,88 +138,27 @@ pub fn run_l2_windowed_cached(
             ],
         );
     });
-    let (hits_before, misses_before) = (cache.stats.l2_hits, cache.stats.l2_misses);
-    let fp = l2_fingerprint(cfg);
-    let session_set = reconstruct_range(store, window, &cfg.session);
-
-    // Bucket sessions by start day. Sessions are ordered by start time,
-    // so buckets are contiguous runs and day order equals session order.
-    let mut buckets: BTreeMap<i64, Vec<&Session>> = BTreeMap::new();
-    for session in &session_set.sessions {
-        buckets
-            .entry(session.start().0.div_euclid(MS_PER_DAY))
-            .or_default()
-            .push(session);
-    }
-
-    let mut bigrams = BigramCounts::default();
-    for (day, sessions) in &buckets {
-        let key = EvidenceKey {
-            fingerprint: fp,
-            start: day.saturating_mul(MS_PER_DAY),
-            end: day.saturating_add(1).saturating_mul(MS_PER_DAY),
-            digest: sessions_digest(sessions),
-        };
-        let counts = match cache.l2.get(&key) {
-            Some(stored) => {
-                cache.stats.l2_hits += 1;
-                stored.clone()
-            }
-            None => {
-                cache.stats.l2_misses += 1;
-                let mut fresh = BigramCounts::default();
-                for session in sessions {
-                    count_session(&mut fresh, session, cfg.timeout_ms);
-                }
-                cache.l2.insert(key, fresh.clone());
-                fresh
-            }
-        };
-        bigrams = merge_counts(bigrams, counts);
-    }
-
-    let (detected, outcomes) = associations(&bigrams, cfg);
-    let (hits, misses) = (
-        cache.stats.l2_hits - hits_before,
-        cache.stats.l2_misses - misses_before,
-    );
+    let result = run_l2_pool(store, window, cfg, par)?;
     record(|r| {
-        r.counter_add("cache.l2.hits", hits);
-        r.counter_add("cache.l2.misses", misses);
         r.span_end(
             "window.l2",
-            &[
-                ("buckets", Field::from(buckets.len())),
-                ("hits", Field::from(hits)),
-                ("misses", Field::from(misses)),
-                ("detected", Field::from(detected.len())),
-            ],
+            &[("detected", Field::from(result.detected.len()))],
         );
     });
-    Ok(L2Result {
-        detected,
-        outcomes,
-        bigrams,
-        session_stats: session_set.stats,
-    })
+    Ok(result)
 }
 
-/// Digest of one day bucket's sessions: every user/host key and every
-/// entry's timestamp and source, length-framed per session so adjacent
-/// sessions cannot alias.
-fn sessions_digest(sessions: &[&Session]) -> u64 {
-    let mut f = Fnv::new();
-    f.push_u64(sessions.len() as u64);
-    for session in sessions {
-        f.push_u64(u64::from(session.user.0));
-        f.push_u64(u64::from(session.host.0));
-        f.push_u64(session.entries.len() as u64);
-        for entry in &session.entries {
-            f.push_i64(entry.ts.0);
-            f.push_u64(u64::from(entry.source.0));
-        }
-    }
-    f.finish()
+/// Technique L2 over `window` as the driver runs it, on a serial pool:
+/// [`run_l2_pool`] inside the `window.l2` span. `cache` is neither read
+/// nor written, because L2 keeps no cache entries; the argument stays
+/// for callers written when it had them.
+pub fn run_l2_windowed_cached(
+    store: &LogStore,
+    window: TimeRange,
+    cfg: &L2Config,
+    _cache: &mut EvidenceCache,
+) -> crate::Result<L2Result> {
+    run_l2_windowed(store, window, cfg, &ParConfig::serial())
 }
 
 /// Technique L3 over `window` with per-day-chunk count memoization —

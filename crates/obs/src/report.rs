@@ -28,7 +28,7 @@ pub struct DetectorSummary {
 /// Per-layer cache traffic row (`cache.<layer>.hits` / `.misses`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSummary {
-    /// Cache layer (`l1`, `l2`, `l3`).
+    /// Cache layer (`l1`, `l3`).
     pub layer: String,
     /// Evidence-cache hits.
     pub hits: u64,
@@ -39,12 +39,9 @@ pub struct CacheSummary {
 impl CacheSummary {
     /// Hit rate in permille (integer, so rendering stays float-free).
     pub fn hit_permille(&self) -> u64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0
-        } else {
-            self.hits * 1000 / total
-        }
+        (self.hits * 1000)
+            .checked_div(self.hits + self.misses)
+            .unwrap_or(0)
     }
 }
 
@@ -67,7 +64,7 @@ pub struct RunReport {
 const DETECTORS: [&str; 4] = ["l1", "l2", "l3", "store"];
 
 /// The cache layers the windowed pipeline records traffic for.
-const CACHE_LAYERS: [&str; 3] = ["l1", "l2", "l3"];
+const CACHE_LAYERS: [&str; 2] = ["l1", "l3"];
 
 impl RunReport {
     /// Builds a report from a recorded registry and the trace length.
