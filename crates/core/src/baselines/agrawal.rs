@@ -78,6 +78,10 @@ pub struct AgrawalResult {
 }
 
 /// Runs the delay-histogram baseline over `range`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`hist` has `cfg.bins` slots and each bin is clamped below that"
+)]
 pub fn run_agrawal(
     store: &LogStore,
     range: TimeRange,

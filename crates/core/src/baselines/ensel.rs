@@ -69,9 +69,9 @@ fn corr(xs: &[f64], ys: &[f64]) -> f64 {
     let mut num = 0.0;
     let mut dx = 0.0;
     let mut dy = 0.0;
-    for i in 0..xs.len() {
-        let a = xs[i] - mx;
-        let b = ys[i] - my;
+    for (x, y) in xs.iter().zip(ys) {
+        let a = x - mx;
+        let b = y - my;
         num += a * b;
         dx += a * a;
         dy += b * b;
@@ -109,8 +109,8 @@ pub fn pair_features(
 
     // Co-activity Jaccard over 1-minute bins.
     let (mut both, mut either) = (0usize, 0usize);
-    for i in 0..a1.len() {
-        let (x, y) = (a1[i] > 0.0, b1[i] > 0.0);
+    for (x, y) in a1.iter().zip(&b1) {
+        let (x, y) = (*x > 0.0, *y > 0.0);
         if x || y {
             either += 1;
             if x && y {
@@ -155,6 +155,10 @@ pub struct EnselClassifier {
 impl EnselClassifier {
     /// Trains on labeled feature vectors by plain SGD with logistic
     /// loss. Deterministic in `cfg.seed`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`order` is a permutation of the sample indices"
+    )]
     pub fn train(samples: &[(PairFeatures, bool)], cfg: &EnselConfig) -> crate::Result<Self> {
         if samples.is_empty() {
             return Err(crate::MineError::NoData("training samples"));
@@ -204,6 +208,10 @@ impl EnselClassifier {
         (hidden, 1.0 / (1.0 + (-z).exp()))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`w1`, `b1` and `w2` all have one row per hidden unit"
+    )]
     fn sgd_step(&mut self, x: &[f64; N_FEATURES], y: f64, lr: f64) {
         let (hidden, p) = self.forward(x);
         let delta_out = p - y; // dL/dz for logistic loss

@@ -1398,7 +1398,10 @@ pub struct DailyReport {
 /// the end. `on_step` observes every executed step (for progress
 /// output). With `resume` false, prior progress is discarded but the
 /// warm cache is kept.
-#[allow(clippy::too_many_arguments)] // lint:allow — the durable driver genuinely binds logs, plan, path, policy and callback in one call
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the durable driver genuinely binds logs, plan, path, policy and callback in one call"
+)]
 pub fn run_daily_durable(
     logs: &LogStore,
     service_ids: &[String],

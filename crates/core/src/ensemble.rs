@@ -164,6 +164,7 @@ impl Ensemble {
 
     /// Vote histogram: `counts[v]` = pairs with exactly `v` votes
     /// (index 0 unused; it is always 0 by construction).
+    #[expect(clippy::indexing_slicing, reason = "a pair holds at most three votes")]
     pub fn vote_histogram(&self) -> [usize; 4] {
         let mut h = [0usize; 4];
         for s in self.support.values() {

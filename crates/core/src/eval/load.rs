@@ -85,6 +85,10 @@ pub struct LoadExperiment {
 /// the application implementing `service_ids[i]` (needed to map an
 /// L3-detected `(app, service)` onto the `app ↔ owner` pair the other
 /// two techniques can see).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "L3 reports indices into `service_ids`, which `owners` matches in length"
+)]
 pub fn load_experiment(
     store: &LogStore,
     service_ids: &[String],

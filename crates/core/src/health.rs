@@ -334,9 +334,9 @@ mod tests {
         assert_eq!(out.ensemble.n_available(), 3);
         // L3 must see the citation.
         let l3 = out.l3_deps.as_ref().expect("l3 ran");
-        assert!(l3.len() >= 1);
+        assert!(!l3.is_empty());
         let l3p = out.l3_pairs.as_ref().expect("owners given");
-        assert!(l3p.len() >= 1);
+        assert!(!l3p.is_empty());
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
         .expect("pipeline");
         assert!(out.l3_deps.is_some(), "L3 ran");
         assert!(out.l3_pairs.is_none(), "no owner relation, no vote");
-        assert_eq!(out.ensemble.available()[2], false);
+        assert!(!out.ensemble.available()[2]);
     }
 
     #[test]

@@ -94,6 +94,10 @@ pub fn run_l1_slots_pool(
 /// accumulators indexed by (i, j) position in `sources`, summed in slot
 /// order (addition is order-free, so this equals the serial
 /// accumulation bit for bit), then thresholded per §3.1.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evidence holds positions in `sources`, so `i * k + j < k * k`"
+)]
 pub(crate) fn combine_evidence(
     per_slot: &[Vec<(usize, usize, bool)>],
     sources: &[SourceId],
@@ -181,6 +185,10 @@ fn mix64(mut x: u64) -> u64 {
 /// source) — so slots can be evaluated in any order or concurrently,
 /// and identical `(token, slot, timelines)` inputs always reproduce
 /// identical evidence (the cache-correctness invariant).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "positions come from `sources` and `active`, picks from the non-empty pool"
+)]
 pub(crate) fn slot_evidence(
     store: &LogStore,
     token: u64,

@@ -123,6 +123,10 @@ pub fn run_l2_pool(
 /// The significance pass of L2: tests every ordered type in `bigrams`
 /// against the χ²₁ gate and collects the detected pair model. Iteration
 /// follows the `BTreeMap` key order — deterministic by construction.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both types of every counted bigram have a margin"
+)]
 fn associations(bigrams: &BigramCounts, cfg: &L2Config) -> (PairModel, Vec<PairTypeOutcome>) {
     let mut detected = PairModel::new();
     let mut outcomes = Vec::new();

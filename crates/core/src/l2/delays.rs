@@ -64,6 +64,10 @@ pub struct DelayProfile {
 }
 
 /// Analyzes bigram delays for the given ordered pair types.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`index` maps into `types` and each bin is clamped below `cfg.bins`"
+)]
 pub fn delay_profiles(
     sessions: &[Session],
     types: &[(SourceId, SourceId)],

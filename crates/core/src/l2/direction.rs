@@ -69,6 +69,10 @@ impl Default for DirectionConfig {
 /// Counts burst leads for the given pairs across sessions and decides
 /// directions. `pairs` should be the unordered pairs L2 declared
 /// dependent; anything else is ignored.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "bursts stay inside the session and `wanted` maps into `pairs`"
+)]
 pub fn detect_directions(
     sessions: &[Session],
     pairs: &[(SourceId, SourceId)],

@@ -42,7 +42,10 @@ fn landscape(days: u32) -> Landscape {
     }
 }
 
-#[allow(clippy::expect_used)] // Test helper: every width passed in is nonzero.
+#[allow(
+    clippy::expect_used,
+    reason = "test helper: every width passed in is nonzero"
+)]
 fn pool(threads: usize) -> ParConfig {
     ParConfig::with_threads(threads).expect("nonzero width")
 }

@@ -104,6 +104,10 @@ fn plan() -> DailyPlan {
     }
 }
 
+#[allow(
+    clippy::expect_used,
+    reason = "test helper: a scratch dir that cannot be made fails the test"
+)]
 fn fresh_store_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("logdep-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");

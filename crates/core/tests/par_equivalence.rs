@@ -142,6 +142,10 @@ fn pipeline_snapshot(out: &PipelineOutcome) -> String {
     s
 }
 
+#[allow(
+    clippy::expect_used,
+    reason = "test helper: every width in `WIDTHS` is nonzero"
+)]
 fn widths() -> impl Iterator<Item = (usize, ParConfig)> {
     WIDTHS
         .into_iter()

@@ -193,6 +193,10 @@ pub fn inject(store: &LogStore, cfg: &FaultConfig) -> Injection {
 const GARBAGE: &[char] = &['#', '$', '%', '&', '@', '^', '~', '?', '*', '\u{fffd}'];
 
 /// Applies one corruption kind to a line, recording it in `counts`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`start + len <= chars.len()` and picks are drawn below the length"
+)]
 fn corrupt_line(line: &str, counts: &mut CorruptionCounts, rng: &mut StdRng) -> String {
     match rng.gen_range(0..3u8) {
         0 => {

@@ -296,6 +296,10 @@ impl LogStore {
     }
 
     /// Records whose client timestamp lies in `range`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ranges come from `TimeRange::new`, which asserts start <= end"
+    )]
     pub fn range(&self, range: TimeRange) -> &[StoredRecord] {
         self.assert_finalized();
         let lo = self.records.partition_point(|r| r.client_ts < range.start);
@@ -319,9 +323,11 @@ impl LogStore {
     /// Sources that emitted at least one record, ascending by id.
     pub fn active_sources(&self) -> Vec<SourceId> {
         self.assert_finalized();
-        (0..self.per_source.len())
-            .filter(|&i| !self.per_source[i].is_empty())
-            .map(|i| SourceId(i as u32))
+        self.per_source
+            .iter()
+            .enumerate()
+            .filter(|(_, timeline)| !timeline.is_empty())
+            .map(|(i, _)| SourceId(i as u32))
             .collect()
     }
 

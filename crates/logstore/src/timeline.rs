@@ -24,6 +24,7 @@ impl Timeline {
     ///
     /// # Panics
     /// In debug builds, panics if the input is not ascending.
+    #[expect(clippy::indexing_slicing, reason = "`windows(2)` yields pairs")]
     pub fn from_sorted(points: Vec<Millis>) -> Self {
         debug_assert!(
             points.windows(2).all(|w| w[0] <= w[1]),
@@ -61,6 +62,10 @@ impl Timeline {
 
     /// Distance (ms) from `t` to the nearest timestamp — equation (1) of
     /// the paper. `None` on an empty timeline.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i > 0` is checked before `i - 1` is read"
+    )]
     pub fn dist_to_nearest(&self, t: Millis) -> Option<i64> {
         if self.points.is_empty() {
             return None;
@@ -103,6 +108,10 @@ impl Timeline {
     ///
     /// # Panics
     /// In debug builds, panics if `sorted_points` is not ascending.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields pairs; `i > 0` is checked before `i - 1`"
+    )]
     pub fn dists_to_nearest_sorted(&self, sorted_points: &[Millis]) -> Vec<i64> {
         debug_assert!(
             sorted_points.windows(2).all(|w| w[0] <= w[1]),
@@ -145,6 +154,7 @@ impl Timeline {
     ///
     /// # Panics
     /// In debug builds, panics if `sorted_points` is not ascending.
+    #[expect(clippy::indexing_slicing, reason = "`windows(2)` yields pairs")]
     pub fn dists_to_next_sorted(&self, sorted_points: &[Millis]) -> Vec<i64> {
         debug_assert!(
             sorted_points.windows(2).all(|w| w[0] <= w[1]),
@@ -174,6 +184,7 @@ impl Timeline {
 
     /// Moves the sweep cursor from `i` to the first index with
     /// `points[i] >= t` (`t` at least the previous query).
+    #[expect(clippy::indexing_slicing, reason = "`i < len` is checked first")]
     fn advance(&self, mut i: usize, t: Millis) -> usize {
         while i < self.points.len() && self.points[i] < t {
             i += 1;
@@ -206,6 +217,10 @@ impl Timeline {
     /// appending logs on a later day does not disturb the digest of an
     /// interior slot. Each section is framed (marker + count) so a
     /// missing neighbor cannot alias with an extra in-range point.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both bounds are partition points and `lo_idx <= hi_idx`"
+    )]
     pub fn digest_neighborhood(&self, range: TimeRange, margin_ms: i64) -> u64 {
         let lo = Millis(range.start.0.saturating_sub(margin_ms));
         let hi = Millis(range.end.0.saturating_add(margin_ms));
@@ -237,6 +252,10 @@ impl Timeline {
     }
 
     /// The sub-slice of timestamps inside the half-open `range`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ranges come from `TimeRange::new`, which asserts start <= end"
+    )]
     pub fn slice_in(&self, range: TimeRange) -> &[Millis] {
         let lo = self.points.partition_point(|&p| p < range.start);
         let hi = self.points.partition_point(|&p| p < range.end);

@@ -14,8 +14,12 @@
 //! is not UTF-8: `lines()` fails the stream there, the kernel quarantines
 //! the line, so the reference applies that quarantine rule too.
 
-// Test code: the reference keeps the old kernel's indexing as it was.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: the reference keeps the old kernel's indexing as it was, and a failed read from memory fails the test"
+)]
 
 use logdep_logstore::codec::{read_store, ParseErrors};
 use logdep_logstore::ingest::{
@@ -29,7 +33,6 @@ use proptest::prelude::*;
 /// The pool widths the resilient pass is compared at.
 const WIDTHS: &[usize] = &[1, 2, 3, 8];
 
-#[allow(clippy::expect_used)] // Test helper: every width in `WIDTHS` is nonzero.
 fn width(threads: usize) -> ParConfig {
     ParConfig::with_threads(threads).expect("nonzero width")
 }

@@ -8,9 +8,11 @@
 //! fall silent inside the scope. Scopes are a [`DailyPlan`]'s read span,
 //! exactly or widened by a random slack on each side.
 
-// Test code: indexes into small generated pools, and a helper whose
-// read or window fails has failed the test.
-#![allow(clippy::indexing_slicing, clippy::expect_used)]
+#![allow(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "test code: indexes into small generated pools, and a helper whose read or window fails has failed the test"
+)]
 
 use logdep::durable::DailyPlan;
 use logdep::health::PipelineConfig;

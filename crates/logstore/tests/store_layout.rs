@@ -12,8 +12,10 @@
 //! client timestamps, and carry empty and escaped texts and exact
 //! duplicates.
 
-// Test code: the reference keeps the old layout's indexing as it was.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "test code: the reference keeps the old layout's indexing as it was"
+)]
 
 use logdep_logstore::codec::{parse_record, write_record};
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
@@ -181,7 +183,10 @@ fn store_timelines(store: &LogStore) -> Vec<Vec<Millis>> {
         .collect()
 }
 
-#[allow(clippy::expect_used)] // Test helper: every width in `WIDTHS` is nonzero.
+#[allow(
+    clippy::expect_used,
+    reason = "test helper: every width in `WIDTHS` is nonzero"
+)]
 fn width(threads: usize) -> ParConfig {
     ParConfig::with_threads(threads).expect("nonzero width")
 }

@@ -3,8 +3,10 @@
 //! (cursor from index 0), and the content digests to their invalidation
 //! contract.
 
-// Test code: the reference keeps the old sweep's indexing as it was.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "test code: the reference keeps the old sweep's indexing as it was"
+)]
 
 use logdep_logstore::time::{Millis, TimeRange};
 use logdep_logstore::Timeline;

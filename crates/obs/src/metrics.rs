@@ -37,12 +37,15 @@ impl Histogram {
     }
 
     /// Records one observation of `us` microseconds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx ≤ BUCKET_BOUNDS_US.len() < N_BUCKETS by construction"
+    )]
     pub fn observe(&mut self, us: u64) {
         let idx = BUCKET_BOUNDS_US
             .iter()
             .position(|&bound| us <= bound)
             .unwrap_or(BUCKET_BOUNDS_US.len());
-        // lint:allow(unchecked-indexing) — idx ≤ BUCKET_BOUNDS_US.len() < N_BUCKETS by construction
         self.buckets[idx] += 1;
         self.count += 1;
         self.sum_us = self.sum_us.saturating_add(us);

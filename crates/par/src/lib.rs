@@ -245,12 +245,12 @@ where
     F: Fn(&T) -> O + Sync,
 {
     if cfg.is_serial() || items.len() <= 1 {
-        return items.iter().map(|t| f(t)).collect();
+        return items.iter().map(&f).collect();
     }
     let threads = cfg.threads().min(items.len());
     let chunks: Vec<&[T]> = items.chunks(chunk_len(items.len(), threads)).collect();
     let per_chunk = run_chunks(threads, &chunks, &|slice: &[T]| {
-        slice.iter().map(|t| f(t)).collect::<Vec<O>>()
+        slice.iter().map(&f).collect::<Vec<O>>()
     });
     let mut out = Vec::with_capacity(items.len());
     for v in per_chunk {
@@ -282,7 +282,7 @@ pub fn par_chunks_fold<T, A, FI, FF, FM>(
     items: &[T],
     init: FI,
     fold: FF,
-    mut merge: FM,
+    merge: FM,
 ) -> A
 where
     T: Sync,
@@ -292,14 +292,14 @@ where
     FM: FnMut(A, A) -> A,
 {
     if cfg.is_serial() || items.len() <= 1 {
-        return items.iter().fold(init(), |acc, t| fold(acc, t));
+        return items.iter().fold(init(), &fold);
     }
     let threads = cfg.threads().min(items.len());
     let chunks: Vec<&[T]> = items.chunks(chunk_len(items.len(), threads)).collect();
     let shard_accs = run_chunks(threads, &chunks, &|slice: &[T]| {
-        slice.iter().fold(init(), |acc, t| fold(acc, t))
+        slice.iter().fold(init(), &fold)
     });
-    shard_accs.into_iter().fold(init(), |a, b| merge(a, b))
+    shard_accs.into_iter().fold(init(), merge)
 }
 
 #[cfg(test)]

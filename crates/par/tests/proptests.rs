@@ -8,6 +8,10 @@ use logdep_par::{par_chunks_fold, par_map, ParConfig, ParError};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+#[allow(
+    clippy::expect_used,
+    reason = "test helper: the strategies keep threads >= 1"
+)]
 fn cfg(threads: usize) -> ParConfig {
     ParConfig::with_threads(threads).expect("strategy keeps threads >= 1")
 }

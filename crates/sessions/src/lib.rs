@@ -66,14 +66,22 @@ pub struct Session {
 
 impl Session {
     /// Session start (timestamp of the first entry).
+    #[expect(
+        clippy::expect_used,
+        reason = "reconstruction never emits empty sessions"
+    )]
     pub fn start(&self) -> Millis {
-        // lint:allow(no-panic-in-lib) — reconstruction never emits empty sessions
+        // lint:allow(panic-reach) — reconstruction never emits empty sessions
         self.entries.first().expect("sessions are non-empty").ts
     }
 
     /// Session end (timestamp of the last entry).
+    #[expect(
+        clippy::expect_used,
+        reason = "reconstruction never emits empty sessions"
+    )]
     pub fn end(&self) -> Millis {
-        // lint:allow(no-panic-in-lib) — reconstruction never emits empty sessions
+        // lint:allow(panic-reach) — reconstruction never emits empty sessions
         self.entries.last().expect("sessions are non-empty").ts
     }
 

@@ -154,6 +154,10 @@ impl WorkloadConfig {
     }
 
     /// Load multiplier for `day` (cycles if more days than multipliers).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the day wraps modulo the non-empty table"
+    )]
     pub fn day_multiplier(&self, day: u32) -> f64 {
         if self.day_multipliers.is_empty() {
             1.0
@@ -166,6 +170,7 @@ impl WorkloadConfig {
     /// `hour` (0..24). Hospitals run around the clock but office hours
     /// dominate (§3.1 of the paper: "there is still much more activity
     /// at usual office hours").
+    #[expect(clippy::indexing_slicing, reason = "the hour wraps modulo 24")]
     pub fn diurnal_weight(hour: u8) -> f64 {
         // Piecewise curve: night trough, morning ramp, office plateau,
         // evening decline. Sums to 1 over 24 hours.

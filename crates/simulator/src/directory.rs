@@ -130,8 +130,8 @@ impl std::error::Error for DirectoryParseError {}
 fn attr(line: &str, name: &str) -> Option<String> {
     let marker = format!("{name}=\"");
     let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_owned())
+    let (value, _) = line.get(start..)?.split_once('"')?;
+    Some(value.to_owned())
 }
 
 fn xml_escape(s: &str) -> String {

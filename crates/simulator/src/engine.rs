@@ -160,6 +160,10 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn new(cfg: &'a SimConfig, topo: &'a Topology, pop: &'a Population) -> Self {
         let mut store = LogStore::new();
         let app_source: Vec<SourceId> = topo
@@ -269,7 +273,11 @@ impl<'a> Engine<'a> {
 
     /// Emits one record at true time `t` (ms), applying clock skew and
     /// buffering.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one record's full coordinates")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn emit(
         &mut self,
         app: usize,
@@ -306,6 +314,10 @@ impl<'a> Engine<'a> {
     /// Clock skew for a log of `app` emitted within session context on
     /// client machine `host` (client-tier apps run on the PC; services
     /// run on their servers).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn skew_for(&self, app: usize, ctx: Option<Ctx>) -> i64 {
         if self.topo.apps[app].tier == Tier::Client {
             if let Some(c) = ctx {
@@ -316,6 +328,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Propagates context with the tier-dependent probability.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn maybe_ctx(&self, app: usize, ctx: Option<Ctx>, rng: &mut StdRng) -> Option<Ctx> {
         let ctx = ctx?;
         let p = match self.topo.apps[app].tier {
@@ -340,6 +356,10 @@ impl<'a> Engine<'a> {
     /// Generates the logs of one invocation of `edge_idx` starting at
     /// true time `t`; recurses into nested calls. Returns the true time
     /// at which the caller observed completion.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn generate_call(
         &mut self,
         day: usize,
@@ -490,6 +510,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Picks an outgoing edge of `app`, weighted by frequency tier.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn pick_edge(&self, app: usize, rng: &mut StdRng) -> Option<usize> {
         let edges = &self.by_caller[app];
         let total: f64 = edges
@@ -531,6 +555,10 @@ impl<'a> Engine<'a> {
         23
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn simulate_day(&mut self, day: u32) {
         let w = &self.cfg.workload;
         let day_mult = w.day_multiplier(day) * w.scale;
@@ -641,6 +669,10 @@ impl<'a> Engine<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the topology and population they came from"
+    )]
     fn simulate_session(
         &mut self,
         day: usize,

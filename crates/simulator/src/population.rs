@@ -64,6 +64,10 @@ impl Population {
     /// Picks the machine for a new session of `user`: usually the home
     /// machine, sometimes (per the user's roaming probability) another —
     /// preferentially a shared ward machine.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "user and host ids index the population they came from"
+    )]
     pub fn session_host(&self, user: usize, rng: &mut StdRng) -> usize {
         let spec = &self.users[user];
         if !rng.gen_bool(spec.roam_prob) {

@@ -45,6 +45,10 @@ const FCTS: [&str; 8] = [
 ];
 
 /// Picks a plausible remote function name.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the pick is drawn below the table's length"
+)]
 pub fn pick_fct(rng: &mut StdRng) -> &'static str {
     FCTS[rng.gen_range(0..FCTS.len())]
 }
@@ -147,6 +151,10 @@ pub fn ui_action(rng: &mut StdRng) -> String {
 /// The coincidence text: a patient record whose name collides with a
 /// service-directory id (§4.8: 7 false positives "due to coincidence").
 /// Must not match any stop pattern.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the pick is drawn below the table's length"
+)]
 pub fn coincidence(service_id: &str, rng: &mut StdRng) -> String {
     format!(
         "opened record for patient {} {service_id} (dob {}.{}.19{})",

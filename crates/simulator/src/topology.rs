@@ -235,6 +235,10 @@ const PREFIXES: [&str; 4] = ["DPI", "HUG", "MED", "SYS"];
 impl Topology {
     /// Generates a topology from the shape config, then assigns noise
     /// roles per the noise config. Fully determined by `seed`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the apps, services and edges generated here"
+    )]
     pub fn generate(cfg: &TopologyConfig, noise: &NoiseConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0070_9077_ab10_c0de);
         let mut apps = Vec::with_capacity(cfg.n_apps());
@@ -549,6 +553,10 @@ impl Topology {
 
     /// All ground-truth unordered `app ↔ app` interaction pairs — the
     /// paper's first reference model (54 apps, 178 dependent pairs).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edges name services of this topology"
+    )]
     pub fn app_pairs(&self) -> Vec<(AppIdx, AppIdx)> {
         let mut v: Vec<(AppIdx, AppIdx)> = self
             .edges
@@ -575,6 +583,10 @@ impl Topology {
     /// moving landscape" of the paper's introduction, for week-over-week
     /// change-tracking studies. Apps and services are preserved; noise
     /// roles of surviving edges are untouched. Deterministic in `seed`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the apps, services and edges of this topology"
+    )]
     pub fn evolve(&self, add_edges: usize, remove_edges: usize, seed: u64) -> Topology {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x3701_7e4e);
         let mut next = self.clone();
@@ -627,6 +639,10 @@ impl Topology {
     }
 
     /// Edges indexed by caller, for the engine's workflow sampling.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edges name callers of this topology"
+    )]
     pub fn edges_by_caller(&self) -> Vec<Vec<usize>> {
         let mut by_caller = vec![Vec::new(); self.apps.len()];
         for (i, e) in self.edges.iter().enumerate() {

@@ -35,6 +35,10 @@ pub struct GroundTruth {
 
 impl GroundTruth {
     /// Builds the ground truth from a generated topology.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index the apps and services of the topology"
+    )]
     pub fn from_topology(topology: &Topology) -> Self {
         let name = |a: usize| topology.apps[a].name.clone();
         let app_pairs = topology

@@ -38,6 +38,10 @@ impl BoxplotSummary {
 }
 
 /// Computes a [`BoxplotSummary`] with median CIs at the two given levels.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`sorted` is non-empty (checked above)"
+)]
 pub fn summarize(xs: &[f64], primary_level: f64, secondary_level: f64) -> Result<BoxplotSummary> {
     check_no_nan(xs)?;
     if xs.is_empty() {

@@ -122,6 +122,10 @@ impl Table2x2 {
     /// `G² = 2 Σ O_ij · ln(O_ij / E_ij)` (zero cells contribute zero).
     ///
     /// Asymptotically χ² with one degree of freedom under independence.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`o` and `e` both hold the four cells"
+    )]
     pub fn g2(&self) -> Result<f64> {
         let e = self.expected()?;
         let o = [
@@ -140,6 +144,10 @@ impl Table2x2 {
     }
 
     /// Pearson's chi-square statistic `X² = Σ (O_ij − E_ij)² / E_ij`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`o` and `e` both hold the four cells"
+    )]
     pub fn pearson_x2(&self) -> Result<f64> {
         let e = self.expected()?;
         let o = [

@@ -50,6 +50,10 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
 }
 
 /// Type-7 quantile over already-sorted data (no validation).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass non-empty sorted data"
+)]
 pub(crate) fn quantile_sorted_unchecked(sorted: &[f64], q: f64) -> f64 {
     if q <= 0.0 {
         return sorted[0];

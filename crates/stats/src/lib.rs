@@ -37,10 +37,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// `!(x > 0.0)` deliberately catches NaN as well as non-positive values;
-// rewriting via partial_cmp would obscure that.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
-#![allow(clippy::excessive_precision)]
+#![allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` deliberately catches NaN as well as non-positive values"
+)]
+#![allow(
+    clippy::excessive_precision,
+    reason = "the published Lanczos coefficients are kept digit for digit"
+)]
 
 pub mod binomial;
 pub mod boxplot;

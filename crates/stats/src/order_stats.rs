@@ -67,6 +67,10 @@ pub fn quantile_ci(sample: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
 /// sorted. The ranks come from the calling thread's memo (see the module
 /// docs), so repeated calls with one `(len, q, level)` cost the checks,
 /// one memo lookup and the point estimate.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`windows(2)` yields pairs and the memo's ranks lie in 1..=n"
+)]
 pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
     check_no_nan(sorted)?;
     check_level(level)?;
@@ -194,6 +198,10 @@ pub fn median_ci_sorted(sorted: &[f64], level: f64) -> Result<QuantileCi> {
 }
 
 /// Type-7 (linear interpolation) quantile point estimate of sorted data.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass non-empty data and q in [0, 1], so `lo <= hi <= n - 1`"
+)]
 pub(crate) fn interpolated_quantile(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {
@@ -206,6 +214,10 @@ pub(crate) fn interpolated_quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a fresh thread starts with an empty thread-local rank memo"
+)]
 mod tests {
     use super::*;
 

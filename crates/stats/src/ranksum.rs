@@ -38,6 +38,10 @@ const MIN_N: usize = 8;
 /// Mann–Whitney U test of `xs` against `ys` with midrank tie handling
 /// and a tie-corrected normal approximation (both samples must have at
 /// least 8 observations — the regime L1 uses it in).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i <= j < n`: the tie run only extends while `j + 1 < n`"
+)]
 pub fn rank_sum(xs: &[f64], ys: &[f64], alternative: RankSumAlternative) -> Result<RankSumResult> {
     if xs.iter().chain(ys).any(|v| v.is_nan()) {
         return Err(StatsError::NanInput);

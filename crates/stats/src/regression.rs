@@ -106,6 +106,10 @@ impl Fit {
 ///
 /// Requires at least 3 points (so that the residual variance has at least
 /// one degree of freedom) and non-constant `x`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`x` and `y` have the checked common length `n`"
+)]
 pub fn linear_fit(x: &[f64], y: &[f64]) -> Result<Fit> {
     if x.len() != y.len() {
         return Err(StatsError::InvalidParameter {

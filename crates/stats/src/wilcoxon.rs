@@ -53,6 +53,10 @@ const EXACT_MAX_N: usize = 30;
 /// let r = signed_rank(&d, Alternative::TwoSided).unwrap();
 /// assert!((r.p_value - 0.015625).abs() < 1e-12);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`idx` permutes 0..n and the tie run only extends while `j + 1 < n`"
+)]
 pub fn signed_rank(diffs: &[f64], alternative: Alternative) -> Result<SignedRankResult> {
     if diffs.iter().any(|d| d.is_nan()) {
         return Err(StatsError::NanInput);
@@ -103,6 +107,7 @@ pub fn signed_rank(diffs: &[f64], alternative: Alternative) -> Result<SignedRank
 
 /// Exact null distribution of `W+` by subset-sum dynamic programming:
 /// counts of subsets of {1..n} with each possible rank sum.
+#[expect(clippy::indexing_slicing, reason = "rank sums stay within 0..=max_sum")]
 fn exact_p(w: u64, n: usize, alternative: Alternative) -> f64 {
     let max_sum = n * (n + 1) / 2;
     let mut counts = vec![0.0_f64; max_sum + 1];

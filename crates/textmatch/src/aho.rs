@@ -390,6 +390,10 @@ impl Build<'_> {
     /// The dense table, filled in place in breadth-first order: a row
     /// is its failure target's (already final) row with the state's own
     /// children written over it. No other dense array is built.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "states and classes index the `stride`-wide rows built here"
+    )]
     fn table<T: Copy + Default + TryFrom<usize>>(&self) -> Vec<T> {
         let mut table = vec![T::default(); self.trie.len() * self.stride];
         for &s in self.order {
@@ -411,6 +415,10 @@ impl Automaton {
     /// Compiles `patterns` (output `i` is `patterns[i]`). With `fold`,
     /// ASCII upper and lower case match each other. Empty patterns never
     /// match.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "states index the trie built here and bytes the 256-entry class map"
+    )]
     fn new(patterns: &[&[u8]], fold: bool) -> Self {
         let norm = |b: u8| if fold { b.to_ascii_lowercase() } else { b };
         let mut used = [false; 256];
@@ -535,6 +543,10 @@ impl Automaton {
     }
 
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`classes` has an entry for every byte"
+    )]
     fn walk<T: Copy + Into<u32>>(
         &self,
         table: &[T],

@@ -49,6 +49,10 @@ fn recase(s: &str, mask: u64) -> String {
 
 /// A text of `parts`, each `(pick, mask)` choosing a pattern, a glob, a
 /// glob piece or a filler fragment and recasing it.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "test helper: `pick % vocab.len()` is in bounds"
+)]
 fn stitch(ids: &[String], globs: &[String], parts: &[(usize, u64)]) -> String {
     let mut vocab: Vec<String> = ids.to_vec();
     vocab.extend(globs.iter().cloned());

@@ -5,8 +5,11 @@
 //! oracle of the differential tests; nothing outside `tests/` builds
 //! on it.
 
-// The old kernel, kept as written: it indexes its trie directly.
-#![allow(dead_code, clippy::indexing_slicing)]
+#![allow(
+    dead_code,
+    clippy::indexing_slicing,
+    reason = "the old kernel, kept as written: it indexes its trie directly"
+)]
 
 use logdep_textmatch::{Match, MatchMode};
 use std::collections::VecDeque;

@@ -1,9 +1,8 @@
-//! Every deny violation here carries a lint:allow justification, so the
-//! file must lint clean at deny level.
+//! Every violation here carries a lint:allow justification, so the file
+//! must lint clean.
 
-pub fn justified(x: Option<u32>, xs: &mut [f64]) -> u32 {
-    // lint:allow(no-panic-in-lib) — invariant: caller checked is_some
-    let a = x.unwrap();
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap()); // lint:allow(nan-unsafe-float, no-panic-in-lib) — inputs are finite by construction
-    a
+pub fn justified(xs: &mut [f64]) {
+    // lint:allow(silent-drop) — best-effort cleanup, failure is benign
+    let _ = std::fs::remove_file("scratch");
+    let _ = xs.iter().max_by(|a, b| a.partial_cmp(b).unwrap()); // lint:allow(nan-unsafe-float, silent-drop) — inputs are finite by construction
 }

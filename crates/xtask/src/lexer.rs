@@ -427,12 +427,11 @@ mod tests {
 
     #[test]
     fn suppression_markers_are_collected() {
-        let lexed = lex(
-            "x.unwrap(); // lint:allow(no-panic-in-lib)\n// lint:allow(rule-a, rule-b)\ny();\n",
-        );
+        let lexed =
+            lex("let _ = x(); // lint:allow(silent-drop)\n// lint:allow(rule-a, rule-b)\ny();\n");
         assert_eq!(
             lexed.suppressions.get(&1),
-            Some(&vec!["no-panic-in-lib".to_string()])
+            Some(&vec!["silent-drop".to_string()])
         );
         assert_eq!(
             lexed.suppressions.get(&2),

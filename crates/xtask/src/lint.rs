@@ -5,49 +5,38 @@
 //! so string/comment contents can never produce false positives. Each
 //! rule is scoped to the crates where its invariant matters (see
 //! `RULES`); test code — `#[cfg(test)]` modules, `#[test]` functions,
-//! and files under `tests/` or `benches/` — is exempt, because panics
-//! are the correct failure mode there.
+//! and files under `tests/` or `benches/` — is exempt.
+//!
+//! Panics, indexing and raw thread spawns are clippy's concern (the
+//! `[workspace.lints.clippy]` table, denied for [`LIB_CRATES`]); this
+//! pass keeps only the rules clippy cannot express. Every finding is a
+//! deny.
 //!
 //! A diagnostic can be suppressed by a `// lint:allow(<rule>)` comment
-//! on the same line or the line directly above; suppressions should
-//! carry a justification, e.g.
-//! `// lint:allow(no-panic-in-lib) — length checked by constructor`.
+//! on the same line or the line directly above; suppressions must carry
+//! a justification and name a registered rule, e.g.
+//! `// lint:allow(silent-drop) — best-effort cleanup, failure is benign`.
 
 use crate::graph::FileIndex;
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use logdep_par::{par_map, ParConfig};
 use std::collections::HashSet;
 
-/// Diagnostic severity. `Deny` violations fail `cargo xtask lint`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Deny,
-    Warn,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// Static description of one rule in the registry.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Stable rule name, used in output and `lint:allow(...)`.
     pub name: &'static str,
-    pub severity: Severity,
     /// One-line summary for `cargo xtask lint --list`.
     pub summary: &'static str,
     /// Crate directory names (under `crates/`) the rule applies to.
     pub scope: &'static [&'static str],
 }
 
-/// The library crates whose non-test code must not panic.
-const LIB_CRATES: &[&str] = &[
+/// The library crates whose non-test code must not panic: exactly the
+/// crates whose manifests opt into `[workspace.lints]` (clippy's panic,
+/// indexing and spawn scope) and the crates `panic-reach` walks.
+pub(crate) const LIB_CRATES: &[&str] = &[
     "core",
     "stats",
     "logstore",
@@ -80,120 +69,73 @@ const ALL_CRATES: &[&str] = &[
 /// indexed workspace (in [`lint_workspace`]) rather than per file.
 const WORKSPACE: &[&str] = &["workspace"];
 
-/// Crates that must route all threading through `logdep-par`: every
-/// library crate except `par` itself (the one place allowed to touch
-/// `std::thread`), plus the cli and bench binaries.
-const POOLED_CRATES: &[&str] = &[
-    "core",
-    "stats",
-    "logstore",
-    "textmatch",
-    "sessions",
-    "simulator",
-    "faults",
-    "obs",
-    "serve",
-    "cli",
-    "bench",
-];
-
 /// The full lint registry. Adding a rule means adding an entry here and
 /// an arm in [`lint_tokens`].
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "no-panic-in-lib",
-        severity: Severity::Deny,
-        summary: "unwrap()/expect()/panic!/unimplemented!/todo! in non-test library code",
-        scope: LIB_CRATES,
-    },
-    RuleInfo {
         name: "nan-unsafe-float",
-        severity: Severity::Deny,
         summary:
             "partial_cmp().unwrap() or partial_cmp inside sort/min/max comparators; use total_cmp",
         scope: &["core", "stats"],
     },
     RuleInfo {
         name: "lossy-time-cast",
-        severity: Severity::Deny,
         summary: "`as` cast on a timestamp/duration-named expression; use explicit conversions",
         scope: &["logstore", "sessions"],
     },
     RuleInfo {
-        name: "result-api",
-        severity: Severity::Warn,
-        summary: "public fn whose body unwraps but whose signature does not return Result",
-        scope: &["core", "stats"],
-    },
-    RuleInfo {
-        name: "unchecked-indexing",
-        severity: Severity::Warn,
-        summary: "slice/array indexing with a runtime index expression in library code",
-        scope: LIB_CRATES,
-    },
-    RuleInfo {
         name: "silent-drop",
-        severity: Severity::Deny,
         summary: "`let _ =` discarding a call's Result in library code; handle or match the error",
         scope: LIB_CRATES,
     },
     RuleInfo {
-        name: "raw-thread-spawn",
-        severity: Severity::Deny,
-        summary: "direct thread::spawn outside crates/par; use logdep_par::{scope, par_map, par_chunks_fold}",
-        scope: POOLED_CRATES,
-    },
-    RuleInfo {
         name: "hot-sort",
-        severity: Severity::Warn,
         summary: "comparator sort (sort_by/sort_unstable_by) in the L1/timeline hot paths; \
                   prefer the merge-sweep kernels or sorted-run merges",
         scope: &["core", "logstore"],
     },
     RuleInfo {
         name: "non-atomic-persist",
-        severity: Severity::Warn,
         summary: "direct fs::write/File::create to persistent-state paths (cache, journal, \
                   checkpoint, ledger, ...) outside the durable writer; use persist_atomic",
         scope: ALL_CRATES,
     },
     RuleInfo {
         name: "bare-allow",
-        severity: Severity::Deny,
         summary: "lint:allow(..) without a justification after the closing paren; \
                   append `— why this is sound`",
         scope: ALL_CRATES,
     },
     RuleInfo {
+        name: "unknown-allow",
+        summary: "lint:allow(..) naming no registered rule; it suppresses nothing",
+        scope: ALL_CRATES,
+    },
+    RuleInfo {
         name: "nondeterminism-taint",
-        severity: Severity::Deny,
         summary: "call path from a snapshot/cache entry point to HashMap iteration, \
                   wall-clock, env, or available_parallelism outside their sanctioned homes",
         scope: WORKSPACE,
     },
     RuleInfo {
         name: "fingerprint-completeness",
-        severity: Severity::Deny,
         summary: "a *Config struct field never folded by its *_fingerprint fn; \
                   the evidence cache would replay stale entries",
         scope: WORKSPACE,
     },
     RuleInfo {
         name: "panic-reach",
-        severity: Severity::Deny,
         summary: "pub library API that transitively calls into an unsuppressed panic site",
         scope: WORKSPACE,
     },
     RuleInfo {
         name: "blocking-io-in-handler",
-        severity: Severity::Deny,
         summary: "fs::* or durable-store call reachable from a serve request handler \
                   (handle_* fn); snapshot loads must go through the reload/swap path",
         scope: WORKSPACE,
     },
     RuleInfo {
         name: "instrumentation-completeness",
-        severity: Severity::Deny,
         summary: "pipeline entry point reachable from the drivers that never emits a \
                   begin/end trace event pair; the run report would silently miss the stage",
         scope: WORKSPACE,
@@ -201,7 +143,6 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Looks up a rule by name.
-#[cfg_attr(not(test), allow(dead_code))]
 pub fn rule(name: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.name == name)
 }
@@ -210,7 +151,6 @@ pub fn rule(name: &str) -> Option<&'static RuleInfo> {
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub rule: &'static str,
-    pub severity: Severity,
     pub file: String,
     pub line: u32,
     pub message: String,
@@ -241,7 +181,7 @@ pub fn classify(rel: &str) -> FileScope {
 /// Lints one file's source text. `rel` is the repo-relative path used
 /// both for scope classification and in diagnostics. Runs the per-file
 /// rules only; the graph rules need [`lint_workspace`].
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     let scope = classify(rel);
     let crate_name = match &scope {
@@ -299,22 +239,18 @@ fn lint_tokens(rel: &str, crate_name: &str, lexed: &Lexed) -> Vec<Diagnostic> {
             continue;
         }
         let found = match info.name {
-            "no-panic-in-lib" => no_panic_in_lib(tokens, &mask),
             "nan-unsafe-float" => nan_unsafe_float(tokens, &mask),
             "lossy-time-cast" => lossy_time_cast(tokens, &mask),
-            "result-api" => result_api(tokens, &mask),
-            "unchecked-indexing" => unchecked_indexing(tokens, &mask),
             "silent-drop" => silent_drop(tokens, &mask),
-            "raw-thread-spawn" => raw_thread_spawn(tokens, &mask),
             "hot-sort" => hot_sort(rel, crate_name, tokens, &mask),
             "non-atomic-persist" => non_atomic_persist(rel, tokens, &mask),
             "bare-allow" => bare_allow(lexed),
+            "unknown-allow" => unknown_allow(lexed),
             _ => Vec::new(),
         };
         for (line, message) in found {
             diags.push(Diagnostic {
                 rule: info.name,
-                severity: info.severity,
                 file: rel.to_string(),
                 line,
                 message,
@@ -323,16 +259,15 @@ fn lint_tokens(rel: &str, crate_name: &str, lexed: &Lexed) -> Vec<Diagnostic> {
         }
     }
 
-    // Drop duplicates (e.g. a sort_by comparator that also unwraps) and
-    // suppressed findings, then order by position. `bare-allow` is
-    // exempt from suppression — a reasonless marker must not be able to
-    // wave itself through.
+    // Drop duplicates and suppressed findings, then order by position.
+    // The marker rules are exempt from suppression — a reasonless or
+    // stale marker must not be able to wave itself through.
     let mut seen = HashSet::new();
     diags.retain(|d| {
         if !seen.insert((d.rule, d.line)) {
             return false;
         }
-        d.rule == "bare-allow" || !suppressed(lexed, d.rule, d.line)
+        matches!(d.rule, "bare-allow" | "unknown-allow") || !suppressed(lexed, d.rule, d.line)
     });
     diags.sort_by_key(|d| (d.line, d.rule));
     diags
@@ -428,36 +363,6 @@ pub(crate) fn matching(
 // ---------------------------------------------------------------------
 // Rule implementations. Each returns `(line, message)` pairs.
 // ---------------------------------------------------------------------
-
-fn no_panic_in_lib(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if mask[i] || tokens[i].kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let next_paren = tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let next_bang = tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
-        match tokens[i].text.as_str() {
-            "unwrap" | "expect" if prev_dot && next_paren => out.push((
-                tokens[i].line,
-                format!(
-                    ".{}() can panic; return a Result/Option or justify with lint:allow",
-                    tokens[i].text
-                ),
-            )),
-            "panic" | "unimplemented" | "todo" if next_bang => out.push((
-                tokens[i].line,
-                format!(
-                    "{}! can abort library callers; return an error instead",
-                    tokens[i].text
-                ),
-            )),
-            _ => {}
-        }
-    }
-    out
-}
 
 /// Comparator methods whose closures must not use `partial_cmp`.
 const COMPARATOR_METHODS: &[&str] = &[
@@ -585,150 +490,6 @@ fn lossy_time_cast(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
     out
 }
 
-fn result_api(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if mask[i] || !tokens[i].is_ident("pub") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        // `pub(crate)` / `pub(super)` visibility qualifier.
-        if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-            match matching(tokens, j, '(', ')') {
-                Some(e) => j = e + 1,
-                None => break,
-            }
-        }
-        if !tokens.get(j).is_some_and(|t| t.is_ident("fn")) {
-            i += 1;
-            continue;
-        }
-        let fn_line = tokens[i].line;
-        let fn_name = tokens
-            .get(j + 1)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        let mut k = j + 2;
-        // Generic parameters.
-        if tokens.get(k).is_some_and(|t| t.is_punct('<')) {
-            let mut depth = 0i32;
-            while k < tokens.len() {
-                if tokens[k].is_punct('<') {
-                    depth += 1;
-                } else if tokens[k].is_punct('>') {
-                    // Ignore `->` arrows inside bounds.
-                    if !(k > 0 && tokens[k - 1].is_punct('-')) {
-                        depth -= 1;
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                }
-                k += 1;
-            }
-        }
-        // Argument list.
-        if !tokens.get(k).is_some_and(|t| t.is_punct('(')) {
-            i = k;
-            continue;
-        }
-        let args_end = match matching(tokens, k, '(', ')') {
-            Some(e) => e,
-            None => break,
-        };
-        k = args_end + 1;
-        // Return type up to the body/`;`.
-        let mut returns_result = false;
-        if tokens.get(k).is_some_and(|t| t.is_punct('-'))
-            && tokens.get(k + 1).is_some_and(|t| t.is_punct('>'))
-        {
-            let mut r = k + 2;
-            while r < tokens.len() {
-                let t = &tokens[r];
-                if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
-                    break;
-                }
-                if t.is_ident("Result") || t.is_ident("Option") {
-                    returns_result = true;
-                }
-                r += 1;
-            }
-            k = r;
-        }
-        // Skip a where clause to the body.
-        while k < tokens.len() && !tokens[k].is_punct('{') && !tokens[k].is_punct(';') {
-            k += 1;
-        }
-        if tokens.get(k).is_some_and(|t| t.is_punct('{')) {
-            let body_end = match matching(tokens, k, '{', '}') {
-                Some(e) => e,
-                None => break,
-            };
-            if !returns_result {
-                let unwraps = (k..body_end).any(|b| {
-                    !mask[b]
-                        && (tokens[b].is_ident("unwrap") || tokens[b].is_ident("expect"))
-                        && b > 0
-                        && tokens[b - 1].is_punct('.')
-                        && tokens.get(b + 1).is_some_and(|t| t.is_punct('('))
-                });
-                if unwraps {
-                    out.push((
-                        fn_line,
-                        format!(
-                            "pub fn {fn_name} unwraps internally but does not return Result; surface the failure"
-                        ),
-                    ));
-                }
-            }
-            i = body_end + 1;
-            continue;
-        }
-        i = k + 1;
-    }
-    out
-}
-
-fn unchecked_indexing(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    for i in 1..tokens.len() {
-        if mask[i] || !tokens[i].is_punct('[') {
-            continue;
-        }
-        // Index position: the bracket follows a completed expression,
-        // not a keyword that opens a pattern (`let [a, b] = ..`) or an
-        // array expression.
-        let prev = &tokens[i - 1];
-        let index_pos = prev.kind == TokKind::Ident
-            && !["mut", "return", "let", "in"]
-                .iter()
-                .any(|k| prev.is_ident(k))
-            || prev.is_punct(']')
-            || prev.is_punct(')');
-        if !index_pos {
-            continue;
-        }
-        if let Some(close) = matching(tokens, i, '[', ']') {
-            // Only flag runtime indices (an identifier inside); literal
-            // `xs[0]` and full-range `xs[..]` are usually intentional.
-            let runtime = tokens[i + 1..close]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && !NUM_TYPES.contains(&t.text.as_str()));
-            if runtime {
-                out.push((
-                    tokens[i].line,
-                    "indexing with a runtime value can panic; prefer .get() or justify bounds"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    out
-}
-
 fn silent_drop(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -777,28 +538,6 @@ fn silent_drop(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
             ));
         }
         i = j + 1;
-    }
-    out
-}
-
-fn raw_thread_spawn(tokens: &[Token], mask: &[bool]) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if mask[i] || !tokens[i].is_ident("thread") {
-            continue;
-        }
-        // `thread::spawn` / `std::thread::spawn` (`::` lexes as two
-        // `:` puncts). Scoped `s.spawn(..)` is `.`-qualified and never
-        // matches; `logdep_par::scope` is the sanctioned entry point.
-        let spawns = tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 3).is_some_and(|t| t.is_ident("spawn"));
-        if spawns {
-            out.push((
-                tokens[i].line,
-                "thread::spawn outside crates/par bypasses the deterministic pool; use logdep_par::{scope, par_map, par_chunks_fold}".to_string(),
-            ));
-        }
     }
     out
 }
@@ -926,6 +665,33 @@ fn bare_allow(lexed: &Lexed) -> Vec<(u32, String)> {
         .collect()
 }
 
+/// Suppression markers naming a rule that is not registered (a typo, or
+/// a retired rule). Such a marker suppresses nothing, so it is denied
+/// rather than left to read as a justified escape.
+fn unknown_allow(lexed: &Lexed) -> Vec<(u32, String)> {
+    lexed
+        .suppressions
+        .iter()
+        .filter_map(|(&line, rules)| {
+            let unknown: Vec<&str> = rules
+                .iter()
+                .map(String::as_str)
+                .filter(|r| *r != "all" && rule(r).is_none())
+                .collect();
+            (!unknown.is_empty()).then(|| {
+                let names = unknown.join(", ");
+                (
+                    line,
+                    format!(
+                        "lint:allow({names}) names no registered rule and suppresses nothing; \
+                         see `cargo xtask lint --list`"
+                    ),
+                )
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,7 +722,7 @@ mod tests {
             #[cfg(test)]
             mod tests {
                 #[test]
-                fn t() { Some(1).unwrap(); panic!("boom"); }
+                fn t() { let _ = std::fs::remove_file("scratch"); }
             }
         "#;
         assert!(lint_as("crates/stats/src/x.rs", src).is_empty());
@@ -966,76 +732,117 @@ mod tests {
     fn cfg_not_test_is_not_exempt() {
         let src = r#"
             #[cfg(not(test))]
-            pub fn bad() { Some(1).unwrap(); }
+            pub fn bad() { let _ = cleanup(); }
         "#;
         let diags = lint_as("crates/stats/src/x.rs", src);
-        assert!(diags.iter().any(|d| d.rule == "no-panic-in-lib"));
+        assert!(diags.iter().any(|d| d.rule == "silent-drop"));
     }
 
     #[test]
     fn suppression_on_same_or_previous_line() {
-        let src = "fn f() {\n    x.unwrap(); // lint:allow(no-panic-in-lib) justified\n    // lint:allow(no-panic-in-lib)\n    y.unwrap();\n    z.unwrap();\n}\n";
+        let src = "fn f() {\n    let _ = a(); // lint:allow(silent-drop) justified\n    // lint:allow(silent-drop)\n    let _ = b();\n    let _ = c();\n}\n";
         let diags = lint_as("crates/core/src/x.rs", src);
         let lines: Vec<u32> = diags
             .iter()
-            .filter(|d| d.rule == "no-panic-in-lib")
+            .filter(|d| d.rule == "silent-drop")
             .map(|d| d.line)
             .collect();
-        assert_eq!(lines, vec![5], "only the unsuppressed unwrap remains");
-    }
-
-    #[test]
-    fn raw_thread_spawn_denied_outside_par() {
-        let src = r#"
-            pub fn bad() {
-                std::thread::spawn(|| {});
-                thread::spawn(work);
-            }
-        "#;
-        let diags = lint_as("crates/core/src/x.rs", src);
-        let hits: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == "raw-thread-spawn")
-            .map(|d| d.line)
-            .collect();
-        assert_eq!(hits, vec![3, 4]);
-        assert_eq!(
-            rule("raw-thread-spawn").map(|r| r.severity),
-            Some(Severity::Deny)
-        );
-    }
-
-    #[test]
-    fn raw_thread_spawn_exempts_par_scoped_spawn_and_tests() {
-        // The par crate itself is out of scope.
-        let src = "pub fn pool() { std::thread::spawn(|| {}); }";
-        assert!(lint_as("crates/par/src/lib.rs", src).is_empty());
-        // Scoped spawns and the sanctioned wrapper never match.
-        let src = r#"
-            pub fn fine() {
-                logdep_par::scope(|s| { s.spawn(|| {}); });
-                std::thread::scope(|s| { s.spawn(|| {}); });
-            }
-        "#;
-        assert!(lint_as("crates/core/src/x.rs", src)
-            .iter()
-            .all(|d| d.rule != "raw-thread-spawn"));
-        // Test code is exempt, as everywhere else.
-        let src = r#"
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { std::thread::spawn(|| {}); }
-            }
-        "#;
-        assert!(lint_as("crates/core/src/x.rs", src).is_empty());
+        assert_eq!(lines, vec![5], "only the unsuppressed drop remains");
     }
 
     #[test]
     fn unwrap_or_variants_are_not_flagged() {
-        let src = "fn f() { a.unwrap_or(0); b.unwrap_or_else(|| 1); c.unwrap_or_default(); }";
-        assert!(lint_as("crates/core/src/x.rs", src)
-            .iter()
-            .all(|d| d.rule != "no-panic-in-lib"));
+        // Only unwrap()/expect() are panic sites: panic-reach traces a
+        // pub API through `helper` to its unwrap, not to its variants.
+        let reach = |body: &str| {
+            let src = format!(
+                "pub fn api(a: Option<u32>) -> u32 {{ helper(a) }}\nfn helper(a: Option<u32>) -> u32 {{ {body} }}\n"
+            );
+            let files = vec![("crates/core/src/x.rs".to_string(), src)];
+            lint_workspace(&files, &ParConfig::default())
+                .iter()
+                .filter(|d| d.rule == "panic-reach")
+                .count()
+        };
+        assert_eq!(reach("a.unwrap()"), 1);
+        assert_eq!(
+            reach("a.unwrap_or(0) + a.unwrap_or_else(|| 1) + a.unwrap_or_default()"),
+            0
+        );
+    }
+
+    /// The concerns the retired token rules covered (panics, indexing,
+    /// raw spawns) stay denied by clippy.
+    #[test]
+    fn clippy_denies_panics_indexing_and_spawns() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("read Cargo.toml");
+        let (_, table) = manifest
+            .split_once("[workspace.lints.clippy]")
+            .expect("a workspace clippy table");
+        let table = table.split("\n[").next().unwrap_or(table);
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "unimplemented",
+            "todo",
+            "indexing_slicing",
+            "string_slice",
+            "disallowed_methods",
+        ] {
+            let deny = format!("{lint}=\"deny\"");
+            assert!(
+                table.lines().any(|l| l.replace(' ', "") == deny),
+                "{lint} is not denied"
+            );
+        }
+        let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
+        assert!(clippy.contains(r#"path = "std::thread::spawn""#));
+    }
+
+    #[test]
+    fn unknown_allow_names_only_the_unregistered_rules() {
+        let src = "fn f() {\n    // lint:allow(all) — anything goes here\n    // lint:allow(silent-drop, nan-unsafe-flaot) — one name is a typo\n}\n";
+        let diags = lint_as("crates/cli/src/x.rs", src);
+        let unknown: Vec<_> = diags.iter().filter(|d| d.rule == "unknown-allow").collect();
+        assert_eq!(unknown.len(), 1, "diags: {diags:?}");
+        assert_eq!(unknown[0].line, 3);
+        assert!(unknown[0].message.contains("lint:allow(nan-unsafe-flaot)"));
+    }
+
+    /// Clippy's panic, indexing and spawn lints reach exactly the crates
+    /// whose manifests opt into `[workspace.lints]`; `panic-reach` walks
+    /// `LIB_CRATES`. The two scopes must be the same list.
+    #[test]
+    fn lib_crates_are_the_workspace_lint_crates() {
+        let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("xtask lives under crates/");
+        let mut opted_in: Vec<String> = std::fs::read_dir(crates_dir)
+            .expect("read crates/")
+            .flatten()
+            .filter(|entry| {
+                let manifest = std::fs::read_to_string(entry.path().join("Cargo.toml"));
+                manifest.is_ok_and(|text| opts_into_workspace_lints(&text))
+            })
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .collect();
+        opted_in.sort();
+        let mut lib_crates: Vec<&str> = LIB_CRATES.to_vec();
+        lib_crates.sort_unstable();
+        assert_eq!(opted_in, lib_crates);
+    }
+
+    /// Whether a manifest's `[lints]` table sets `workspace = true`.
+    fn opts_into_workspace_lints(manifest: &str) -> bool {
+        let mut in_lints = false;
+        manifest.lines().map(str::trim).any(|line| {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+                return false;
+            }
+            in_lints && line.replace(' ', "") == "workspace=true"
+        })
     }
 }

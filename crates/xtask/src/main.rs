@@ -5,15 +5,13 @@
 //! workspace `.rs` file in parallel, runs the per-file rules, then
 //! builds a workspace symbol table + call graph and runs the graph
 //! rules (nondeterminism-taint, panic-reach, fingerprint-completeness)
-//! over it. Warn counts are ratcheted against the committed
-//! `LINT_BASELINE.json` — warns may only go down.
+//! over it. Every finding is a deny.
 //!
 //! ```text
 //! cargo xtask lint                    # human-readable report, exit 1 on deny
 //! cargo xtask lint --format json      # machine-readable report (CI)
 //! cargo xtask lint --list             # print the rule registry
 //! cargo xtask lint --root <dir>       # lint a different tree (tests)
-//! cargo xtask lint --update-baseline  # rewrite LINT_BASELINE.json
 //! ```
 
 mod graph;
@@ -21,15 +19,12 @@ mod lexer;
 mod lint;
 mod taint;
 
-use lint::{Diagnostic, Severity, RULES};
+use lint::{Diagnostic, RULES};
 use logdep_par::ParConfig;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// The committed warn-count ratchet, at the lint root.
-const BASELINE_FILE: &str = "LINT_BASELINE.json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,7 +50,6 @@ enum Format {
 fn run_lint(args: &[String]) -> ExitCode {
     let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -70,9 +64,8 @@ fn run_lint(args: &[String]) -> ExitCode {
             "--list" => {
                 for rule in RULES {
                     println!(
-                        "{:<24} {:<5} [{}]  {}",
+                        "{:<28} [{}]  {}",
                         rule.name,
-                        rule.severity.as_str(),
                         rule.scope.join(", "),
                         rule.summary
                     );
@@ -86,7 +79,6 @@ fn run_lint(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--update-baseline" => update_baseline = true,
             other => {
                 eprintln!("unknown lint option `{other}`");
                 return ExitCode::FAILURE;
@@ -108,92 +100,26 @@ fn run_lint(args: &[String]) -> ExitCode {
     let diagnostics = lint::lint_workspace(&files, &ParConfig::default());
     let elapsed_ms = started.elapsed().as_millis() as u64;
 
-    let denies = diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Deny)
-        .count();
-    let warns = diagnostics.len() - denies;
-    let warns_by_rule = count_warns_by_rule(&diagnostics);
-
-    let baseline_path = root.join(BASELINE_FILE);
-    if update_baseline {
-        let text = baseline_to_json(&warns_by_rule);
-        if let Err(err) = std::fs::write(&baseline_path, text) {
-            eprintln!("could not write {}: {err}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", baseline_path.display());
-    }
-    let baseline = read_baseline(&baseline_path);
-    let exceeded = baseline_exceeded(&warns_by_rule, baseline.as_deref());
+    let denies = diagnostics.len();
 
     match format {
         Format::Human => {
             for d in &diagnostics {
-                println!(
-                    "{}:{} {}[{}]: {}",
-                    d.file,
-                    d.line,
-                    d.severity.as_str(),
-                    d.rule,
-                    d.message
-                );
+                println!("{}:{} deny[{}]: {}", d.file, d.line, d.rule, d.message);
                 if !d.chain.is_empty() {
                     println!("    via: {}", d.chain.join(" → "));
                 }
             }
-            for (rule, current, allowed) in &exceeded {
-                println!(
-                    "baseline[{rule}]: {current} warns exceeds the committed ratchet of {allowed}"
-                );
-            }
             println!(
-                "lint: {} files scanned, {denies} deny, {warns} warn, {elapsed_ms} ms{}",
-                files.len(),
-                match (&baseline, exceeded.is_empty()) {
-                    (None, _) => ", no baseline".to_string(),
-                    (Some(_), true) => ", baseline ok".to_string(),
-                    (Some(_), false) => ", BASELINE EXCEEDED".to_string(),
-                }
+                "lint: {} files scanned, {denies} deny, {elapsed_ms} ms",
+                files.len()
             );
         }
         Format::Json => {
             let report = Value::Object(vec![
                 ("files_scanned".into(), Value::U64(files.len() as u64)),
                 ("deny".into(), Value::U64(denies as u64)),
-                ("warn".into(), Value::U64(warns as u64)),
                 ("elapsed_ms".into(), Value::U64(elapsed_ms)),
-                (
-                    "warns_by_rule".into(),
-                    Value::Object(
-                        warns_by_rule
-                            .iter()
-                            .map(|(rule, n)| (rule.to_string(), Value::U64(*n)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "baseline".into(),
-                    Value::Object(vec![
-                        ("found".into(), Value::Bool(baseline.is_some())),
-                        ("ok".into(), Value::Bool(exceeded.is_empty())),
-                        (
-                            "exceeded".into(),
-                            Value::Array(
-                                exceeded
-                                    .iter()
-                                    .map(|(rule, current, allowed)| {
-                                        Value::Object(vec![
-                                            ("rule".into(), Value::Str(rule.to_string())),
-                                            ("current".into(), Value::U64(*current)),
-                                            ("baseline".into(), Value::U64(*allowed)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ),
                 (
                     "diagnostics".into(),
                     Value::Array(diagnostics.iter().map(diag_to_value).collect()),
@@ -209,94 +135,16 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
 
-    if denies > 0 || !exceeded.is_empty() {
+    if denies > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
 }
 
-/// Warn counts per rule, sorted by rule name for stable output.
-fn count_warns_by_rule(diagnostics: &[Diagnostic]) -> Vec<(&'static str, u64)> {
-    let mut out: Vec<(&'static str, u64)> = Vec::new();
-    for d in diagnostics {
-        if d.severity != Severity::Warn {
-            continue;
-        }
-        match out.iter_mut().find(|(rule, _)| *rule == d.rule) {
-            Some((_, n)) => *n += 1,
-            None => out.push((d.rule, 1)),
-        }
-    }
-    out.sort_by_key(|(rule, _)| *rule);
-    out
-}
-
-fn baseline_to_json(warns_by_rule: &[(&'static str, u64)]) -> String {
-    let value = Value::Object(vec![
-        ("version".into(), Value::U64(1)),
-        (
-            "warns".into(),
-            Value::Object(
-                warns_by_rule
-                    .iter()
-                    .map(|(rule, n)| (rule.to_string(), Value::U64(*n)))
-                    .collect(),
-            ),
-        ),
-    ]);
-    serde_json::to_string_pretty(&value).unwrap_or_else(|_| "{}".to_string())
-}
-
-/// The committed per-rule warn allowances, when a baseline file exists.
-fn read_baseline(path: &Path) -> Option<Vec<(String, u64)>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let value: Value = serde_json::from_str(&text).ok()?;
-    let Value::Object(fields) = value else {
-        return None;
-    };
-    let warns = fields.iter().find(|(k, _)| k == "warns")?;
-    let Value::Object(entries) = &warns.1 else {
-        return None;
-    };
-    Some(
-        entries
-            .iter()
-            .filter_map(|(rule, v)| match v {
-                Value::U64(n) => Some((rule.clone(), *n)),
-                Value::I64(n) if *n >= 0 => Some((rule.clone(), *n as u64)),
-                _ => None,
-            })
-            .collect(),
-    )
-}
-
-/// Rules whose current warn count exceeds the committed allowance
-/// (`(rule, current, allowed)`). Rules absent from the baseline have an
-/// allowance of zero — adding a warn rule forces a baseline update.
-fn baseline_exceeded(
-    current: &[(&'static str, u64)],
-    baseline: Option<&[(String, u64)]>,
-) -> Vec<(&'static str, u64, u64)> {
-    let Some(baseline) = baseline else {
-        return Vec::new();
-    };
-    current
-        .iter()
-        .filter_map(|&(rule, n)| {
-            let allowed = baseline
-                .iter()
-                .find(|(r, _)| r == rule)
-                .map_or(0, |&(_, a)| a);
-            (n > allowed).then_some((rule, n, allowed))
-        })
-        .collect()
-}
-
 fn diag_to_value(d: &Diagnostic) -> Value {
     Value::Object(vec![
         ("rule".into(), Value::Str(d.rule.to_string())),
-        ("severity".into(), Value::Str(d.severity.as_str().into())),
         ("file".into(), Value::Str(d.file.clone())),
         ("line".into(), Value::U64(u64::from(d.line))),
         ("message".into(), Value::Str(d.message.clone())),
@@ -371,7 +219,7 @@ mod fixture_tests {
     //! in a scoped crate, and must produce exactly the violations it
     //! seeds.
 
-    use crate::lint::{lint_source, lint_workspace, rule, Diagnostic, Severity};
+    use crate::lint::{lint_source, lint_workspace, rule, Diagnostic};
     use logdep_par::ParConfig;
 
     fn fixture(name: &str) -> String {
@@ -396,23 +244,6 @@ mod fixture_tests {
             assert!(!info.scope.is_empty(), "{} has no scope", info.name);
             assert!(!info.summary.is_empty());
         }
-        assert_eq!(
-            rule("no-panic-in-lib").map(|r| r.severity),
-            Some(Severity::Deny)
-        );
-        assert_eq!(rule("result-api").map(|r| r.severity), Some(Severity::Warn));
-    }
-
-    #[test]
-    fn catches_panic_sites() {
-        let diags = lint_source("crates/stats/src/fixture.rs", &fixture("panic_sites.rs"));
-        let lines: Vec<u32> = diags
-            .iter()
-            .filter(|d| d.rule == "no-panic-in-lib")
-            .map(|d| d.line)
-            .collect();
-        // Seeded: unwrap, expect, panic!, unimplemented!, todo! — one each.
-        assert_eq!(lines.len(), 5, "diags: {diags:?}");
     }
 
     #[test]
@@ -441,24 +272,6 @@ mod fixture_tests {
     }
 
     #[test]
-    fn catches_result_api_violations() {
-        let diags = lint_source("crates/core/src/fixture.rs", &fixture("result_api.rs"));
-        let api: Vec<_> = diags.iter().filter(|d| d.rule == "result-api").collect();
-        assert_eq!(api.len(), 1, "diags: {diags:?}");
-        assert!(api[0].message.contains("hidden_panic"));
-    }
-
-    #[test]
-    fn catches_runtime_indexing_but_not_literals() {
-        let diags = lint_source("crates/sessions/src/fixture.rs", &fixture("indexing.rs"));
-        let idx: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "unchecked-indexing")
-            .collect();
-        assert_eq!(idx.len(), 2, "diags: {diags:?}");
-    }
-
-    #[test]
     fn catches_silent_result_drops() {
         let diags = lint_source("crates/logstore/src/fixture.rs", &fixture("silent_drop.rs"));
         let drops: Vec<_> = diags.iter().filter(|d| d.rule == "silent-drop").collect();
@@ -472,25 +285,6 @@ mod fixture_tests {
     }
 
     #[test]
-    fn catches_raw_thread_spawns_outside_par() {
-        let diags = lint_source("crates/core/src/fixture.rs", &fixture("thread_spawn.rs"));
-        let spawns: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == "raw-thread-spawn")
-            .collect();
-        // Seeded: std::thread::spawn and bare thread::spawn, one each;
-        // the scoped spawn and the test-module spawn must stay clean.
-        assert_eq!(spawns.len(), 2, "diags: {diags:?}");
-        assert!(spawns.iter().all(|d| d.message.contains("logdep_par")));
-        // The par crate itself is the one place raw spawns are legal.
-        let diags = lint_source("crates/par/src/fixture.rs", &fixture("thread_spawn.rs"));
-        assert!(
-            diags.iter().all(|d| d.rule != "raw-thread-spawn"),
-            "diags: {diags:?}"
-        );
-    }
-
-    #[test]
     fn catches_hot_path_comparator_sorts() {
         // Timeline crate: every file is hot.
         let diags = lint_source("crates/logstore/src/fixture.rs", &fixture("hot_sort.rs"));
@@ -500,9 +294,7 @@ mod fixture_tests {
         // must all stay clean.
         let lines: Vec<u32> = sorts.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![6, 7], "diags: {diags:?}");
-        assert!(sorts
-            .iter()
-            .all(|d| d.severity == Severity::Warn && d.message.contains("merge-sweep")));
+        assert!(sorts.iter().all(|d| d.message.contains("merge-sweep")));
         // Core crate: only the L1 kernel directory is hot.
         let diags = lint_source("crates/core/src/l1/fixture.rs", &fixture("hot_sort.rs"));
         assert_eq!(
@@ -533,9 +325,7 @@ mod fixture_tests {
         // and the test module must all stay clean.
         let lines: Vec<u32> = hits.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![6, 7, 8], "diags: {diags:?}");
-        assert!(hits
-            .iter()
-            .all(|d| d.severity == Severity::Warn && d.message.contains("persist_atomic")));
+        assert!(hits.iter().all(|d| d.message.contains("persist_atomic")));
         // The durable writer itself is the sanctioned home for raw writes.
         let diags = lint_source(
             "crates/core/src/durable.rs",
@@ -550,15 +340,12 @@ mod fixture_tests {
     #[test]
     fn suppressions_silence_seeded_violations() {
         let diags = lint_source("crates/stats/src/fixture.rs", &fixture("suppressed.rs"));
-        assert!(
-            diags.iter().all(|d| d.severity != Severity::Deny),
-            "diags: {diags:?}"
-        );
+        assert!(diags.is_empty(), "diags: {diags:?}");
     }
 
     #[test]
     fn out_of_scope_crates_are_untouched() {
-        let diags = lint_source("crates/cli/src/fixture.rs", &fixture("panic_sites.rs"));
+        let diags = lint_source("crates/cli/src/fixture.rs", &fixture("nan_float.rs"));
         assert!(diags.is_empty(), "cli is not a lib crate: {diags:?}");
     }
 
@@ -673,7 +460,6 @@ mod fixture_tests {
         // own pairs, run_tolerated is justified, inner_sum is private.
         assert_eq!(instr.len(), 1, "diags: {diags:?}");
         let d = instr[0];
-        assert_eq!(d.severity, Severity::Deny);
         assert_eq!(d.file, "crates/core/src/window.rs");
         assert!(d.message.contains("run_silent"), "msg: {}", d.message);
         assert!(
@@ -706,15 +492,24 @@ mod fixture_tests {
     #[test]
     fn bare_allows_are_denied_but_still_suppress() {
         let diags = workspace(&[("crates/stats/src/fixture.rs", "bare_allow.rs")]);
-        let bare: Vec<_> = diags.iter().filter(|d| d.rule == "bare-allow").collect();
-        assert_eq!(bare.len(), 1, "diags: {diags:?}");
-        assert_eq!(bare[0].severity, Severity::Deny);
+        let bare: Vec<u32> = diags
+            .iter()
+            .filter(|d| d.rule == "bare-allow")
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(bare, vec![7], "diags: {diags:?}");
         // Even a bare marker silences its target rule — the deny moves
-        // the problem to the marker itself, not back to the panic site.
+        // the problem to the marker itself, not back to the comparator.
         assert!(
-            diags.iter().all(|d| d.rule != "no-panic-in-lib"),
+            diags.iter().all(|d| d.rule != "nan-unsafe-float"),
             "diags: {diags:?}"
         );
+        // A reasoned marker naming a retired rule suppresses nothing and
+        // is denied as stale.
+        let unknown: Vec<_> = diags.iter().filter(|d| d.rule == "unknown-allow").collect();
+        assert_eq!(unknown.len(), 1, "diags: {diags:?}");
+        assert_eq!(unknown[0].line, 11);
+        assert!(unknown[0].message.contains("lint:allow(no-panic-in-lib)"));
     }
 
     #[test]
@@ -732,10 +527,12 @@ mod fixture_tests {
         // handle_lookup is pure, handle_bootstrap is suppressed, and
         // the reload/swap path is legal — no handler reaches it.
         assert_eq!(blocking.len(), 2, "diags: {diags:?}");
-        for d in &blocking {
-            assert_eq!(d.severity, Severity::Deny);
-            assert_eq!(d.file, "crates/serve/src/handlers.rs");
-        }
+        assert!(
+            blocking
+                .iter()
+                .all(|d| d.file == "crates/serve/src/handlers.rs"),
+            "diags: {blocking:?}"
+        );
         let direct = blocking
             .iter()
             .find(|d| d.message.contains("handle_stale"))

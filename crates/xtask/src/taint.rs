@@ -9,22 +9,7 @@
 //! re-deriving the path by hand.
 
 use crate::graph::{CallGraph, FactKind, FileIndex};
-use crate::lint::{Diagnostic, Severity};
-
-/// Crates whose non-test code participates in the panic-reach pass —
-/// the same set `no-panic-in-lib` guards.
-const LIB_CRATES: &[&str] = &[
-    "core",
-    "stats",
-    "logstore",
-    "textmatch",
-    "sessions",
-    "simulator",
-    "faults",
-    "par",
-    "obs",
-    "serve",
-];
+use crate::lint::{Diagnostic, LIB_CRATES};
 
 /// Runs all graph rules over the indexed workspace.
 pub fn graph_rules(files: &[FileIndex]) -> Vec<Diagnostic> {
@@ -92,7 +77,6 @@ fn nondeterminism_taint(graph: &CallGraph) -> Vec<Diagnostic> {
             let entry = chain.first().cloned().unwrap_or_default();
             out.push(Diagnostic {
                 rule: "nondeterminism-taint",
-                severity: Severity::Deny,
                 file: file.rel.clone(),
                 line: fact.line,
                 message: format!(
@@ -111,17 +95,15 @@ fn nondeterminism_taint(graph: &CallGraph) -> Vec<Diagnostic> {
 
 fn panic_reach(graph: &CallGraph) -> Vec<Diagnostic> {
     let n = graph.fns.len();
-    // A fn "panics locally" when it owns an unsuppressed panic site in a
-    // lib crate; sites justified for no-panic-in-lib are trusted here
-    // too — the justification covers every caller.
+    // A fn "panics locally" when it owns a panic site in a lib crate
+    // that no `lint:allow(panic-reach)` marker justifies; a justified
+    // site is trusted — the justification covers every caller.
     let panics_locally: Vec<bool> = (0..n)
         .map(|id| {
             let file = graph.file(id);
             LIB_CRATES.contains(&file.crate_name.as_str())
                 && graph.def(id).facts.iter().any(|f| {
-                    f.kind == FactKind::PanicSite
-                        && !file.suppressed("no-panic-in-lib", f.line)
-                        && !file.suppressed("panic-reach", f.line)
+                    f.kind == FactKind::PanicSite && !file.suppressed("panic-reach", f.line)
                 })
         })
         .collect();
@@ -150,7 +132,7 @@ fn panic_reach(graph: &CallGraph) -> Vec<Diagnostic> {
         let file = graph.file(id);
         if !def.is_pub
             || !LIB_CRATES.contains(&file.crate_name.as_str())
-            || panics_locally[id]      // the direct case is no-panic-in-lib's
+            || panics_locally[id]      // the direct case is clippy's
             || !can_panic[id]
             || file.suppressed("panic-reach", def.line)
         {
@@ -174,7 +156,6 @@ fn panic_reach(graph: &CallGraph) -> Vec<Diagnostic> {
             .unwrap_or_default();
         out.push(Diagnostic {
             rule: "panic-reach",
-            severity: Severity::Deny,
             file: file.rel.clone(),
             line: def.line,
             message: format!(
@@ -275,7 +256,6 @@ fn instrumentation_completeness(graph: &CallGraph) -> Vec<Diagnostic> {
         let entry = chain.first().cloned().unwrap_or_default();
         out.push(Diagnostic {
             rule: "instrumentation-completeness",
-            severity: Severity::Deny,
             file: file.rel.clone(),
             line: def.line,
             message: format!(
@@ -372,7 +352,6 @@ fn blocking_io_in_handler(graph: &CallGraph) -> Vec<Diagnostic> {
             };
             out.push(Diagnostic {
                 rule: "blocking-io-in-handler",
-                severity: Severity::Deny,
                 file: file.rel.clone(),
                 line: call.line,
                 message: format!(
@@ -422,7 +401,6 @@ fn fingerprint_completeness(files: &[FileIndex]) -> Vec<Diagnostic> {
             }
             out.push(Diagnostic {
                 rule: "fingerprint-completeness",
-                severity: Severity::Deny,
                 file: file.rel.clone(),
                 line: def.line,
                 message: format!(

@@ -14,6 +14,11 @@
 //! LOGDEP_BLESS=1 cargo test -p logdep-integration --test serve_conformance
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test harness: the server loop and the racing readers run on their own threads"
+)]
+
 use logdep::{DailyPlan, EvidenceCache, PipelineConfig};
 use logdep_logstore::SourceId;
 use logdep_serve::{HttpClient, ModelIndex, ServeConfig, Server, ServerHandle};

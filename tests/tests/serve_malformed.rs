@@ -4,6 +4,11 @@
 //! answer (or a clean close) — and the server keeps answering
 //! well-formed requests afterwards. Nothing here may panic the server.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test harness: the server loop runs on its own thread beside the clients"
+)]
+
 use logdep_serve::{HttpClient, ModelIndex, ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
