@@ -99,7 +99,8 @@ fn main() {
         types.push((a, b));
         types.push((b, a));
     }
-    let profiles = delay_profiles(&sessions.sessions, &types, &DelayConfig::default());
+    let profiles = delay_profiles(&sessions.sessions, &types, &DelayConfig::default())
+        .expect("the default delay config is valid");
     let causal_of = |pair: &(logdep_logstore::SourceId, logdep_logstore::SourceId)| {
         profiles
             .iter()

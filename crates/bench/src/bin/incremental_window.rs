@@ -26,13 +26,20 @@
 //!
 //! The cold-over-warm ratio is reported, not gated: a ratio cannot tell
 //! a slower warm advance from a faster cold re-mine.
+//!
+//! Every window runs under a clocked recorder ([`clocked`]): whole-window
+//! times are its `window` span, per-layer times its `window.l1`,
+//! `window.l2` and `window.l3` spans.
 
 use logdep::cache::{CacheStats, EvidenceCache};
 use logdep::l1::run_l1_pool;
 use logdep::l2::run_l2_pool;
 use logdep::l3::run_l3_pool;
+use logdep::obs::RunReport;
 use logdep::window::{run_window_cached, WindowOutcome};
-use logdep_bench::workbench::{cli_args, write_bench_report, Args, Flags, Workbench};
+use logdep_bench::workbench::{
+    cli_args, clocked, span_ms, write_bench_report, Args, Flags, Workbench,
+};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::Millis;
 use logdep_sim::SimConfig;
@@ -54,7 +61,8 @@ struct Step {
     start_day: i64,
     warm_ms: f64,
     cold_ms: f64,
-    /// Per-layer wall time of the warm advance.
+    /// Per-layer wall time of the warm advance (`window.l1`/`l2`/`l3`
+    /// spans).
     warm_layer_ms: [f64; 3],
     /// Per-layer wall time of the cold baseline.
     cold_layer_ms: [f64; 3],
@@ -134,13 +142,9 @@ fn canonical(out: &WindowOutcome) -> String {
     s
 }
 
-/// Per-layer wall time of one window, from the driver's health rows.
-fn layer_ms(out: &WindowOutcome) -> [f64; 3] {
-    let mut ms = [0.0f64; 3];
-    for (slot, h) in ms.iter_mut().zip(&out.health) {
-        *slot = h.elapsed_us as f64 / 1_000.0;
-    }
-    ms
+/// Per-layer wall time of one clocked window, from its layer spans.
+fn layer_ms(report: &RunReport) -> [f64; 3] {
+    ["window.l1", "window.l2", "window.l3"].map(|name| span_ms(report, name))
 }
 
 /// The cache traffic of a warm one-day advance that recomputes only
@@ -189,10 +193,10 @@ fn main() {
 
     // Prime: mine the first window into an empty rolling cache.
     let mut rolling = EvidenceCache::new();
-    let start = Instant::now();
-    run_window_cached(&wb.out.store, w0, &wb.service_ids, &pcfg, &mut rolling)
-        .expect("prime window");
-    let prime_ms = start.elapsed().as_secs_f64() * 1_000.0;
+    let (prime, report) =
+        clocked(|| run_window_cached(&wb.out.store, w0, &wb.service_ids, &pcfg, &mut rolling));
+    prime.expect("prime window");
+    let prime_ms = span_ms(&report, "window");
     println!("  prime   [0,{window_days}) : {prime_ms:8.1} ms (cold cache)");
 
     let mut steps = Vec::new();
@@ -206,11 +210,11 @@ fn main() {
 
         // Warm: advance the rolling window by one day on the live cache.
         rolling.reset_stats();
-        let start = Instant::now();
-        let warm = run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut rolling)
-            .expect("warm window");
-        let warm_layer_ms = layer_ms(&warm);
-        let warm_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let (warm, report) =
+            clocked(|| run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut rolling));
+        let warm = warm.expect("warm window");
+        let warm_layer_ms = layer_ms(&report);
+        let warm_ms = span_ms(&report, "window");
         let warm_stats = warm.stats;
         println!(
             "  advance [{step},{}) : {warm_ms:8.1} ms warm (l1 {:.1}, l2 {:.1}, l3 {:.1}; \
@@ -232,11 +236,11 @@ fn main() {
 
         // Cold baseline: the same window from scratch.
         let mut fresh = EvidenceCache::new();
-        let start = Instant::now();
-        let cold = run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut fresh)
-            .expect("cold window");
-        let cold_layer_ms = layer_ms(&cold);
-        let cold_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let (cold, report) =
+            clocked(|| run_window_cached(&wb.out.store, w, &wb.service_ids, &pcfg, &mut fresh));
+        let cold = cold.expect("cold window");
+        let cold_layer_ms = layer_ms(&report);
+        let cold_ms = span_ms(&report, "window");
         println!(
             "  cold    [{step},{}) : {cold_ms:8.1} ms cold (l1 {:.1}, l2 {:.1}, l3 {:.1})",
             step + window_days,
@@ -310,7 +314,9 @@ fn main() {
     // with a recorder installed must cost within 5% of the bare replay,
     // plus a small absolute allowance for timer noise on a path this
     // short. Min-of-K on an interleaved schedule so a scheduler hiccup
-    // cannot fail the gate on one side only.
+    // cannot fail the gate on one side only. This gate times the
+    // recorder itself, so it cannot read its times from a recorder: it
+    // keeps a clock of its own outside both runs.
     if smoke {
         let w = TimeRange::new(
             Millis::from_days(n_advances),

@@ -171,6 +171,9 @@ fn main() {
         vec![steps / 2, steps - 1, steps]
     };
 
+    // A clock outside the run, not the recorder's spans: a crashed run
+    // dies with its `daily` span open, so no span can time it, and the
+    // resume and cold runs are timed the same way to stay comparable.
     let ms = |t: Instant| t.elapsed().as_secs_f64() * 1_000.0;
     let mut cases = Vec::new();
     let mut resume_total = 0.0f64;

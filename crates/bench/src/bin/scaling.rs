@@ -18,15 +18,20 @@
 //!
 //! `--smoke` runs a one-day, low-scale variant for CI: equivalence is
 //! still hard-asserted, timing is recorded but not judged.
+//!
+//! Each width runs under a clocked recorder ([`clocked`]): `wall_ms` is
+//! the pipeline's `window` span, and `l1_us`/`l2_us`/`l3_us` its
+//! `window.l1`/`window.l2`/`window.l3` spans.
 
 use logdep::health::{run_pipeline, PipelineConfig, PipelineOutcome};
-use logdep_bench::workbench::{cli_args, write_report, Args, Flags, Workbench};
+use logdep_bench::workbench::{
+    cli_args, clocked, span_ms, span_us, write_report, Args, Flags, Workbench,
+};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::Millis;
 use logdep_par::ParConfig;
 use logdep_sim::SimConfig;
 use serde::Serialize;
-use std::time::Instant;
 
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -57,8 +62,7 @@ struct Report {
 }
 
 /// Canonical text form of everything scientific in a pipeline outcome:
-/// models, ensemble votes, health verdicts — everything except the
-/// wall-clock fields, which legitimately vary run to run.
+/// models, ensemble votes and health verdicts.
 fn canonical(out: &PipelineOutcome) -> String {
     let mut s = String::new();
     if let Some(p) = &out.l1_pairs {
@@ -85,16 +89,9 @@ fn canonical(out: &PipelineOutcome) -> String {
         s.push_str(&format!("vote {a:?}<->{b:?} {support:?}\n"));
     }
     for h in &out.health {
-        s.push_str(&format!(
-            "health {} ok={} enabled={} detected={} error={:?}\n",
-            h.detector, h.ok, h.enabled, h.detected, h.error
-        ));
+        s.push_str(&format!("health {h:?}\n"));
     }
     s
-}
-
-fn detector_us(out: &PipelineOutcome, idx: usize) -> u64 {
-    out.health.get(idx).map_or(0, |h| h.elapsed_us)
 }
 
 fn main() {
@@ -121,16 +118,17 @@ fn main() {
             par,
             ..wb.pipeline_config()
         };
-        let start = Instant::now();
-        let out = run_pipeline(
-            &wb.out.store,
-            range,
-            &wb.service_ids,
-            Some(&wb.owners),
-            &pcfg,
-        )
-        .expect("pipeline");
-        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let (out, report) = clocked(|| {
+            run_pipeline(
+                &wb.out.store,
+                range,
+                &wb.service_ids,
+                Some(&wb.owners),
+                &pcfg,
+            )
+        });
+        let out = out.expect("pipeline");
+        let wall_ms = span_ms(&report, "window");
         assert!(
             out.fully_healthy(),
             "pipeline degraded at {threads} threads: {:?}",
@@ -151,18 +149,17 @@ fn main() {
         );
 
         let speedup = serial_ms / wall_ms;
+        let [l1_us, l2_us, l3_us] =
+            ["window.l1", "window.l2", "window.l3"].map(|name| span_us(&report, name));
         println!(
-            "  threads {threads}: {wall_ms:8.1} ms  (l1 {} us, l2 {} us, l3 {} us, speedup {speedup:.2}x)",
-            detector_us(&out, 0),
-            detector_us(&out, 1),
-            detector_us(&out, 2),
+            "  threads {threads}: {wall_ms:8.1} ms  (l1 {l1_us} us, l2 {l2_us} us, l3 {l3_us} us, speedup {speedup:.2}x)",
         );
         points.push(Point {
             threads,
             wall_ms,
-            l1_us: detector_us(&out, 0),
-            l2_us: detector_us(&out, 1),
-            l3_us: detector_us(&out, 2),
+            l1_us,
+            l2_us,
+            l3_us,
             identical_to_serial: true,
             speedup_vs_serial: speedup,
         });

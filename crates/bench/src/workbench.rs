@@ -4,12 +4,15 @@ use logdep::eval::{daily_series, DailyRun};
 use logdep::l1::L1Config;
 use logdep::l2::L2Config;
 use logdep::l3::L3Config;
+use logdep::obs::{self, Recorder, RunReport};
 use logdep::{AppServiceModel, PairModel, PipelineConfig};
 use logdep_logstore::SourceId;
 use logdep_sim::textgen::standard_stop_patterns;
 use logdep_sim::{simulate, SimConfig, SimOutput};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Default seed of the published experiment runs.
 pub const DEFAULT_SEED: u64 = 42;
@@ -171,6 +174,41 @@ pub fn write_bench_report<T: Serialize>(name: &str, value: &T, smoke: bool) {
     let bytes = std::fs::read(&path).expect("read the report back");
     logdep::durable::persist_atomic(&root, &bytes).expect("write the committed report");
     println!("wrote {}", root.display());
+}
+
+/// Microseconds since the process first read this clock: the clock the
+/// timed bins inject into their recorder. Time is read here, in the
+/// bench binaries, because the mining libraries read none.
+fn monotonic_us() -> u64 {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    let origin = *ORIGIN.get_or_init(Instant::now);
+    u64::try_from(origin.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Runs `f` under a recorder stamped by a monotonic clock and returns
+/// its result with the run's report, whose spans carry every duration
+/// the timed bins report (see [`span_ms`]).
+pub fn clocked<T>(f: impl FnOnce() -> T) -> (T, RunReport) {
+    let previous = obs::set_recorder(Recorder::with_clock(monotonic_us));
+    assert!(previous.is_none(), "a recorder was already installed");
+    let value = f();
+    let recorder = obs::take_recorder().expect("the recorder installed above");
+    (value, recorder.report())
+}
+
+/// Total begin-to-end time of the `name` spans of a [`clocked`] run, in
+/// µs; 0 when none closed (a disabled or failed layer).
+pub fn span_us(report: &RunReport, name: &str) -> u64 {
+    report
+        .spans
+        .iter()
+        .find(|s| s.name == name)
+        .map_or(0, |s| s.total_us)
+}
+
+/// [`span_us`] in ms.
+pub fn span_ms(report: &RunReport, name: &str) -> f64 {
+    span_us(report, name) as f64 / 1_000.0
 }
 
 /// What an experiment bin was asked to run.

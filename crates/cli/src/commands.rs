@@ -74,10 +74,12 @@ damage and rewrites a clean checkpoint.
 Observability: `daily --trace T.jsonl` writes the structured run events
 as JSON lines with logical sequence numbers — byte-identical across
 runs and thread widths. `--metrics` prints a run report (per-detector
-counts and timings, cache hit ratios, degraded-mode flags) as text or,
-with `--format json`, as one JSON object. `--wall-clock` additionally
-stamps every trace event with wall-clock microseconds, deliberately
-giving up the trace's reproducibility.
+counts, cache hit ratios, degraded-mode flags) as text or, with
+`--format json`, as one JSON object. `--wall-clock` additionally stamps
+every trace event with wall-clock microseconds, deliberately giving up
+the trace's reproducibility, and the report then adds each span's
+count and total begin-to-end microseconds (ingest, daily, window,
+window.l1, ...).
 
 `serve` mines the export into per-window snapshots and answers queries
 over loopback HTTP: /v1/pair, /v1/impact, /v1/diff, /v1/churn,
@@ -347,7 +349,7 @@ fn write_events(out: &mut dyn Write, path: &str, events: &[RecoveryEvent]) -> Cm
 /// Wall-clock microseconds since the Unix epoch — the clock injected
 /// into the event sink under `--wall-clock`, and the only wall-clock
 /// read anywhere in the observability path. It lives in the CLI, not
-/// in `logdep-obs`, so the library layer stays provably clock-free.
+/// in a library, so the mining libraries stay provably clock-free.
 fn wall_clock_us() -> u64 {
     use std::time::{SystemTime, UNIX_EPOCH};
     SystemTime::now()

@@ -902,6 +902,63 @@ fn wall_clock_flag_stamps_the_trace() {
 }
 
 #[test]
+fn wall_clock_metrics_pair_every_traced_span() {
+    let dir = TempDir::new("wall-clock-spans");
+    let (logs, directory) = simulated(&dir);
+    let daily = |tag: &str, extra: &[&str]| {
+        let cache = dir.path(&format!("cache-{tag}.ck"));
+        let mut args = vec![
+            "daily",
+            "--logs",
+            &logs,
+            "--directory",
+            &directory,
+            "--window-days",
+            "1",
+            "--cache",
+            &cache,
+            "--metrics",
+            "--format",
+            "json",
+        ];
+        args.extend_from_slice(extra);
+        let (code, out) = run(&args);
+        assert_eq!(code, 0, "{out}");
+        out.lines()
+            .find(|l| l.starts_with('{'))
+            .expect("a JSON report line")
+            .to_owned()
+    };
+
+    let trace = dir.path("trace.jsonl");
+    let json = daily("clocked", &["--trace", &trace, "--wall-clock"]);
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    for name in [
+        "ingest",
+        "daily",
+        "daily.step",
+        "window",
+        "window.l1",
+        "window.l2",
+        "window.l3",
+    ] {
+        let begins = text
+            .matches(&format!("\"ev\":\"begin\",\"name\":\"{name}\""))
+            .count();
+        assert!(begins > 0, "no {name} span in the trace: {text}");
+        let span = format!("{{\"name\":\"{name}\",\"count\":{begins},\"total_us\":");
+        assert!(json.contains(&span), "{span} missing: {json}");
+    }
+
+    // Without a clock the report has no spans and is reproducible.
+    let first = daily("plain-1", &[]);
+    let second = daily("plain-2", &[]);
+    assert_eq!(first, second);
+    assert!(!first.contains("\"spans\""), "{first}");
+    assert!(!first.contains("_us"), "{first}");
+}
+
+#[test]
 fn daily_checks_the_cache_directory_before_reading_logs() {
     let dir = TempDir::new("cache-dir");
     let missing = dir.path("no-such-dir");

@@ -1171,7 +1171,6 @@ impl DurableStore {
             error: first_corrupt.map(|e| format!("{}: {}", e.code, e.detail)),
             enabled: true,
             detected: self.restored_entries,
-            elapsed_us: 0,
         }
     }
 }

@@ -24,7 +24,6 @@ use logdep_logstore::{LogStore, SourceId};
 use logdep_obs::{record, Field};
 use logdep_par::ParConfig;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The three mining techniques, as health-report subjects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,34 +76,26 @@ pub struct DetectorHealth {
     pub enabled: bool,
     /// Number of dependencies it detected (0 when it failed).
     pub detected: usize,
-    /// Wall-clock time the detector spent, in microseconds, rounded up:
-    /// at least 1 for a detector that ran, 0 only when disabled.
-    /// Observational only — it is *not* part of the
-    /// scientific output, and the differential harness excludes it
-    /// when asserting parallel ≡ serial.
-    pub elapsed_us: u64,
 }
 
 impl DetectorHealth {
-    fn ran(detector: DetectorKind, detected: usize, elapsed_us: u64) -> Self {
+    fn ran(detector: DetectorKind, detected: usize) -> Self {
         Self {
             detector,
             ok: true,
             error: None,
             enabled: true,
             detected,
-            elapsed_us,
         }
     }
 
-    fn failed(detector: DetectorKind, error: String, elapsed_us: u64) -> Self {
+    fn failed(detector: DetectorKind, error: String) -> Self {
         Self {
             detector,
             ok: false,
             error: Some(error),
             enabled: true,
             detected: 0,
-            elapsed_us,
         }
     }
 
@@ -115,7 +106,6 @@ impl DetectorHealth {
             error: None,
             enabled: false,
             detected: 0,
-            elapsed_us: 0,
         }
     }
 }
@@ -186,9 +176,10 @@ impl PipelineOutcome {
     }
 }
 
-/// Runs one detector layer when `cfg` enables it, timing the call and
-/// turning its `Err` into a failed [`DetectorHealth`] row instead of
-/// propagating it — one detector's failure never aborts the window.
+/// Runs one detector layer when `cfg` enables it, turning its `Err`
+/// into a failed [`DetectorHealth`] row instead of propagating it —
+/// one detector's failure never aborts the window. The layer's time is
+/// its `window.l1`/`window.l2`/`window.l3` span.
 /// `mine_layer` runs the layer; `n_detected` counts the result's
 /// dependencies for the health row. (The closures are named apart from
 /// every workspace fn so the lint's name-resolved call graph does not
@@ -202,32 +193,17 @@ pub(crate) fn run_detector<C, T>(
     let Some(cfg) = cfg else {
         return (DetectorHealth::disabled(detector), None);
     };
-    let start = Instant::now();
-    let outcome = mine_layer(cfg);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(detector, n_detected(&res), us),
-            Some(res),
-        ),
-        Err(e) => (DetectorHealth::failed(detector, e.to_string(), us), None),
+    match mine_layer(cfg) {
+        Ok(res) => (DetectorHealth::ran(detector, n_detected(&res)), Some(res)),
+        Err(e) => (DetectorHealth::failed(detector, e.to_string()), None),
     }
-}
-
-/// Microseconds since `start`, rounded up and at least 1, so a detector
-/// that finishes within a microsecond still reads as timed: 0 would
-/// claim it never ran.
-fn elapsed_us(start: Instant) -> u64 {
-    let us = start.elapsed().as_nanos().div_ceil(1_000).max(1);
-    u64::try_from(us).unwrap_or(u64::MAX)
 }
 
 /// Emits one detector's trace span and metrics from its health row.
 ///
 /// Always called from the orchestration thread *after* the detector
 /// finished (never from pool workers), so the event stream is
-/// identical at every thread width; the wall-clock `elapsed_us` goes
-/// only into the metrics histogram, never into the trace.
+/// identical at every thread width.
 pub(crate) fn record_detector_health(h: &DetectorHealth) {
     record(|r| {
         let slug = h.detector.slug();
@@ -243,7 +219,6 @@ pub(crate) fn record_detector_health(h: &DetectorHealth) {
         r.gauge_set(&format!("detector.{slug}.enabled"), i64::from(h.enabled));
         r.gauge_set(&format!("detector.{slug}.ok"), i64::from(h.ok));
         r.counter_add(&format!("detector.{slug}.detected"), h.detected as u64);
-        r.observe_us(&format!("detector.{slug}.us"), h.elapsed_us);
     });
 }
 
@@ -394,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pipeline_matches_serial_and_times_detectors() {
+    fn concurrent_pipeline_matches_serial() {
         let (store, ids, owners) = fixture();
         let serial = run_pipeline(
             &store,
@@ -418,33 +393,8 @@ mod tests {
         assert_eq!(serial.l3_deps, parallel.l3_deps);
         assert_eq!(serial.l3_pairs, parallel.l3_pairs);
         assert_eq!(serial.ensemble, parallel.ensemble);
-        // Health agrees on everything but the wall-clock field.
-        for (a, b) in serial.health.iter().zip(parallel.health.iter()) {
-            assert_eq!(a.detector, b.detector);
-            assert_eq!(a.ok, b.ok);
-            assert_eq!(a.enabled, b.enabled);
-            assert_eq!(a.detected, b.detected);
-            assert!(a.ok && a.elapsed_us > 0, "{a:?}");
-            assert!(b.elapsed_us > 0, "{b:?}");
-        }
-    }
-
-    #[test]
-    fn a_detector_that_ran_is_timed_even_under_a_microsecond() {
-        let cfg = ();
-        for _ in 0..1000 {
-            let (ran, _) = run_detector(DetectorKind::L2, Some(&cfg), |_| Ok(0usize), |&n| n);
-            assert!(ran.ok && ran.elapsed_us >= 1, "{ran:?}");
-            let (failed, _) = run_detector(
-                DetectorKind::L3,
-                Some(&cfg),
-                |_| Err::<usize, _>(crate::MineError::NoData("fixture")),
-                |&n| n,
-            );
-            assert!(!failed.ok && failed.elapsed_us >= 1, "{failed:?}");
-        }
-        let (off, _) = run_detector(DetectorKind::L1, None::<&()>, |_| Ok(0usize), |&n| n);
-        assert_eq!(off.elapsed_us, 0);
+        assert_eq!(serial.health, parallel.health);
+        assert!(serial.fully_healthy(), "{:?}", serial.health);
     }
 
     #[test]

@@ -32,6 +32,25 @@ pub struct DelayConfig {
     pub min_gaps: usize,
 }
 
+impl DelayConfig {
+    /// Validates parameter ranges: at least two bins, a positive window.
+    pub fn validate(&self) -> crate::Result<()> {
+        if self.bins < 2 {
+            return Err(crate::MineError::InvalidConfig {
+                name: "bins",
+                reason: format!("{} is fewer than two histogram bins", self.bins),
+            });
+        }
+        if self.window_ms <= 0 {
+            return Err(crate::MineError::InvalidConfig {
+                name: "window_ms",
+                reason: format!("{} is not positive", self.window_ms),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl Default for DelayConfig {
     fn default() -> Self {
         Self {
@@ -63,7 +82,8 @@ pub struct DelayProfile {
     pub causal: bool,
 }
 
-/// Analyzes bigram delays for the given ordered pair types.
+/// Analyzes bigram delays for the given ordered pair types; an invalid
+/// `cfg` is an [`crate::MineError::InvalidConfig`].
 #[expect(
     clippy::indexing_slicing,
     reason = "`index` maps into `types` and each bin is clamped below `cfg.bins`"
@@ -72,9 +92,8 @@ pub fn delay_profiles(
     sessions: &[Session],
     types: &[(SourceId, SourceId)],
     cfg: &DelayConfig,
-) -> Vec<DelayProfile> {
-    assert!(cfg.bins >= 2, "need at least two histogram bins");
-    assert!(cfg.window_ms > 0, "window must be positive");
+) -> crate::Result<Vec<DelayProfile>> {
+    cfg.validate()?;
     let index: HashMap<(SourceId, SourceId), usize> =
         types.iter().enumerate().map(|(i, &t)| (t, i)).collect();
     let mut histograms = vec![vec![0u32; cfg.bins]; types.len()];
@@ -92,7 +111,7 @@ pub fn delay_profiles(
         }
     }
 
-    types
+    Ok(types
         .iter()
         .zip(histograms)
         .map(|(&(first, second), histogram)| {
@@ -125,7 +144,7 @@ pub fn delay_profiles(
                 p_value,
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -158,7 +177,7 @@ mod tests {
         }
         let s = session(&entries);
         let types = vec![(SourceId(1), SourceId(2))];
-        let out = delay_profiles(&[s], &types, &DelayConfig::default());
+        let out = delay_profiles(&[s], &types, &DelayConfig::default()).expect("valid config");
         let p = &out[0];
         assert_eq!(p.n_gaps, 60);
         assert!(p.causal, "spiked delays must be causal: {p:?}");
@@ -179,7 +198,7 @@ mod tests {
         }
         let s = session(&entries);
         let types = vec![(SourceId(1), SourceId(2))];
-        let out = delay_profiles(&[s], &types, &DelayConfig::default());
+        let out = delay_profiles(&[s], &types, &DelayConfig::default()).expect("valid config");
         let p = &out[0];
         assert!(p.n_gaps > 150);
         assert!(!p.causal, "uniform delays flagged causal: {p:?}");
@@ -189,7 +208,7 @@ mod tests {
     fn min_gaps_gate() {
         let s = session(&[(0, 1), (100, 2), (10_000, 1), (10_100, 2)]);
         let types = vec![(SourceId(1), SourceId(2))];
-        let out = delay_profiles(&[s], &types, &DelayConfig::default());
+        let out = delay_profiles(&[s], &types, &DelayConfig::default()).expect("valid config");
         assert_eq!(out[0].n_gaps, 2);
         assert!(!out[0].causal, "two observations cannot decide");
     }
@@ -198,7 +217,7 @@ mod tests {
     fn gaps_outside_window_ignored() {
         let s = session(&[(0, 1), (5_000, 2)]);
         let types = vec![(SourceId(1), SourceId(2))];
-        let out = delay_profiles(&[s], &types, &DelayConfig::default());
+        let out = delay_profiles(&[s], &types, &DelayConfig::default()).expect("valid config");
         assert_eq!(out[0].n_gaps, 0);
         assert_eq!(out[0].p_value, 1.0);
     }
@@ -207,18 +226,26 @@ mod tests {
     fn ordered_types_are_distinct() {
         let s = session(&[(0, 1), (100, 2), (10_000, 2), (10_100, 1)]);
         let types = vec![(SourceId(1), SourceId(2)), (SourceId(2), SourceId(1))];
-        let out = delay_profiles(&[s], &types, &DelayConfig::default());
+        let out = delay_profiles(&[s], &types, &DelayConfig::default()).expect("valid config");
         assert_eq!(out[0].n_gaps, 1);
         assert_eq!(out[1].n_gaps, 1);
     }
 
     #[test]
-    #[should_panic(expected = "two histogram bins")]
-    fn bad_config_panics() {
-        let cfg = DelayConfig {
-            bins: 1,
-            ..DelayConfig::default()
-        };
-        delay_profiles(&[], &[], &cfg);
+    fn bad_config_is_an_error() {
+        for cfg in [
+            DelayConfig {
+                bins: 1,
+                ..DelayConfig::default()
+            },
+            DelayConfig {
+                window_ms: 0,
+                ..DelayConfig::default()
+            },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+            assert!(delay_profiles(&[], &[], &cfg).is_err(), "{cfg:?}");
+        }
+        assert!(DelayConfig::default().validate().is_ok());
     }
 }

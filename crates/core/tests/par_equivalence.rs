@@ -110,8 +110,7 @@ fn l3_snapshot(res: &L3Result) -> String {
     s
 }
 
-/// Everything scientific in a pipeline outcome; the wall-clock field
-/// of `DetectorHealth` is the one legitimate cross-run difference.
+/// Everything scientific in a pipeline outcome, health rows included.
 fn pipeline_snapshot(out: &PipelineOutcome) -> String {
     let mut s = String::new();
     for model in [&out.l1_pairs, &out.l2_pairs, &out.l3_pairs] {
@@ -133,11 +132,7 @@ fn pipeline_snapshot(out: &PipelineOutcome) -> String {
         let _ = writeln!(s, "vote {a:?} {b:?} {support:?}");
     }
     for h in &out.health {
-        let _ = writeln!(
-            s,
-            "health {} ok={} enabled={} detected={} error={:?}",
-            h.detector, h.ok, h.enabled, h.detected, h.error
-        );
+        let _ = writeln!(s, "health {h:?}");
     }
     s
 }

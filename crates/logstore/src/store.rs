@@ -295,16 +295,13 @@ impl LogStore {
         &self.records
     }
 
-    /// Records whose client timestamp lies in `range`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ranges come from `TimeRange::new`, which asserts start <= end"
-    )]
+    /// Records whose client timestamp lies in `range`; empty when
+    /// `range` is inverted (`start > end`).
     pub fn range(&self, range: TimeRange) -> &[StoredRecord] {
         self.assert_finalized();
         let lo = self.records.partition_point(|r| r.client_ts < range.start);
         let hi = self.records.partition_point(|r| r.client_ts < range.end);
-        &self.records[lo..hi]
+        self.records.get(lo..hi).unwrap_or(&[])
     }
 
     /// The sorted timestamp timeline of one source (empty if the source
@@ -560,6 +557,16 @@ mod tests {
         let ts: Vec<i64> = r.iter().map(|x| x.client_ts.0).collect();
         assert_eq!(ts, vec![20, 30], "end must be exclusive");
         assert!(s.range(TimeRange::new(Millis(100), Millis(200))).is_empty());
+    }
+
+    #[test]
+    fn an_inverted_range_is_empty() {
+        let s = store_with(&[(0, 1), (0, 5), (0, 9)]);
+        let inverted = TimeRange {
+            start: Millis(8),
+            end: Millis(2),
+        };
+        assert!(s.range(inverted).is_empty());
     }
 
     #[test]

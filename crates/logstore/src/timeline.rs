@@ -251,15 +251,12 @@ impl Timeline {
         h
     }
 
-    /// The sub-slice of timestamps inside the half-open `range`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ranges come from `TimeRange::new`, which asserts start <= end"
-    )]
+    /// The sub-slice of timestamps inside the half-open `range`; empty
+    /// when `range` is inverted (`start > end`).
     pub fn slice_in(&self, range: TimeRange) -> &[Millis] {
         let lo = self.points.partition_point(|&p| p < range.start);
         let hi = self.points.partition_point(|&p| p < range.end);
-        &self.points[lo..hi]
+        self.points.get(lo..hi).unwrap_or(&[])
     }
 
     /// Number of timestamps inside `range`.
@@ -317,6 +314,18 @@ mod tests {
 
     fn tl(ts: &[i64]) -> Timeline {
         Timeline::from_unsorted(ts.iter().map(|&t| Millis(t)).collect())
+    }
+
+    #[test]
+    fn an_inverted_range_counts_nothing() {
+        let t = Timeline::from_sorted(vec![Millis(1), Millis(5), Millis(9)]);
+        let inverted = TimeRange {
+            start: Millis(8),
+            end: Millis(2),
+        };
+        assert_eq!(t.count_in(inverted), 0);
+        assert!(t.slice_in(inverted).is_empty());
+        assert!(t.counts_per_bin(inverted, 1).iter().all(|&n| n == 0));
     }
 
     #[test]

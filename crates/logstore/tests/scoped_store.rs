@@ -19,7 +19,7 @@ use logdep::health::PipelineConfig;
 use logdep::l1::{L1Config, ReferenceProcess};
 use logdep::l2::L2Config;
 use logdep::l3::L3Config;
-use logdep::window::{run_window_cached, WindowOutcome};
+use logdep::window::run_window_cached;
 use logdep::EvidenceCache;
 use logdep_logstore::ingest::{load_logs, read_store_resilient, IngestPolicy, IngestReport};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
@@ -199,14 +199,6 @@ fn assert_queries_match(full: &LogStore, scoped: &LogStore, scope: &RangeInclusi
     }
 }
 
-/// An outcome without its wall-clock health timings, for comparison.
-fn comparable(mut outcome: WindowOutcome) -> String {
-    for row in &mut outcome.health {
-        row.elapsed_us = 0;
-    }
-    format!("{outcome:?}")
-}
-
 /// Asserts that every window of `plan` mines the same outcome, cache
 /// hits and misses included, from `scoped` as from `full`, with L1
 /// under both reference processes and each store on its own rolling
@@ -224,7 +216,7 @@ fn assert_windows_match(full: &LogStore, scoped: &LogStore, plan: &DailyPlan) {
             let a = run_window_cached(full, window, &ids, &cfg, &mut full_cache).expect("full");
             let b =
                 run_window_cached(scoped, window, &ids, &cfg, &mut scoped_cache).expect("scoped");
-            assert_eq!(comparable(a), comparable(b), "{reference:?} window {i}");
+            assert_eq!(a, b, "{reference:?} window {i}");
         }
         assert_eq!(
             format!("{full_cache:?}"),

@@ -10,7 +10,10 @@
 //!   timestamps, so a trace is byte-identical across runs and across
 //!   `LOGDEP_THREADS` widths. The crate itself contains no wall-clock
 //!   read at all; a caller that truly wants timestamps must inject a
-//!   clock function explicitly (the CLI's `--wall-clock` flag).
+//!   clock function explicitly (the CLI's `--wall-clock` flag). Stage
+//!   timings are then paired from those stamps, span begin to span
+//!   end, when the [`RunReport`] is built — the injected clock is the
+//!   only clock the pipeline has.
 //! * **Zero dependencies** — JSON lines are rendered by hand, like the
 //!   worker pool in `logdep-par` is hand-rolled over `std::thread`.
 //!
@@ -32,7 +35,7 @@ pub mod report;
 
 pub use event::{Event, EventSink, Field, Phase};
 pub use metrics::{Histogram, MetricsRegistry, BUCKET_BOUNDS_US, N_BUCKETS};
-pub use report::{CacheSummary, DetectorSummary, RunReport};
+pub use report::{CacheSummary, DetectorSummary, RunReport, SpanSummary};
 
 use std::cell::RefCell;
 
@@ -87,14 +90,9 @@ impl Recorder {
         self.metrics.gauge_set(name, value);
     }
 
-    /// Records a microsecond observation into a named histogram.
-    pub fn observe_us(&mut self, name: &str, us: u64) {
-        self.metrics.observe_us(name, us);
-    }
-
     /// Summarizes the recorded run.
     pub fn report(&self) -> RunReport {
-        RunReport::from_metrics(&self.metrics, self.sink.len() as u64)
+        RunReport::new(&self.metrics, self.sink.events())
     }
 }
 

@@ -78,7 +78,7 @@ impl Histogram {
 
 /// A registry of named counters, gauges, and histograms.
 ///
-/// Names are dotted paths (`cache.l1.hits`, `detector.l3.us`); the
+/// Names are dotted paths (`cache.l1.hits`, `serve.request_us`); the
 /// `BTreeMap` keys make every iteration order — and therefore every
 /// rendering — deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -120,11 +120,6 @@ impl MetricsRegistry {
             .entry(name.to_owned())
             .or_default()
             .observe(us);
-    }
-
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters in name order.

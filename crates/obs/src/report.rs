@@ -1,14 +1,15 @@
-//! End-of-run summaries built from the metrics registry.
+//! End-of-run summaries built from the metrics registry and the trace.
 //!
 //! A [`RunReport`] reads the well-known metric names the pipeline
 //! records (see DESIGN.md §14 for the full table) and renders them as
-//! an operator-facing text block or a JSON object. Timing fields come
-//! from detector health rows and are observational: they vary run to
-//! run, which is why the report — unlike the event trace — is never
-//! asserted byte-identical.
+//! an operator-facing text block or a JSON object. Its only times are
+//! span durations, paired from the `wall_us` stamps of an injected
+//! clock when the report is built: a run without a clock reports no
+//! spans, and its report is as deterministic as its trace.
 
-use crate::event::escape_into;
+use crate::event::{escape_into, Event, Phase};
 use crate::metrics::MetricsRegistry;
+use std::collections::BTreeMap;
 
 /// Per-detector summary row (`detector.<name>.*` metrics).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,8 +22,17 @@ pub struct DetectorSummary {
     pub ok: bool,
     /// Dependencies / pairs detected.
     pub detected: u64,
-    /// Total wall time attributed to the detector, in microseconds.
-    pub elapsed_us: u64,
+}
+
+/// Begin-to-end wall time of every closed span of one name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanSummary {
+    /// Span name (`window`, `window.l1`, `daily.step`, …).
+    pub name: String,
+    /// Spans of this name that closed.
+    pub count: u64,
+    /// Sum of their `end.wall_us - begin.wall_us`, in microseconds.
+    pub total_us: u64,
 }
 
 /// Per-layer cache traffic row (`cache.<layer>.hits` / `.misses`).
@@ -54,6 +64,9 @@ pub struct RunReport {
     pub caches: Vec<CacheSummary>,
     /// Every counter not folded into the rows above, in name order.
     pub counters: Vec<(String, u64)>,
+    /// Span durations by name, in name order; empty unless the trace
+    /// was stamped by an injected clock.
+    pub spans: Vec<SpanSummary>,
     /// Total events emitted to the trace.
     pub events: u64,
     /// True when any enabled detector failed (degraded-mode run).
@@ -66,9 +79,45 @@ const DETECTORS: [&str; 4] = ["l1", "l2", "l3", "store"];
 /// The cache layers the windowed pipeline records traffic for.
 const CACHE_LAYERS: [&str; 2] = ["l1", "l3"];
 
+/// Pairs each `end` with the innermost open `begin` of the same name —
+/// the nesting [`crate::EventSink::check_balanced`] checks — and sums
+/// the durations by name. Only events stamped with `wall_us` take
+/// part. A `begin` still open when an enclosing span ends, or at the
+/// end of the stream, was left open by an error and is not counted; an
+/// `end` with no open `begin` of its name is ignored, as are points.
+fn pair_spans(events: &[Event]) -> Vec<SpanSummary> {
+    let mut open: Vec<(&str, u64)> = Vec::new();
+    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for e in events {
+        let Some(us) = e.wall_us else { continue };
+        match e.phase {
+            Phase::Begin => open.push((&e.name, us)),
+            Phase::End => {
+                let Some(i) = open.iter().rposition(|&(name, _)| name == e.name) else {
+                    continue;
+                };
+                if let Some((_, began)) = open.drain(i..).next() {
+                    let (count, total_us) = totals.entry(&e.name).or_default();
+                    *count += 1;
+                    *total_us = total_us.saturating_add(us.saturating_sub(began));
+                }
+            }
+            Phase::Point => {}
+        }
+    }
+    totals
+        .into_iter()
+        .map(|(name, (count, total_us))| SpanSummary {
+            name: name.to_owned(),
+            count,
+            total_us,
+        })
+        .collect()
+}
+
 impl RunReport {
-    /// Builds a report from a recorded registry and the trace length.
-    pub fn from_metrics(metrics: &MetricsRegistry, events: u64) -> Self {
+    /// Builds a report from a recorded registry and its event stream.
+    pub fn new(metrics: &MetricsRegistry, events: &[Event]) -> Self {
         let mut detectors = Vec::new();
         for name in DETECTORS {
             let enabled = metrics.gauge(&format!("detector.{name}.enabled"));
@@ -81,9 +130,6 @@ impl RunReport {
                 enabled: enabled.unwrap_or(0) != 0,
                 ok: ok.unwrap_or(0) != 0,
                 detected: metrics.counter(&format!("detector.{name}.detected")),
-                elapsed_us: metrics
-                    .histogram(&format!("detector.{name}.us"))
-                    .map_or(0, |h| h.sum_us()),
             });
         }
         let mut caches = Vec::new();
@@ -113,7 +159,8 @@ impl RunReport {
             detectors,
             caches,
             counters,
-            events,
+            spans: pair_spans(events),
+            events: events.len() as u64,
             degraded,
         }
     }
@@ -130,7 +177,7 @@ impl RunReport {
         for d in &self.detectors {
             let status = match (d.enabled, d.ok) {
                 (false, _) => "disabled".to_owned(),
-                (true, true) => format!("ok, {} detected, {} us", d.detected, d.elapsed_us),
+                (true, true) => format!("ok, {} detected", d.detected),
                 (true, false) => "FAILED".to_owned(),
             };
             s.push_str(&format!("  detector {}: {status}\n", d.name));
@@ -147,6 +194,12 @@ impl RunReport {
         }
         for (name, v) in &self.counters {
             s.push_str(&format!("  {name}: {v}\n"));
+        }
+        for sp in &self.spans {
+            s.push_str(&format!(
+                "  span {}: {} closed, {} us\n",
+                sp.name, sp.count, sp.total_us
+            ));
         }
         s
     }
@@ -165,8 +218,8 @@ impl RunReport {
             s.push_str("{\"name\":\"");
             escape_into(&d.name, &mut s);
             s.push_str(&format!(
-                "\",\"enabled\":{},\"ok\":{},\"detected\":{},\"elapsed_us\":{}}}",
-                d.enabled, d.ok, d.detected, d.elapsed_us
+                "\",\"enabled\":{},\"ok\":{},\"detected\":{}}}",
+                d.enabled, d.ok, d.detected
             ));
         }
         s.push_str("],\"caches\":[");
@@ -192,7 +245,23 @@ impl RunReport {
             escape_into(name, &mut s);
             s.push_str(&format!("\":{v}"));
         }
-        s.push_str("}}");
+        s.push('}');
+        if !self.spans.is_empty() {
+            s.push_str(",\"spans\":[");
+            for (i, sp) in self.spans.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push_str("{\"name\":\"");
+                escape_into(&sp.name, &mut s);
+                s.push_str(&format!(
+                    "\",\"count\":{},\"total_us\":{}}}",
+                    sp.count, sp.total_us
+                ));
+            }
+            s.push(']');
+        }
+        s.push('}');
         s
     }
 }
@@ -200,13 +269,14 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventSink;
+    use std::cell::Cell;
 
     fn sample() -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         m.gauge_set("detector.l1.enabled", 1);
         m.gauge_set("detector.l1.ok", 1);
         m.counter_add("detector.l1.detected", 4);
-        m.observe_us("detector.l1.us", 1500);
         m.gauge_set("detector.l3.enabled", 1);
         m.gauge_set("detector.l3.ok", 0);
         m.counter_add("cache.l1.hits", 9);
@@ -215,39 +285,140 @@ mod tests {
         m
     }
 
+    thread_local! {
+        static NOW_US: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A clock that advances 10 µs per read, so the k-th event of a
+    /// sink reads `10 * (k + 1)`.
+    fn ticking() -> u64 {
+        NOW_US.with(|t| {
+            t.set(t.get() + 10);
+            t.get()
+        })
+    }
+
+    fn clocked() -> EventSink {
+        NOW_US.with(|t| t.set(0));
+        EventSink::with_clock(ticking)
+    }
+
+    fn span<'a>(r: &'a RunReport, name: &str) -> Option<&'a SpanSummary> {
+        r.spans.iter().find(|s| s.name == name)
+    }
+
     #[test]
     fn report_reads_well_known_names() {
-        let r = RunReport::from_metrics(&sample(), 42);
-        assert_eq!(r.events, 42);
+        let mut sink = EventSink::new();
+        sink.point("x", &[]);
+        let r = RunReport::new(&sample(), sink.events());
+        assert_eq!(r.events, 1);
         assert!(r.degraded, "failed l3 must flag the run degraded");
         assert_eq!(r.detectors.len(), 2);
         assert_eq!(r.detectors[0].name, "l1");
         assert_eq!(r.detectors[0].detected, 4);
-        assert_eq!(r.detectors[0].elapsed_us, 1500);
         assert_eq!(r.caches.len(), 1);
         assert_eq!(r.caches[0].hit_permille(), 900);
         assert_eq!(r.counters, vec![("durable.steps".to_owned(), 7)]);
+        assert!(r.spans.is_empty());
     }
 
     #[test]
     fn text_and_json_render() {
-        let r = RunReport::from_metrics(&sample(), 42);
+        let r = RunReport::new(&sample(), &[]);
         let text = r.render_text();
         assert!(text.contains("DEGRADED"));
-        assert!(text.contains("detector l1: ok, 4 detected, 1500 us"));
+        assert!(text.contains("detector l1: ok, 4 detected\n"));
         assert!(text.contains("cache l1: 9 hits, 1 misses (90.0% hit rate)"));
         assert!(text.contains("durable.steps: 7"));
+        assert!(!text.contains("span "));
         let json = r.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"degraded\":true"));
         assert!(json.contains("\"hit_permille\":900"));
+        assert!(json.contains("\"detected\":4}"));
+        assert!(!json.contains("\"spans\""));
+    }
+
+    #[test]
+    fn clocked_spans_render_in_text_and_json() {
+        let mut sink = clocked();
+        sink.span_begin("window", &[]); // 10
+        sink.span_end("window", &[]); // 20
+        let r = RunReport::new(&MetricsRegistry::new(), sink.events());
+        assert!(r.render_text().contains("  span window: 1 closed, 10 us\n"));
+        assert!(r
+            .render_json()
+            .ends_with(",\"spans\":[{\"name\":\"window\",\"count\":1,\"total_us\":10}]}"));
+    }
+
+    #[test]
+    fn nested_spans_of_one_name_pair_innermost_first() {
+        let mut sink = clocked();
+        sink.span_begin("a", &[]); // 10
+        sink.span_begin("a", &[]); // 20
+        sink.span_end("a", &[]); // 30: closes the inner one, 10 us
+        sink.span_end("a", &[]); // 40: closes the outer one, 30 us
+        let r = RunReport::new(&MetricsRegistry::new(), sink.events());
+        let a = span(&r, "a").expect("a paired");
+        assert_eq!((a.count, a.total_us), (2, 40));
+    }
+
+    #[test]
+    fn a_span_left_open_by_an_error_is_not_counted() {
+        let mut sink = clocked();
+        sink.span_begin("window", &[]); // 10
+        sink.span_begin("window.l2", &[]); // 20, never ended
+        sink.span_end("window", &[]); // 30
+        sink.span_begin("window", &[]); // 40
+        sink.span_begin("window.l2", &[]); // 50
+        sink.span_end("window.l2", &[]); // 60
+        sink.span_end("window", &[]); // 70
+        sink.span_begin("daily", &[]); // 80, open at the end of the stream
+        let r = RunReport::new(&MetricsRegistry::new(), sink.events());
+        let window = span(&r, "window").expect("window paired");
+        assert_eq!((window.count, window.total_us), (2, 50));
+        let l2 = span(&r, "window.l2").expect("second l2 paired");
+        assert_eq!((l2.count, l2.total_us), (1, 10));
+        assert!(span(&r, "daily").is_none());
+    }
+
+    #[test]
+    fn points_and_unmatched_ends_are_ignored() {
+        let mut sink = clocked();
+        sink.span_end("stray", &[]); // 10
+        sink.span_begin("a", &[]); // 20
+        sink.point("note", &[]); // 30
+        sink.span_end("a", &[]); // 40
+        let r = RunReport::new(&MetricsRegistry::new(), sink.events());
+        assert_eq!(
+            r.spans,
+            vec![SpanSummary {
+                name: "a".to_owned(),
+                count: 1,
+                total_us: 20,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_sink_without_a_clock_gives_no_spans() {
+        let mut sink = EventSink::new();
+        sink.span_begin("window", &[]);
+        sink.point("note", &[]);
+        sink.span_end("window", &[]);
+        let r = RunReport::new(&MetricsRegistry::new(), sink.events());
+        assert_eq!(r.events, 3);
+        assert!(r.spans.is_empty());
+        assert!(!r.render_json().contains("spans"));
     }
 
     #[test]
     fn empty_registry_gives_empty_report() {
-        let r = RunReport::from_metrics(&MetricsRegistry::new(), 0);
+        let r = RunReport::new(&MetricsRegistry::new(), &[]);
         assert!(r.detectors.is_empty());
         assert!(r.caches.is_empty());
+        assert!(r.spans.is_empty());
         assert!(!r.degraded);
     }
 }

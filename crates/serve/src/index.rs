@@ -91,8 +91,8 @@ impl ModelIndex {
     /// span events and cache counters land in this index's
     /// [`ModelIndex::report_json`] rather than any ambient trace; the
     /// previously installed recorder (if any) is restored afterwards.
-    /// The recorder is clock-free and the detectors' wall times are
-    /// zeroed, so the captured report is deterministic.
+    /// The recorder is clock-free, so the captured report is
+    /// deterministic.
     pub fn from_store(
         store: &LogStore,
         service_ids: &[String],
@@ -110,11 +110,7 @@ impl ModelIndex {
             obs::set_recorder(prev);
         }
         let days = mined?;
-        let mut report = recorder.report();
-        for detector in &mut report.detectors {
-            detector.elapsed_us = 0;
-        }
-        let report_json = report.render_json();
+        let report_json = recorder.report().render_json();
 
         let source_names: Vec<String> = (0..store.registry.source_count())
             .map(|i| store.registry.source_name(SourceId(i as u32)).to_owned())

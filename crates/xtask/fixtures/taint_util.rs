@@ -1,7 +1,7 @@
 //! Taint fixture, helper half (`crates/core/src/util.rs`). Seeds one
 //! HashMap iteration (fires), one BTreeMap iteration (clean — ordered),
 //! one justified HashMap iteration (suppressed), and one wall-clock
-//! read outside the health module (fires).
+//! read (fires).
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;

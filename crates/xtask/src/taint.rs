@@ -42,13 +42,13 @@ fn is_taint_entry(graph: &CallGraph, id: usize) -> bool {
 }
 
 /// Whether a nondeterminism fact of `kind` is sanctioned where it sits.
-/// `DetectorHealth` timing lives in `crates/core/src/health.rs`; env
-/// reads and hardware introspection belong to the `par` config layer.
+/// Env reads and hardware introspection belong to the `par` config
+/// layer; a wall-clock read is sanctioned nowhere, since the only clock
+/// is the one a binary injects into the recorder.
 fn fact_allowed(kind: FactKind, file: &FileIndex) -> bool {
     match kind {
-        FactKind::WallClock => file.rel.ends_with("crates/core/src/health.rs"),
+        FactKind::WallClock | FactKind::HashIter => false,
         FactKind::EnvRead | FactKind::AvailPar => file.crate_name == "par",
-        FactKind::HashIter => false,
         FactKind::PanicSite => true, // handled by panic-reach, not taint
     }
 }

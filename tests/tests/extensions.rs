@@ -91,7 +91,8 @@ fn delay_analysis_separates_causal_from_concurrent() {
         types.push((a, b));
         types.push((b, a));
     }
-    let profiles = delay_profiles(&sessions.sessions, &types, &DelayConfig::default());
+    let profiles = delay_profiles(&sessions.sessions, &types, &DelayConfig::default())
+        .expect("the default delay config is valid");
     let causal = |pair: &(SourceId, SourceId)| {
         profiles
             .iter()

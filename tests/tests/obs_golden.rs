@@ -4,7 +4,9 @@
 //! incremental sliding window, and a resume-after-crash — each produce
 //! a structured event trace that must be **byte-identical** across
 //! worker-pool widths (serial vs 4 threads), across consecutive runs,
-//! and against the committed golden snapshots in `tests/golden/`.
+//! and against the committed golden snapshots in `tests/golden/`. The
+//! whole metrics registry — counters, gauges and histograms — must be
+//! equal across the same runs: the pipeline reads no clock.
 //!
 //! To regenerate the snapshots after an intentional schema change:
 //!
@@ -111,24 +113,13 @@ fn assert_conformant(name: &str, scenario: impl Fn(ParConfig) -> Recorder) {
         again.sink.render_jsonl(),
         "{name}: trace differs between two consecutive serial runs"
     );
-    // Timing histograms measure real elapsed time, so only the
-    // counters and gauges are part of the determinism contract.
-    let countable = |r: &Recorder| {
-        (
-            r.metrics
-                .counters()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect::<Vec<_>>(),
-            r.metrics
-                .gauges()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect::<Vec<_>>(),
-        )
-    };
     assert_eq!(
-        countable(&serial),
-        countable(&wide),
-        "{name}: counters or gauges differ between serial and 4-thread runs"
+        serial.metrics, wide.metrics,
+        "{name}: metrics differ between serial and 4-thread runs"
+    );
+    assert_eq!(
+        serial.metrics, again.metrics,
+        "{name}: metrics differ between two consecutive serial runs"
     );
     serial
         .sink
